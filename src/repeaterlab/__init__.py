@@ -15,11 +15,10 @@ from .concentration import (GeneralMeasurement, NotEntangledError,
 from .criterion import (CriterionReport, RankOneRequiredError, achieved_rate,
                         criterion_lhs, is_optimal, measurement_from_text,
                         t_operators)
-from .repeater import (AnalyticResult, ComparisonRecord, LoccLedger, OptimalBasis,
-                       ProjectiveMeasurement, ProtocolRun, SampledResult,
-                       bell_kets, build_optimal_basis, compare_with_bell,
-                       computational_kets, direct_success_prob, projection_bounds,
-                       run_protocol_analytic, run_protocol_once,
+from .repeater import (AnalyticResult, ComparisonRecord, OptimalBasis,
+                       ProjectiveMeasurement, SampledResult, bell_kets,
+                       build_optimal_basis, compare_with_bell, computational_kets,
+                       direct_success_prob, projection_bounds, run_protocol_analytic,
                        run_protocol_sampled, run_protocol_with_kets)
 from .states import (JointScenario, SchmidtState, TwoQubitPure,
                      canonical_two_qubit, is_max_entangled, make_joint,
@@ -34,11 +33,9 @@ __all__ = [
     "CriterionReport",
     "GeneralMeasurement",
     "JointScenario",
-    "LoccLedger",
     "NotEntangledError",
     "OptimalBasis",
     "ProjectiveMeasurement",
-    "ProtocolRun",
     "RankOneRequiredError",
     "SampledResult",
     "SchmidtState",
@@ -64,7 +61,6 @@ __all__ = [
     "procrustean",
     "projection_bounds",
     "run_protocol_analytic",
-    "run_protocol_once",
     "run_protocol_sampled",
     "run_protocol_with_kets",
     "state_from_config",

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -60,6 +62,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be nonnegative, got {text!r}")
+    return value
+
+
 def _schmidt_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in text.split(","))
@@ -72,23 +91,24 @@ def _schmidt_list(text: str) -> tuple[float, ...]:
     return tuple(sorted((v / total for v in values), reverse=True))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="repeaterlab",
                      description="Entanglement swapping with a tuned middle-station basis")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_angles(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--theta", type=float, required=True,
+        p.add_argument("--theta", type=_finite, required=True,
                        help="Schmidt angle of the Alice-Clare pair")
-        p.add_argument("--eta", type=float, required=True,
+        p.add_argument("--eta", type=_finite, required=True,
                        help="Schmidt angle of the Clare-Bob pair")
         p.add_argument("--degrees", action="store_true",
                        help="interpret angles as degrees instead of radians")
 
     def add_phases(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--beta1", type=float, default=0.0,
+        p.add_argument("--beta1", type=_finite, default=0.0,
                        help="free phase of the first direct-success ket")
-        p.add_argument("--beta2", type=float, default=0.0,
+        p.add_argument("--beta2", type=_finite, default=0.0,
                        help="free phase of the second direct-success ket")
 
     def add_output(p: argparse.ArgumentParser, formats: tuple[str, ...],
@@ -124,7 +144,7 @@ def _build_parser() -> _Parser:
                        help="one of the built-in bases")
     group.add_argument("--measurement-file", dest="measurement_file",
                        help="matrix text file with four dim-4 kets or 4x4 projectors")
-    p.add_argument("--tol", dest="tolerance", type=float, default=DEFAULT_FLAG_TOL,
+    p.add_argument("--tol", dest="tolerance", type=_tolerance, default=DEFAULT_FLAG_TOL,
                    help="tolerance for the optimality flag")
     add_output(p, ("json", "csv"), "json")
 

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from . import qmath
-from .repeater import ProjectiveMeasurement
-from .states import PARTY_DIMS, CLARE, _check_protocol_angle, make_joint
+from .repeater import ProjectiveMeasurement, _outcomes
+from .states import _check_protocol_angle, make_joint
 
 RANK_ONE_ATOL = 1e-10
 ROUTE_MATCH_ATOL = 1e-10
@@ -124,25 +124,15 @@ def criterion_lhs(meas, theta: float, eta: float) -> float:
 def achieved_rate(meas, theta: float, eta: float) -> float:
     """Concentration rate the measurement actually delivers.
 
-    Runs the swap outcome by outcome: weight each post-state's optimal
-    local-filter success (twice the smaller reduced eigenvalue) by its
-    probability.  Independent of the closed-form route.
+    Runs the swap outcome by outcome: sums each post-state's optimal
+    local-filter success weight, twice the smaller squared singular value
+    of the leftover.  Independent of the closed-form route.
     """
     pm = _as_projective(meas)
     if pm.dim != 4:
         raise ValueError(f"expected projectors on the 4-dim middle space, got dim {pm.dim}")
     kets = _rank_one_kets(pm)
-    scenario = make_joint(theta, eta)
-    total = 0.0
-    for ket in kets:
-        prob, post = qmath.project_out(scenario.ket, PARTY_DIMS, CLARE, ket)
-        if prob <= qmath.PROB_FLOOR:
-            continue
-        rho = np.outer(post, post.conj())
-        rho_a = qmath.partial_trace(rho, (2, 2), keep={0})
-        lam_min = float(np.linalg.eigvalsh(rho_a)[0])
-        total += prob * 2.0 * max(lam_min, 0.0)
-    return float(total)
+    return float(np.sum(_outcomes(make_joint(theta, eta).f, kets).filter_weight))
 
 
 def is_optimal(meas, theta: float, eta: float,

@@ -8,7 +8,6 @@ import numpy as np
 
 HERMITIAN_ATOL = 1e-12
 NORMALIZATION_ATOL = 1e-12
-EIGEN_ATOL = 1e-10
 NEGATIVE_EIG_ATOL = 1e-10
 SUPPORT_CUTOFF = 1e-12
 PHASE_ATOL = 1e-10
@@ -100,21 +99,6 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
     return work.reshape(kept_dim, kept_dim)
 
 
-def project_out(psi: np.ndarray, dims: Sequence[int], wire: int, ket: np.ndarray) -> tuple[float, np.ndarray]:
-    """Project subsystem `wire` onto <ket| and return (probability, post state of the rest)."""
-    dims = tuple(int(d) for d in dims)
-    k = as_ket(ket, dims[wire])
-    psi = as_ket(psi, int(np.prod(dims)))
-    contracted = np.tensordot(k.conj(), psi.reshape(dims), axes=(0, wire))
-    post = contracted.reshape(-1)
-    prob = float(np.real(np.vdot(post, post)))
-    if prob > PROB_FLOOR:
-        post = post / np.sqrt(prob)
-    else:
-        post = np.zeros_like(post)
-    return prob, post
-
-
 class SchmidtDecomposition(NamedTuple):
     coefficients: np.ndarray
     left_vectors: np.ndarray
@@ -170,9 +154,6 @@ def op_norm_inf(a: np.ndarray) -> float:
 class EigenSystem(NamedTuple):
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def ascending(self) -> "EigenSystem":
-        return self
 
     def descending(self) -> "EigenSystem":
         return EigenSystem(self.eigenvalues[::-1], self.eigenvectors[:, ::-1])

@@ -13,13 +13,13 @@ Bell-basis strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import qmath
-from .concentration import GeneralMeasurement, apply_measurement, p_e
-from .states import CLARE, PARTY_DIMS, JointScenario, is_max_entangled, make_joint
+from .concentration import GeneralMeasurement, apply_measurement
+from .states import JointScenario, _check_protocol_angle, make_joint
 
 PROJECTOR_ATOL = 1e-10
 ORTHONORMAL_ATOL = 1e-12
@@ -90,40 +90,6 @@ class OptimalBasis:
 
     def measurement(self) -> ProjectiveMeasurement:
         return ProjectiveMeasurement.from_kets(self.kets)
-
-
-@dataclass(frozen=True)
-class LoccLedger:
-    """Cost counters for one protocol run.
-
-    Clare always announces her outcome with two classical bits.  A local
-    measurement means one completed generalized measurement by one party:
-    Clare's four-outcome projection counts 1, Bob's filter counts 1 more.
-    """
-
-    classical_bits_sent: int = 2
-    local_measurements: int = 1
-    measurement_outcomes_total: int = 4
-
-    def to_dict(self) -> dict:
-        return {
-            "classical_bits_sent": self.classical_bits_sent,
-            "local_measurements": self.local_measurements,
-            "measurement_outcomes_total": self.measurement_outcomes_total,
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class ProtocolRun:
-    """One sampled pass through the protocol."""
-
-    outcome: int
-    clare_prob: float
-    bob_acted: bool
-    bob_outcome: int | None
-    final_success: bool
-    final_state: np.ndarray
-    ledger: LoccLedger
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +209,8 @@ def projection_bounds(theta: float, eta: float) -> tuple[float, float]:
     A direct success is a Clare outcome after which Alice and Bob already
     hold a maximally entangled state.
     """
-    make_joint(theta, eta)
+    theta = _check_protocol_angle(theta, "theta", strict=True)
+    eta = _check_protocol_angle(eta, "eta", strict=True)
     numerator = np.sin(2 * theta) ** 2 * np.sin(2 * eta) ** 2
     c = np.cos(2 * theta) * np.cos(2 * eta)
     lower = numerator / (4.0 * (1.0 + c))
@@ -262,13 +229,14 @@ def build_optimal_basis(theta: float, eta: float,
     f0, f1, f2, f3 = scenario.f
     e1 = np.exp(1j * beta1)
     e2 = np.exp(1j * beta2)
-    n12 = np.sqrt(f1 * f1 + f2 * f2)
-    n03 = np.sqrt(f0 * f0 + f3 * f3)
-    phi1 = np.array([0.0, f2, e1 * f1, 0.0], dtype=complex) / n12
-    phi2 = np.array([f3, 0.0, 0.0, e2 * f0], dtype=complex) / n03
-    phi3 = np.array([0.0, f1, -e1 * f2, 0.0], dtype=complex) / n12
-    phi4 = np.array([f0, 0.0, 0.0, -e2 * f3], dtype=complex) / n03
-    return OptimalBasis(theta=float(theta), eta=float(eta), beta1=float(beta1),
+    # Normalized through angles, so tiny amplitudes cannot underflow a norm.
+    a12 = np.arctan2(f1, f2)
+    a03 = np.arctan2(f0, f3)
+    phi1 = np.array([0.0, np.cos(a12), e1 * np.sin(a12), 0.0], dtype=complex)
+    phi2 = np.array([np.cos(a03), 0.0, 0.0, e2 * np.sin(a03)], dtype=complex)
+    phi3 = np.array([0.0, np.sin(a12), -e1 * np.cos(a12), 0.0], dtype=complex)
+    phi4 = np.array([np.sin(a03), 0.0, 0.0, -e2 * np.cos(a03)], dtype=complex)
+    return OptimalBasis(theta=scenario.theta, eta=scenario.eta, beta1=float(beta1),
                         beta2=float(beta2), f=scenario.f,
                         kets=(phi1, phi2, phi3, phi4))
 
@@ -289,35 +257,64 @@ def computational_kets() -> tuple[np.ndarray, ...]:
     return tuple(qmath.basis_ket(t, 4) for t in range(4))
 
 
-def _outcome_records(scenario: JointScenario, kets: Sequence[np.ndarray]) -> list[OutcomeRecord]:
-    records = []
-    for index, ket in enumerate(kets, start=1):
-        prob, post = qmath.project_out(scenario.ket, PARTY_DIMS, CLARE, ket)
-        if prob <= qmath.PROB_FLOOR:
-            records.append(OutcomeRecord(index, 0.0, post, False, 0.0, 0.0))
-            continue
-        maximal = is_max_entangled(post, 2, 2, MAXIMAL_STATE_ATOL)
-        bob_success = 1.0 if maximal else p_e(post)
-        records.append(OutcomeRecord(
-            outcome=index,
-            clare_prob=prob,
-            post_state=post,
-            maximal=maximal,
-            bob_success_prob=bob_success,
-            success_prob=prob * bob_success,
-        ))
-    return records
+class _Outcomes(NamedTuple):
+    """Per-outcome arrays, one entry per ket; zero where the outcome never fires."""
+
+    clare_prob: np.ndarray
+    post_state: np.ndarray
+    maximal: np.ndarray
+    bob_success_prob: np.ndarray
+    filter_weight: np.ndarray
+
+
+def _outcomes(f: np.ndarray, kets: Sequence[np.ndarray]) -> _Outcomes:
+    """Every Clare outcome at once, from one batched 2x2 singular-value solve.
+
+    Projecting Clare onto ket phi leaves Alice and Bob the 2x2 matrix
+    M[a, b] = f[2a+b] conj(phi[2a+b]).  The outcome probability is its
+    squared Frobenius norm, and Bob's best filter succeeds with weight
+    2 s_min(M)^2, twice the smaller squared singular value; the leftover
+    is maximal when both normalized singular values equal 1/sqrt(2).
+    """
+    phi = np.asarray(kets, dtype=complex).reshape(len(kets), -1)
+    if phi.shape[1] != 4:
+        raise ValueError(f"expected kets of dimension 4, got {phi.shape[1]}")
+    m = f * phi.conj()
+    prob = np.einsum("kt,kt->k", m.conj(), m).real
+    s = np.linalg.svd(m.reshape(-1, 2, 2), compute_uv=False)
+    live = prob > qmath.PROB_FLOOR
+    prob = np.where(live, prob, 0.0)
+    norm = np.sqrt(np.where(live, prob, 1.0))[:, None]
+    coeffs = s / norm
+    maximal = live & np.all(np.abs(coeffs - np.sqrt(0.5)) <= MAXIMAL_STATE_ATOL, axis=1)
+    bob = np.where(maximal, 1.0, np.minimum(1.0, 2.0 * coeffs[:, 1] ** 2))
+    return _Outcomes(clare_prob=prob,
+                     post_state=np.where(live[:, None], m / norm, 0.0),
+                     maximal=maximal,
+                     bob_success_prob=np.where(live, bob, 0.0),
+                     filter_weight=np.where(live, 2.0 * s[:, 1] ** 2, 0.0))
+
+
+def _analysis(source: JointScenario | OptimalBasis,
+              kets: Sequence[np.ndarray]) -> AnalyticResult:
+    """Per-outcome breakdown at the (snapped) angles and amplitudes of `source`."""
+    out = _outcomes(source.f, kets)
+    records = tuple(
+        OutcomeRecord(outcome=index, clare_prob=float(p), post_state=post,
+                      maximal=bool(maximal), bob_success_prob=float(q),
+                      success_prob=float(p * q))
+        for index, (p, post, maximal, q) in enumerate(
+            zip(out.clare_prob, out.post_state, out.maximal, out.bob_success_prob), start=1))
+    p_ms = float(sum(r.success_prob for r in records))
+    bob_action = float(sum(r.clare_prob for r in records if not r.maximal))
+    return AnalyticResult(theta=source.theta, eta=source.eta, p_ms=p_ms,
+                          per_outcome=records, bob_action_prob=bob_action)
 
 
 def run_protocol_with_kets(theta: float, eta: float,
                            kets: Sequence[np.ndarray]) -> AnalyticResult:
     """Exact analysis of the swap under an arbitrary rank-1 basis for Clare."""
-    scenario = make_joint(theta, eta)
-    records = _outcome_records(scenario, kets)
-    p_ms = float(sum(r.success_prob for r in records))
-    bob_action = float(sum(r.clare_prob for r in records if not r.maximal))
-    return AnalyticResult(theta=float(theta), eta=float(eta), p_ms=p_ms,
-                          per_outcome=tuple(records), bob_action_prob=bob_action)
+    return _analysis(make_joint(theta, eta), kets)
 
 
 def run_protocol_analytic(theta: float, eta: float,
@@ -328,12 +325,13 @@ def run_protocol_analytic(theta: float, eta: float,
     any strategy can do with these resources.
     """
     basis = build_optimal_basis(theta, eta, beta1, beta2)
-    return run_protocol_with_kets(theta, eta, basis.kets)
+    return _analysis(basis, basis.kets)
 
 
 def direct_success_prob(theta: float, eta: float) -> float:
     """Probability that Clare's outcome alone finishes the job."""
-    make_joint(theta, eta)
+    theta = _check_protocol_angle(theta, "theta", strict=True)
+    eta = _check_protocol_angle(eta, "eta", strict=True)
     numerator = np.sin(2 * theta) ** 2 * np.sin(2 * eta) ** 2
     c2 = (np.cos(2 * theta) * np.cos(2 * eta)) ** 2
     return float(numerator / (2.0 * (1.0 - c2)))
@@ -360,80 +358,43 @@ def bob_filter(post_state: np.ndarray) -> tuple[GeneralMeasurement, float]:
     return filt, float(branches[0][0])
 
 
-def run_protocol_once(theta: float, eta: float,
-                      rng: np.random.Generator | None = None,
-                      beta1: float = 0.0, beta2: float = 0.0) -> ProtocolRun:
-    """Sample a single pass: Clare's outcome, then Bob's filter if needed."""
-    if rng is None:
-        rng = np.random.default_rng()
-    basis = build_optimal_basis(theta, eta, beta1, beta2)
-    scenario = make_joint(theta, eta)
-    records = _outcome_records(scenario, basis.kets)
-    probs = np.array([r.clare_prob for r in records])
-    pick = int(rng.choice(len(records), p=probs / probs.sum()))
-    rec = records[pick]
-    if rec.maximal:
-        return ProtocolRun(outcome=rec.outcome, clare_prob=rec.clare_prob,
-                           bob_acted=False, bob_outcome=None, final_success=True,
-                           final_state=rec.post_state,
-                           ledger=LoccLedger(2, 1, 4))
-    filt, _ = bob_filter(rec.post_state)
-    branches = apply_measurement(filt, rec.post_state, wire=1, dims=(2, 2))
-    bob_probs = np.array([b[0] for b in branches])
-    bob_pick = int(rng.choice(len(branches), p=bob_probs / bob_probs.sum()))
-    final_state = branches[bob_pick][1]
-    success = bob_pick == 0
-    return ProtocolRun(outcome=rec.outcome, clare_prob=rec.clare_prob,
-                       bob_acted=True, bob_outcome=bob_pick, final_success=success,
-                       final_state=final_state,
-                       ledger=LoccLedger(2, 2, 6))
-
-
 def run_protocol_sampled(theta: float, eta: float, n: int,
                          seed: int | None = None,
                          beta1: float = 0.0, beta2: float = 0.0) -> SampledResult:
     """Monte-Carlo estimate of the success rate over n independent passes.
 
-    Clare's outcome is drawn from the exact Born distribution; for the
-    filterable outcomes Bob's filter is rebuilt from the actual post state
-    and its success is drawn from its own Born probability.  Runs are
-    deterministic for a fixed seed.
+    Clare's outcome counts are one multinomial draw from the exact Born
+    distribution; for each filterable outcome, the successes of Bob's
+    filter are one binomial draw at its Born probability.  Memory does
+    not grow with n, and runs are deterministic for a fixed seed.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     rng = np.random.default_rng(seed)
     basis = build_optimal_basis(theta, eta, beta1, beta2)
-    scenario = make_joint(theta, eta)
-    records = _outcome_records(scenario, basis.kets)
-    probs = np.array([r.clare_prob for r in records])
-    outcomes = rng.choice(len(records), size=n, p=probs / probs.sum())
-    counts = np.bincount(outcomes, minlength=len(records))
-
+    out = _outcomes(basis.f, basis.kets)
+    counts = rng.multinomial(n, out.clare_prob / out.clare_prob.sum())
     successes = 0
-    bob_actions = 0
-    for idx, rec in enumerate(records):
-        hits = int(counts[idx])
-        if hits == 0:
-            continue
-        if rec.maximal:
-            successes += hits
-            continue
-        bob_actions += hits
-        _, born_p0 = bob_filter(rec.post_state)
-        successes += int(rng.binomial(hits, born_p0))
+    for hits, maximal, bob_p in zip(counts, out.maximal, out.bob_success_prob):
+        successes += int(hits) if maximal else int(rng.binomial(hits, bob_p))
 
     estimate = successes / n
     stderr = float(np.sqrt(max(estimate * (1.0 - estimate), 0.0) / n))
-    bob_freq = bob_actions / n
+    bob_freq = int(counts[~out.maximal].sum()) / n
     ledger_stats = {
         "classical_bits_mean": 2.0,
         "local_measurements_mean": 1.0 + bob_freq,
         "bob_acted_freq": bob_freq,
         "outcome_counts": [int(c) for c in counts],
     }
-    return SampledResult(theta=float(theta), eta=float(eta), n=int(n), seed=seed,
+    return SampledResult(theta=basis.theta, eta=basis.eta, n=int(n), seed=seed,
                          estimate=float(estimate), stderr=stderr,
                          ledger_stats=ledger_stats)
+
+
+def _summary(result: AnalyticResult) -> BranchSummary:
+    return BranchSummary(p_ms=result.p_ms, bob_action_prob=result.bob_action_prob,
+                         expected_local_measurements=1.0 + result.bob_action_prob)
 
 
 def compare_with_bell(theta: float, eta: float) -> ComparisonRecord:
@@ -442,20 +403,11 @@ def compare_with_bell(theta: float, eta: float) -> ComparisonRecord:
     Both reach the same success rate; the tuned basis spares Bob a local
     measurement whenever Clare's outcome already finished the job.
     """
-    optimal = run_protocol_analytic(theta, eta)
-    bell = run_protocol_with_kets(theta, eta, bell_kets())
-    opt_summary = BranchSummary(
-        p_ms=optimal.p_ms,
-        bob_action_prob=optimal.bob_action_prob,
-        expected_local_measurements=1.0 + optimal.bob_action_prob,
-    )
-    bell_summary = BranchSummary(
-        p_ms=bell.p_ms,
-        bob_action_prob=bell.bob_action_prob,
-        expected_local_measurements=1.0 + bell.bob_action_prob,
-    )
+    basis = build_optimal_basis(theta, eta)
+    optimal = _analysis(basis, basis.kets)
+    bell = _analysis(basis, bell_kets())
     return ComparisonRecord(
-        theta=float(theta), eta=float(eta),
-        optimal=opt_summary, bell=bell_summary,
+        theta=basis.theta, eta=basis.eta,
+        optimal=_summary(optimal), bell=_summary(bell),
         rates_equal=abs(optimal.p_ms - bell.p_ms) <= RATE_MATCH_ATOL,
     )

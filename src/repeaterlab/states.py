@@ -2,8 +2,7 @@
 
 Wire order is fixed globally as Alice, Clare's first qubit, Clare's second
 qubit, Bob.  Alice's qubit is paired with Clare's first qubit, Clare's
-second qubit with Bob's.  Every other module imports this convention
-instead of restating it.
+second qubit with Bob's.
 """
 
 from __future__ import annotations
@@ -14,10 +13,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import qmath
-
-WIRE_DIMS = (2, 2, 2, 2)
-PARTY_DIMS = (2, 4, 2)
-ALICE, CLARE, BOB = 0, 1, 2
 
 ANGLE_SUM_ATOL = 1e-12
 UNITARY_ATOL = 1e-10

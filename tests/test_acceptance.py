@@ -26,6 +26,7 @@ from repeaterlab.repeater import (
     run_protocol_analytic,
     run_protocol_sampled,
 )
+from oracles import random_density, random_hermitian, random_orthonormal_kets
 
 GRID_50 = np.linspace(np.pi / 4 / 50, np.pi / 4, 50)
 MC_SEED = 2024
@@ -37,23 +38,6 @@ def _report(number: int, description: str, ok: bool, detail: str) -> None:
     if sys.stdout is not sys.__stdout__:
         # Stay visible when pytest captures stdout.
         print(line, file=sys.__stdout__)
-
-
-def _random_orthonormal(rng: np.random.Generator, dim: int = 4) -> list[np.ndarray]:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(z)
-    return [q[:, k] for k in range(dim)]
-
-
-def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (z + z.conj().T) / 2
-
-
-def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = z @ z.conj().T
-    return rho / np.trace(rho).real
 
 
 def test_criterion_1_optimal_rate_reproduction():
@@ -118,7 +102,7 @@ def test_criterion_4_criterion_iff():
         verdicts_ok &= is_optimal(bell_kets(), theta, eta).optimal
         verdicts_ok &= not is_optimal(computational_kets(), theta, eta).optimal
         for _ in range(5):
-            kets = _random_orthonormal(rng)
+            kets = random_orthonormal_kets(rng)
             gap = abs(achieved_rate(kets, theta, eta)
                       - (1.0 - criterion_lhs(kets, theta, eta)))
             worst_identity = max(worst_identity, gap)
@@ -186,8 +170,8 @@ def test_criterion_7_inequality_fuzzing():
     worst_equality = 0.0
     for _ in range(1000):
         d = int(rng.integers(2, 9))
-        a = _random_hermitian(rng, d)
-        b = _random_hermitian(rng, d)
+        a = random_hermitian(rng, d)
+        b = random_hermitian(rng, d)
         floor = trace_rearrangement_lb(a, b)
         worst_slack = max(worst_slack, floor - float(np.trace(a @ b).real))
         _, va = np.linalg.eigh(a)
@@ -200,7 +184,7 @@ def test_criterion_7_inequality_fuzzing():
         d = int(rng.integers(2, 5))
         k = int(rng.integers(2, 5))
         weights = rng.dirichlet(np.ones(k))
-        members = [_random_density(rng, d) for _ in range(k)]
+        members = [random_density(rng, d) for _ in range(k)]
         rho = sum(w * m for w, m in zip(weights, members))
         for w, m in zip(weights, members):
             worst_weight = max(worst_weight, w - steering_bound(rho, m))

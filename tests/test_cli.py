@@ -241,6 +241,11 @@ class TestRun:
         assert payload["optimal"]["expected_local_measurements"] <= \
             payload["bell"]["expected_local_measurements"]
 
+    def test_snapped_angle_is_echoed(self):
+        status, report = run(parse_args(["rate", "--theta", "0.7854", "--eta", "0.3"]))
+        assert status == 0
+        assert json.loads(report)["theta"] == np.pi / 4
+
     def test_domain_error_reports_status_one(self):
         status, report = run(parse_args(["rate", "--theta", "0.0", "--eta", "0.6"]))
         assert status == 1
@@ -267,6 +272,21 @@ class TestMain:
         out = capsys.readouterr()
         assert out.out == ""
         assert json.loads(out.err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--theta=nan", "--eta", "0.6"],
+        ["rate", "--theta", "0.3", "--eta=inf"],
+        ["rate", "--theta", "0.3", "--eta", "0.6", "--beta1=-inf"],
+        ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "10", "--beta2=nan"],
+        ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement", "optimal", "--tol=nan"],
+        ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement", "optimal", "--tol=inf"],
+        ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement", "optimal", "--tol=-1e-9"],
+    ])
+    def test_non_finite_or_negative_number_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err)["error"]["type"] == "UsageError"
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"

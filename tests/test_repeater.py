@@ -1,6 +1,7 @@
 """Swap protocol: tuned basis, rates, sampling, cost comparison."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from repeaterlab import qmath, states
 from repeaterlab.concentration import p_e
+from repeaterlab.criterion import achieved_rate
 from repeaterlab.repeater import (
     AnalyticResult,
-    LoccLedger,
     ProjectiveMeasurement,
     bell_kets,
     bob_filter,
@@ -20,7 +21,6 @@ from repeaterlab.repeater import (
     direct_success_prob,
     projection_bounds,
     run_protocol_analytic,
-    run_protocol_once,
     run_protocol_sampled,
     run_protocol_with_kets,
 )
@@ -28,6 +28,7 @@ from oracles import (
     eig2_min,
     joint_ket_loop,
     project_clare_loop,
+    random_orthonormal_kets,
     reduced_alice_loop,
     successful_projection,
     swap_success_loop,
@@ -87,6 +88,20 @@ class TestProjectionBounds:
     def test_angles_out_of_range(self, theta, eta):
         with pytest.raises(ValueError):
             projection_bounds(theta, eta)
+
+    def test_computes_with_the_snapped_angle(self):
+        # At pi/4 the two bounds coincide; 0.7854 snaps down onto it.
+        lower, upper = projection_bounds(0.7854, 0.3)
+        exact = projection_bounds(np.pi / 4, 0.3)
+        assert abs(lower - exact[0]) <= 1e-15
+        assert abs(upper - exact[1]) <= 1e-15
+        assert direct_success_prob(0.7854, 0.3) == direct_success_prob(np.pi / 4, 0.3)
+
+    def test_reports_echo_the_snapped_angle(self):
+        assert build_optimal_basis(0.7854, 0.3).theta == np.pi / 4
+        assert run_protocol_analytic(0.3, 0.7854).eta == np.pi / 4
+        assert run_protocol_sampled(0.7854, 0.3, n=10, seed=1).theta == np.pi / 4
+        assert compare_with_bell(0.7854, 0.7854).eta == np.pi / 4
 
 
 class TestOptimalBasis:
@@ -286,41 +301,6 @@ class TestBobFilter:
             bob_filter(qmath.basis_ket(0, 4))
 
 
-class TestRunOnce:
-    def test_balanced_angles_never_need_bob(self):
-        run = run_protocol_once(np.pi / 4, np.pi / 4, np.random.default_rng(3))
-        assert run.outcome in (1, 2, 3, 4)
-        assert not run.bob_acted
-        assert run.bob_outcome is None
-        assert run.final_success
-        assert states.is_max_entangled(run.final_state, 2, 2)
-        assert run.ledger == LoccLedger(2, 1, 4)
-
-    def test_filter_branch_accounting(self):
-        rng = np.random.default_rng(5)
-        saw_filter = False
-        for _ in range(50):
-            run = run_protocol_once(np.pi / 6, np.pi / 4, rng)
-            if not run.bob_acted:
-                assert run.final_success
-                assert run.ledger == LoccLedger(2, 1, 4)
-                continue
-            saw_filter = True
-            assert run.outcome in (3, 4)
-            assert run.bob_outcome in (0, 1)
-            assert run.final_success == (run.bob_outcome == 0)
-            assert run.ledger == LoccLedger(2, 2, 6)
-            if run.final_success:
-                assert states.is_max_entangled(run.final_state, 2, 2)
-        assert saw_filter
-
-    def test_deterministic_under_seeded_rng(self):
-        a = run_protocol_once(0.3, 0.6, np.random.default_rng(42))
-        b = run_protocol_once(0.3, 0.6, np.random.default_rng(42))
-        assert a.outcome == b.outcome
-        assert a.final_success == b.final_success
-
-
 class TestSampled:
     def test_mixed_angles_estimate(self):
         result = run_protocol_sampled(np.pi / 6, np.pi / 4, n=100_000, seed=11)
@@ -358,6 +338,17 @@ class TestSampled:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
             run_protocol_sampled(0.3, 0.6, n=0)
+
+    def test_memory_does_not_grow_with_n(self):
+        # A first call pays one-off lazy imports; measure a warm sampler.
+        run_protocol_sampled(0.3, 0.6, n=10, seed=1)
+        tracemalloc.start()
+        try:
+            run_protocol_sampled(0.3, 0.6, n=10 ** 7, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_to_dict_is_json_ready(self):
         payload = run_protocol_sampled(0.3, 0.6, n=500, seed=1).to_dict()
@@ -440,3 +431,40 @@ class TestArbitraryBases:
     def test_computational_basis_never_succeeds(self):
         result = run_protocol_with_kets(0.3, 0.6, computational_kets())
         assert result.p_ms == pytest.approx(0.0, abs=1e-12)
+
+
+def kets_of(kind, theta, eta, seed):
+    if kind == "random":
+        return random_orthonormal_kets(np.random.default_rng(seed))
+    if kind == "tuned":
+        phase = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=2)
+        return build_optimal_basis(theta, eta, *phase).kets
+    if kind == "bell":
+        return bell_kets()
+    return computational_kets()
+
+
+class TestOutcomeKernel:
+    """The per-outcome rate route against the index-loop oracles."""
+
+    @given(st.floats(min_value=0.0, max_value=np.pi / 4, exclude_min=True),
+           st.floats(min_value=0.0, max_value=np.pi / 4, exclude_min=True),
+           st.sampled_from(["random", "tuned", "bell", "computational"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_oracles(self, theta, eta, kind, seed):
+        kets = kets_of(kind, theta, eta, seed)
+        result = run_protocol_with_kets(theta, eta, kets)
+        joint = joint_ket_loop(theta, eta)
+        for record, ket in zip(result.per_outcome, kets):
+            prob, post = project_clare_loop(joint, ket)
+            weight = 2.0 * max(eig2_min(reduced_alice_loop(post)), 0.0)
+            assert abs(record.clare_prob - prob) <= 1e-12
+            assert abs(record.success_prob - prob * weight) <= 1e-12
+        expected = swap_success_loop(theta, eta, kets)
+        assert abs(result.p_ms - expected) <= 1e-12
+        assert abs(achieved_rate(kets, theta, eta) - expected) <= 1e-12
+
+    def test_rejects_kets_of_the_wrong_size(self):
+        with pytest.raises(ValueError):
+            run_protocol_with_kets(0.3, 0.6, [np.ones(3)] * 4)
