@@ -15,7 +15,7 @@ import numpy as np
 
 from . import qmath
 from .repeater import ProjectiveMeasurement, _outcomes
-from .states import _check_protocol_angle, make_joint
+from .states import _check_protocol_angle, _checked_amplitudes
 
 RANK_ONE_ATOL = 1e-10
 ROUTE_MATCH_ATOL = 1e-10
@@ -132,7 +132,8 @@ def achieved_rate(meas, theta: float, eta: float) -> float:
     if pm.dim != 4:
         raise ValueError(f"expected projectors on the 4-dim middle space, got dim {pm.dim}")
     kets = _rank_one_kets(pm)
-    return float(np.sum(_outcomes(make_joint(theta, eta).f, kets).filter_weight))
+    _, _, f = _checked_amplitudes(theta, eta)
+    return float(np.sum(_outcomes(f, kets).filter_weight))
 
 
 def is_optimal(meas, theta: float, eta: float,

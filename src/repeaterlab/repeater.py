@@ -19,7 +19,7 @@ import numpy as np
 
 from . import qmath
 from .concentration import GeneralMeasurement, apply_measurement
-from .states import JointScenario, _check_protocol_angle, make_joint
+from .states import _amplitudes, _check_protocol_angle, _checked_amplitudes
 
 PROJECTOR_ATOL = 1e-10
 ORTHONORMAL_ATOL = 1e-12
@@ -84,9 +84,7 @@ class OptimalBasis:
     kets: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        gram = np.array([[np.vdot(a, b) for b in self.kets] for a in self.kets])
-        if float(np.linalg.norm(gram - np.eye(len(self.kets)), 2)) > ORTHONORMAL_ATOL:
-            raise ValueError("basis kets are not orthonormal")
+        _orthonormal_kets(self.kets)
 
     def measurement(self) -> ProjectiveMeasurement:
         return ProjectiveMeasurement.from_kets(self.kets)
@@ -203,6 +201,22 @@ class ComparisonRecord:
         }
 
 
+def _direct_forms(theta, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed forms at checked angles, broadcast over arrays.
+
+    Returns the lower and upper projection bounds and the direct-success
+    probability.  np.float_power squares through libm pow for scalars and
+    arrays alike, so a scalar call and a batch agree to the bit.
+    """
+    numerator = np.float_power(np.sin(2 * theta), 2) * np.float_power(np.sin(2 * eta), 2)
+    c = np.cos(2 * theta) * np.cos(2 * eta)
+    lower = numerator / (4.0 * (1.0 + c))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.where(c < 1.0, numerator / (4.0 * (1.0 - c)), np.inf)
+        direct = numerator / (2.0 * (1.0 - np.float_power(c, 2)))
+    return lower, upper, direct
+
+
 def projection_bounds(theta: float, eta: float) -> tuple[float, float]:
     """Range of success probabilities for a single direct-success projection.
 
@@ -211,11 +225,37 @@ def projection_bounds(theta: float, eta: float) -> tuple[float, float]:
     """
     theta = _check_protocol_angle(theta, "theta", strict=True)
     eta = _check_protocol_angle(eta, "eta", strict=True)
-    numerator = np.sin(2 * theta) ** 2 * np.sin(2 * eta) ** 2
-    c = np.cos(2 * theta) * np.cos(2 * eta)
-    lower = numerator / (4.0 * (1.0 + c))
-    upper = numerator / (4.0 * (1.0 - c)) if c < 1.0 else float("inf")
+    lower, upper, _ = _direct_forms(theta, eta)
     return float(lower), float(upper)
+
+
+def _tuned_kets(f: np.ndarray, beta1: float = 0.0, beta2: float = 0.0) -> np.ndarray:
+    """Clare's tuned kets for amplitudes f of shape (..., 4), as rows of (..., 4, 4).
+
+    Normalized through angles, so tiny amplitudes cannot underflow a norm.
+    """
+    a12 = np.arctan2(f[..., 1], f[..., 2])
+    a03 = np.arctan2(f[..., 0], f[..., 3])
+    c12, s12, c03, s03 = np.cos(a12), np.sin(a12), np.cos(a03), np.sin(a03)
+    e1 = np.exp(1j * beta1)
+    e2 = np.exp(1j * beta2)
+    kets = np.zeros(f.shape[:-1] + (4, 4), dtype=complex)
+    kets[..., 0, 1], kets[..., 0, 2] = c12, e1 * s12
+    kets[..., 1, 0], kets[..., 1, 3] = c03, e2 * s03
+    kets[..., 2, 1], kets[..., 2, 2] = s12, -e1 * c12
+    kets[..., 3, 0], kets[..., 3, 3] = s03, -e2 * c03
+    return kets
+
+
+def _orthonormal_kets(kets: Sequence[np.ndarray]) -> np.ndarray:
+    """Four kets as a (4, 4) array; raises unless they are an orthonormal basis."""
+    phi = np.asarray(kets, dtype=complex)
+    if phi.shape != (4, 4):
+        raise ValueError(f"expected four dim-4 kets, got an array of shape {phi.shape}")
+    gram = phi.conj() @ phi.T
+    if float(np.linalg.norm(gram - np.eye(4), 2)) > ORTHONORMAL_ATOL:
+        raise ValueError("basis kets are not orthonormal")
+    return phi
 
 
 def build_optimal_basis(theta: float, eta: float,
@@ -225,20 +265,9 @@ def build_optimal_basis(theta: float, eta: float,
     The two free phases rotate the direct-success kets without changing
     any outcome probability.
     """
-    scenario = make_joint(theta, eta)
-    f0, f1, f2, f3 = scenario.f
-    e1 = np.exp(1j * beta1)
-    e2 = np.exp(1j * beta2)
-    # Normalized through angles, so tiny amplitudes cannot underflow a norm.
-    a12 = np.arctan2(f1, f2)
-    a03 = np.arctan2(f0, f3)
-    phi1 = np.array([0.0, np.cos(a12), e1 * np.sin(a12), 0.0], dtype=complex)
-    phi2 = np.array([np.cos(a03), 0.0, 0.0, e2 * np.sin(a03)], dtype=complex)
-    phi3 = np.array([0.0, np.sin(a12), -e1 * np.cos(a12), 0.0], dtype=complex)
-    phi4 = np.array([np.sin(a03), 0.0, 0.0, -e2 * np.cos(a03)], dtype=complex)
-    return OptimalBasis(theta=scenario.theta, eta=scenario.eta, beta1=float(beta1),
-                        beta2=float(beta2), f=scenario.f,
-                        kets=(phi1, phi2, phi3, phi4))
+    theta, eta, f = _checked_amplitudes(theta, eta)
+    return OptimalBasis(theta=theta, eta=eta, beta1=float(beta1), beta2=float(beta2),
+                        f=f, kets=tuple(_tuned_kets(f, beta1, beta2)))
 
 
 def bell_kets() -> tuple[np.ndarray, ...]:
@@ -258,16 +287,19 @@ def computational_kets() -> tuple[np.ndarray, ...]:
 
 
 class _Outcomes(NamedTuple):
-    """Per-outcome arrays, one entry per ket; zero where the outcome never fires."""
+    """Per-outcome arrays, one entry per ket; zero where the outcome never fires.
+
+    `leftover` is the unnormalized leftover M, flattened, for every outcome.
+    """
 
     clare_prob: np.ndarray
-    post_state: np.ndarray
+    leftover: np.ndarray
     maximal: np.ndarray
     bob_success_prob: np.ndarray
     filter_weight: np.ndarray
 
 
-def _outcomes(f: np.ndarray, kets: Sequence[np.ndarray]) -> _Outcomes:
+def _outcomes(f: np.ndarray, kets) -> _Outcomes:
     """Every Clare outcome at once, from one batched 2x2 singular-value solve.
 
     Projecting Clare onto ket phi leaves Alice and Bob the 2x2 matrix
@@ -275,46 +307,72 @@ def _outcomes(f: np.ndarray, kets: Sequence[np.ndarray]) -> _Outcomes:
     squared Frobenius norm, and Bob's best filter succeeds with weight
     2 s_min(M)^2, twice the smaller squared singular value; the leftover
     is maximal when both normalized singular values equal 1/sqrt(2).
+
+    Amplitudes f of shape (..., 4) and kets of shape (..., K, 4) broadcast
+    over their leading axes; every field has shape (..., K), the leftovers
+    (..., K, 4).
     """
-    phi = np.asarray(kets, dtype=complex).reshape(len(kets), -1)
-    if phi.shape[1] != 4:
-        raise ValueError(f"expected kets of dimension 4, got {phi.shape[1]}")
-    m = f * phi.conj()
-    prob = np.einsum("kt,kt->k", m.conj(), m).real
-    s = np.linalg.svd(m.reshape(-1, 2, 2), compute_uv=False)
+    m = np.asarray(f)[..., None, :] * np.asarray(kets, dtype=complex).conj()
+    prob = np.einsum("...kt,...kt->...k", m.conj(), m).real
+    s = np.linalg.svd(m.reshape(m.shape[:-1] + (2, 2)), compute_uv=False)
     live = prob > qmath.PROB_FLOOR
     prob = np.where(live, prob, 0.0)
-    norm = np.sqrt(np.where(live, prob, 1.0))[:, None]
+    norm = np.sqrt(np.where(live, prob, 1.0))[..., None]
     coeffs = s / norm
-    maximal = live & np.all(np.abs(coeffs - np.sqrt(0.5)) <= MAXIMAL_STATE_ATOL, axis=1)
-    bob = np.where(maximal, 1.0, np.minimum(1.0, 2.0 * coeffs[:, 1] ** 2))
+    maximal = live & np.all(np.abs(coeffs - np.sqrt(0.5)) <= MAXIMAL_STATE_ATOL, axis=-1)
+    bob = np.where(maximal, 1.0, np.minimum(1.0, 2.0 * coeffs[..., 1] ** 2))
     return _Outcomes(clare_prob=prob,
-                     post_state=np.where(live[:, None], m / norm, 0.0),
+                     leftover=m,
                      maximal=maximal,
                      bob_success_prob=np.where(live, bob, 0.0),
-                     filter_weight=np.where(live, 2.0 * s[:, 1] ** 2, 0.0))
+                     filter_weight=np.where(live, 2.0 * s[..., 1] ** 2, 0.0))
 
 
-def _analysis(source: JointScenario | OptimalBasis,
-              kets: Sequence[np.ndarray]) -> AnalyticResult:
-    """Per-outcome breakdown at the (snapped) angles and amplitudes of `source`."""
-    out = _outcomes(source.f, kets)
+def _success(out: _Outcomes) -> np.ndarray:
+    """Per-outcome success probability, Clare's Born weight times Bob's."""
+    return out.clare_prob * out.bob_success_prob
+
+
+def _rate(out: _Outcomes) -> np.ndarray:
+    """Success rate: the per-outcome successes summed in outcome order."""
+    return np.sum(_success(out), axis=-1)
+
+
+def _rate_table(theta: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Tuned-basis rate, direct-success probability and projection bounds.
+
+    Takes arrays of checked (snapped) angles and evaluates them all with
+    one kernel call.
+    """
+    f = _amplitudes(theta, eta)
+    lower, upper, direct = _direct_forms(theta, eta)
+    return _rate(_outcomes(f, _tuned_kets(f))), direct, lower, upper
+
+
+def _analysis(theta: float, eta: float, f: np.ndarray, kets) -> AnalyticResult:
+    """Per-outcome breakdown at checked angles with amplitudes f."""
+    out = _outcomes(f, kets)
     records = tuple(
-        OutcomeRecord(outcome=index, clare_prob=float(p), post_state=post,
+        OutcomeRecord(outcome=index, clare_prob=float(p),
+                      post_state=m / np.sqrt(p) if p > 0.0 else np.zeros(4, dtype=complex),
                       maximal=bool(maximal), bob_success_prob=float(q),
-                      success_prob=float(p * q))
-        for index, (p, post, maximal, q) in enumerate(
-            zip(out.clare_prob, out.post_state, out.maximal, out.bob_success_prob), start=1))
-    p_ms = float(sum(r.success_prob for r in records))
+                      success_prob=float(success))
+        for index, (p, m, maximal, q, success) in enumerate(
+            zip(out.clare_prob, out.leftover, out.maximal, out.bob_success_prob,
+                _success(out)), start=1))
     bob_action = float(sum(r.clare_prob for r in records if not r.maximal))
-    return AnalyticResult(theta=source.theta, eta=source.eta, p_ms=p_ms,
+    return AnalyticResult(theta=theta, eta=eta, p_ms=float(_rate(out)),
                           per_outcome=records, bob_action_prob=bob_action)
 
 
 def run_protocol_with_kets(theta: float, eta: float,
                            kets: Sequence[np.ndarray]) -> AnalyticResult:
-    """Exact analysis of the swap under an arbitrary rank-1 basis for Clare."""
-    return _analysis(make_joint(theta, eta), kets)
+    """Exact analysis of the swap under an arbitrary orthonormal basis for Clare.
+
+    Raises ValueError unless the kets are four orthonormal dim-4 vectors.
+    """
+    theta, eta, f = _checked_amplitudes(theta, eta)
+    return _analysis(theta, eta, f, _orthonormal_kets(kets))
 
 
 def run_protocol_analytic(theta: float, eta: float,
@@ -325,16 +383,14 @@ def run_protocol_analytic(theta: float, eta: float,
     any strategy can do with these resources.
     """
     basis = build_optimal_basis(theta, eta, beta1, beta2)
-    return _analysis(basis, basis.kets)
+    return _analysis(basis.theta, basis.eta, basis.f, basis.kets)
 
 
 def direct_success_prob(theta: float, eta: float) -> float:
     """Probability that Clare's outcome alone finishes the job."""
     theta = _check_protocol_angle(theta, "theta", strict=True)
     eta = _check_protocol_angle(eta, "eta", strict=True)
-    numerator = np.sin(2 * theta) ** 2 * np.sin(2 * eta) ** 2
-    c2 = (np.cos(2 * theta) * np.cos(2 * eta)) ** 2
-    return float(numerator / (2.0 * (1.0 - c2)))
+    return float(_direct_forms(theta, eta)[2])
 
 
 def bob_filter(post_state: np.ndarray) -> tuple[GeneralMeasurement, float]:
@@ -404,8 +460,8 @@ def compare_with_bell(theta: float, eta: float) -> ComparisonRecord:
     measurement whenever Clare's outcome already finished the job.
     """
     basis = build_optimal_basis(theta, eta)
-    optimal = _analysis(basis, basis.kets)
-    bell = _analysis(basis, bell_kets())
+    optimal = _analysis(basis.theta, basis.eta, basis.f, basis.kets)
+    bell = _analysis(basis.theta, basis.eta, basis.f, bell_kets())
     return ComparisonRecord(
         theta=basis.theta, eta=basis.eta,
         optimal=_summary(optimal), bell=_summary(bell),

@@ -115,22 +115,36 @@ def _check_protocol_angle(value: float, name: str, strict: bool) -> float:
     return value
 
 
+def _amplitudes(theta, eta) -> np.ndarray:
+    """Product amplitudes f[2s+t] = amp_theta[s] amp_eta[t], shape (..., 4).
+
+    Broadcasts over angle arrays; the angles must already be checked.
+    """
+    ct, st = np.cos(theta), np.sin(theta)
+    ce, se = np.cos(eta), np.sin(eta)
+    return np.stack([ct * ce, ct * se, st * ce, st * se], axis=-1)
+
+
+def _checked_amplitudes(theta: float, eta: float,
+                        strict: bool = True) -> tuple[float, float, np.ndarray]:
+    """Checked (snapped) angles and their product amplitudes."""
+    theta = _check_protocol_angle(theta, "theta", strict)
+    eta = _check_protocol_angle(eta, "eta", strict)
+    return theta, eta, _amplitudes(theta, eta)
+
+
 def make_joint(theta: float, eta: float, strict: bool = True) -> JointScenario:
     """Joint state of |Phi_theta> on Alice/Clare and |Phi_eta> on Clare/Bob.
 
     Strict mode keeps both angles in (0, pi/4], the canonical range for the
     protocol formulas; the permissive mode accepts (0, pi/2).
     """
-    theta = _check_protocol_angle(theta, "theta", strict)
-    eta = _check_protocol_angle(eta, "eta", strict)
+    theta, eta, f = _checked_amplitudes(theta, eta, strict)
     left = TwoQubitPure(theta)
     right = TwoQubitPure(eta)
     # kron(left, right) already lands on wire order (A, C1, C2, B):
     # index 8a + 4c1 + 2c2 + b.
     ket = qmath.tensor(left.ket().reshape(4, 1), right.ket().reshape(4, 1)).reshape(-1)
-    amp = np.array([np.cos(theta), np.sin(theta)])
-    amp2 = np.array([np.cos(eta), np.sin(eta)])
-    f = np.array([amp[s] * amp2[t] for s in (0, 1) for t in (0, 1)])
     return JointScenario(left=left, right=right, f=f, ket=ket)
 
 

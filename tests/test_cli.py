@@ -1,20 +1,31 @@
 """Command-line layer: parsing, dispatch, serialization, exit codes."""
 
+import csv
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repeaterlab
 from repeaterlab import qmath
 from repeaterlab.cli import (
+    MAX_GRID,
     SEED_ENV_VAR,
     RunConfig,
     UsageError,
     main,
     parse_args,
     run,
+)
+from repeaterlab.repeater import (
+    direct_success_prob,
+    projection_bounds,
+    run_protocol_analytic,
 )
 
 
@@ -109,6 +120,11 @@ class TestParseArgs:
     def test_sweep_rejects_empty_grid(self):
         with pytest.raises(UsageError):
             parse_args(["sweep", "--grid", "0"])
+
+    def test_sweep_grid_is_capped(self):
+        assert parse_args(["sweep", "--grid", str(MAX_GRID)]).grid == MAX_GRID
+        with pytest.raises(UsageError):
+            parse_args(["sweep", "--grid", str(MAX_GRID + 1)])
 
     def test_basis_defaults_to_text(self):
         config = parse_args(["basis", "--theta", "0.3", "--eta", "0.6"])
@@ -233,6 +249,23 @@ class TestRun:
             expected = min(2 * np.sin(row["theta"]) ** 2, 2 * np.sin(row["eta"]) ** 2)
             assert row["p_ms"] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("grid", list(range(1, 13)) + [50])
+    def test_sweep_rows_equal_the_scalar_functions(self, grid):
+        _, text = run(parse_args(["sweep", "--grid", str(grid)]))
+        _, report = run(parse_args(["sweep", "--grid", str(grid), "--format", "json"]))
+        csv_rows = [{k: float(v) for k, v in row.items()}
+                    for row in csv.DictReader(io.StringIO(text))]
+        json_rows = json.loads(report)
+        assert csv_rows == json_rows
+        assert len(json_rows) == grid * grid
+        if grid == 1:
+            assert (json_rows[0]["theta"], json_rows[0]["eta"]) == (np.pi / 4, np.pi / 4)
+        for row in json_rows:
+            theta, eta = row["theta"], row["eta"]
+            assert row["p_ms"] == run_protocol_analytic(theta, eta).p_ms
+            assert row["direct_success_prob"] == direct_success_prob(theta, eta)
+            assert (row["lower_bound"], row["upper_bound"]) == projection_bounds(theta, eta)
+
     def test_compare(self):
         status, report = run(parse_args(["compare", "--theta", "0.3", "--eta", "0.6"]))
         assert status == 0
@@ -281,12 +314,26 @@ class TestMain:
         ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement", "optimal", "--tol=nan"],
         ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement", "optimal", "--tol=inf"],
         ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement", "optimal", "--tol=-1e-9"],
+        ["bound", "--a", "nan,1", "--b", "0.5,0.5"],
+        ["bound", "--a", "0.5,0.5", "--b", "0.5,inf"],
+        ["bound", "--a=-inf,1", "--b", "0.5,0.5"],
     ])
     def test_non_finite_or_negative_number_exits_two(self, argv, capsys):
         assert main(argv) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert json.loads(out.err)["error"]["type"] == "UsageError"
+
+    def test_memory_error_exits_one(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate the stack")
+        monkeypatch.setattr(np.linalg, "svd", exhausted)
+        assert main(["sweep", "--grid", "3"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        error = json.loads(out.err)["error"]
+        assert error["type"] == "MemoryError"
+        assert error["command"] == "sweep"
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -304,9 +351,13 @@ class TestMain:
             "FileNotFoundError", "NotADirectoryError", "OSError")
 
     def test_module_entry_point(self):
+        # The child finds the package where this process did, installed or not.
+        src = str(Path(repeaterlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "repeaterlab.cli", "rate",
              "--theta", "0.3", "--eta", "0.6"],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["p_ms"] == pytest.approx(2 * np.sin(0.3) ** 2)

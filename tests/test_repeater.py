@@ -5,9 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repeaterlab import qmath, states
+from repeaterlab import qmath, repeater, states
 from repeaterlab.concentration import p_e
 from repeaterlab.criterion import achieved_rate
 from repeaterlab.repeater import (
@@ -468,3 +468,58 @@ class TestOutcomeKernel:
     def test_rejects_kets_of_the_wrong_size(self):
         with pytest.raises(ValueError):
             run_protocol_with_kets(0.3, 0.6, [np.ones(3)] * 4)
+
+    @pytest.mark.parametrize("kets", [
+        [np.ones(4)] * 4,
+        bell_kets()[:3],
+        computational_kets() + (np.ones(4) / 2,),
+        (bell_kets()[0],) * 4,
+    ], ids=["all-ones", "three-kets", "five-kets", "repeated-ket"])
+    def test_rejects_sets_that_are_not_an_orthonormal_basis(self, kets):
+        with pytest.raises(ValueError):
+            run_protocol_with_kets(0.3, 0.6, kets)
+
+
+kinds = st.sampled_from(["random", "tuned", "bell", "computational"])
+open_angles = st.floats(min_value=0.0, max_value=np.pi / 4, exclude_min=True)
+
+
+class TestBatchedKernel:
+    """A stack of angle pairs and bases through one kernel call."""
+
+    @given(st.lists(st.tuples(open_angles, open_angles, kinds, st.integers(0, 2 ** 32 - 1)),
+                    min_size=1, max_size=6),
+           st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_stack_equals_separate_calls(self, cases, n_kets):
+        f = np.array([states._amplitudes(theta, eta) for theta, eta, _, _ in cases])
+        kets = np.array([np.asarray(kets_of(kind, theta, eta, seed), dtype=complex)[:n_kets]
+                         for theta, eta, kind, seed in cases])
+        stacked = repeater._outcomes(f, kets)
+        for i in range(len(cases)):
+            single = repeater._outcomes(f[i], kets[i])
+            for name, field in single._asdict().items():
+                assert np.array_equal(getattr(stacked, name)[i], field), name
+
+    @given(st.lists(st.tuples(open_angles, open_angles), min_size=1, max_size=8))
+    @example([(0.3, 0.6), (np.pi / 4, np.pi / 4), (1e-160, 1e-160)])
+    @settings(max_examples=100, deadline=None)
+    def test_rate_table_equals_scalar_functions(self, pairs):
+        theta, eta = np.array(pairs).T
+        columns = repeater._rate_table(theta, eta)
+        for t, e, p_ms, direct, lower, upper in zip(theta, eta, *columns):
+            assert p_ms == run_protocol_analytic(t, e).p_ms
+            # Tiny angles read 0/0 on both routes alike.
+            assert np.array_equal(direct, direct_success_prob(t, e), equal_nan=True)
+            assert (lower, upper) == projection_bounds(t, e)
+            expected = swap_success_loop(t, e, build_optimal_basis(t, e).kets)
+            assert abs(p_ms - expected) <= 1e-12
+
+    def test_closed_forms_equal_scalar_functions_on_a_dense_batch(self):
+        # Enough points that rounding differences between squaring routes
+        # (about one result in a thousand) would show.
+        theta, eta = np.random.default_rng(5).uniform(1e-3, np.pi / 4, size=(2, 2000))
+        _, direct, lower, upper = repeater._rate_table(theta, eta)
+        for i, (t, e) in enumerate(zip(theta, eta)):
+            assert direct[i] == direct_success_prob(t, e)
+            assert (lower[i], upper[i]) == projection_bounds(t, e)
