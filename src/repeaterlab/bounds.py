@@ -123,6 +123,18 @@ def optimal_u(d_a: int, d: int) -> np.ndarray:
     return u
 
 
+def _top_gram_eigenvalue(m: np.ndarray) -> float:
+    """Largest eigenvalue of M^dag M, from the Gram matrix of M's nonzero columns.
+
+    A zero column of M adds only a zero row and column to M^dag M, so
+    dropping it keeps the spectrum apart from zeros.
+    """
+    cols = m[:, np.any(m != 0, axis=0)]
+    if cols.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.eigvalsh(qmath.dagger(cols) @ cols)[-1])
+
+
 def achieving_operator(a: SchmidtState | Sequence[float],
                        b: SchmidtState | Sequence[float]) -> BoundResult:
     """Measurement element reaching the ceiling, checked on the actual state.
@@ -149,8 +161,7 @@ def achieving_operator(a: SchmidtState | Sequence[float],
     inv_g = np.where(g > np.sqrt(qmath.SUPPORT_CUTOFF), 1.0 / np.where(g > 0, g, 1.0), 0.0)
     m_i = np.sqrt(ceiling) * np.outer(omega, omega.conj() * inv_g)
 
-    gram = qmath.dagger(m_i) @ m_i
-    top = float(np.linalg.eigvalsh(gram)[-1])
+    top = _top_gram_eigenvalue(m_i)
     if top > 1.0 + ELEMENT_ATOL:
         raise ValueError(
             f"operator is not a valid measurement element: "
@@ -159,8 +170,9 @@ def achieving_operator(a: SchmidtState | Sequence[float],
     joint = g[:, None] * m_i.T
     achieved = float(np.sum(np.abs(joint) ** 2))
     if achieved > qmath.PROB_FLOOR:
-        rho_post = (joint @ qmath.dagger(joint)) / achieved
-        fidelity = float(np.real(np.vdot(omega, rho_post @ omega)))
+        # <omega| J J^dag |omega> = ||J^dag omega||^2, without forming J J^dag.
+        overlap = omega.conj() @ joint
+        fidelity = float(np.vdot(overlap, overlap).real) / achieved
     else:
         fidelity = 0.0
     return BoundResult(p_max=ceiling, optimal_u=u, m_i=m_i,

@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -30,9 +31,11 @@ BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
 SWEEP_COLUMNS = ("theta", "eta", "p_ms", "direct_success_prob",
                  "lower_bound", "upper_bound")
 # The sweep holds all grid^2 points and their report in memory at once: at
-# 500 points per angle a 2-core host peaks near 260 MB (CSV) or 530 MB (JSON)
-# and takes 6-8 s.
+# 500 points per angle a 2-core host peaks near 260 MB in ~5.5 s (CSV) or
+# 315 MB in ~3 s (JSON).
 MAX_GRID = 500
+# How json quotes strings and keys by default (ensure_ascii).
+_quote = json.encoder.encode_basestring_ascii
 
 
 class UsageError(ValueError):
@@ -216,16 +219,91 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _dumps(value, newline: str = "\n") -> str:
+    """Exactly json.dumps(value, indent=2), with float blocks written in bulk.
+
+    An indent puts json on its pure-Python encoder, at about a microsecond
+    per float, which made a bound report's d^2 x d^2 operator cost seconds.
+    Dicts and lists are walked here so a block (see `_block`) is found at
+    any depth.  Common scalars are written as json writes them (repr for
+    finite floats and ints, ASCII-escaped strings); anything else goes to
+    json.dumps.  `newline` carries the current indentation.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, dict) and value and all(type(k) is str for k in value):
+        inner = newline + "  "
+        items = (_quote(k) + ": " + _dumps(v, inner) for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list) and value:
+        block = _block(value, newline)
+        if block is not None:
+            return block
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in value) + newline + "]"
+    if isinstance(value, (dict, list, tuple)):
+        # Empty, a tuple, or keyed by non-strings.  JSON strings hold no raw
+        # newline, so re-indenting the lines is exact.
+        return json.dumps(value, indent=2).replace("\n", newline)
+    return json.dumps(value)
+
+
+def _block(value: list, newline: str) -> str | None:
+    """A nonempty list as json.dumps(value, indent=2) writes it, or None if not a block.
+
+    A block is a rectangular nested list of finite floats, or a list of
+    dicts that share one key order and hold only finite floats (the sweep
+    rows).  It is written by filling a template built from its shape with
+    one `template % leaves` (%r is float.__repr__, which json writes too).
+    """
+    shape = [len(value)]
+    level = value
+    if type(value[0]) is dict:
+        keys = tuple(value[0])
+        if (not keys or set(map(type, value)) != {dict} or not all(type(k) is str for k in keys)
+                or not all(map(keys.__eq__, map(tuple, value)))):
+            return None
+        row = newline + "    "
+        item = ("{" + row + ("," + row).join(_quote(k).replace("%", "%%") + ": %r"
+                                            for k in keys) + newline + "  }")
+        level = itertools.chain.from_iterable(map(dict.values, value))
+    else:
+        item = "%r"
+        while type(level[0]) is list:
+            if set(map(type, level)) != {list} or set(map(len, level)) != {len(level[0])}:
+                return None
+            shape.append(len(level[0]))
+            level = list(itertools.chain.from_iterable(level))
+            if not level:
+                return None
+    leaves = tuple(level)
+    if set(map(type, leaves)) != {float}:
+        return None
+    if not math.isfinite(sum(leaves)) and not all(map(math.isfinite, leaves)):
+        return None
+    for depth in reversed(range(len(shape))):
+        outer = newline + "  " * depth
+        inner = outer + "  "
+        item = "[" + inner + ("," + inner).join([item] * shape[depth]) + outer + "]"
+    return item % leaves
+
+
 def _sweep_rows(grid: int) -> list[dict]:
     """Every (theta, eta) pair of the grid, row-major in theta, in one kernel call.
 
-    Rows carry the grid angles i * step; the last one can sit an ulp above
-    pi/4 and is computed with its snapped value, as the scalar functions do.
+    The grid angle i * step can round an ulp above pi/4; rows carry and are
+    computed with the snapped angle, as the scalar functions are.
     """
-    angles = np.arange(1, grid + 1) * ((np.pi / 4.0) / grid)
+    angles = np.minimum(np.arange(1, grid + 1) * ((np.pi / 4.0) / grid), np.pi / 4)
     theta, eta = np.repeat(angles, grid), np.tile(angles, grid)
-    columns = (theta, eta) + _rate_table(np.minimum(theta, np.pi / 4),
-                                         np.minimum(eta, np.pi / 4))
+    columns = (theta, eta) + _rate_table(theta, eta)
     return [dict(zip(SWEEP_COLUMNS, row)) for row in zip(*(c.tolist() for c in columns))]
 
 
@@ -287,7 +365,7 @@ def run(config: RunConfig) -> tuple[int, str]:
             rows = _sweep_rows(config.grid)
             if config.output_format == "csv":
                 return 0, _sweep_csv(rows)
-            return 0, json.dumps(rows, indent=2) + "\n"
+            return 0, _dumps(rows) + "\n"
         elif config.command == "compare":
             record = compare_with_bell(config.theta, config.eta).to_dict()
         else:
@@ -298,7 +376,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 1, json.dumps(error) + "\n"
     if config.output_format == "csv":
         return 0, _flat_csv(record)
-    return 0, json.dumps(record, indent=2) + "\n"
+    return 0, _dumps(record) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -138,12 +138,20 @@ def achieved_rate(meas, theta: float, eta: float) -> float:
 
 def is_optimal(meas, theta: float, eta: float,
                tol: float = DEFAULT_FLAG_TOL) -> CriterionReport:
-    """Full report: closed-form sum, target, delivered rate, and the verdict."""
+    """Full report: closed-form sum, target, delivered rate, and the verdict.
+
+    Raises ValueError when the two routes disagree: the delivered rate must
+    equal 1 - lhs within ROUTE_MATCH_ATOL.
+    """
     theta = _check_protocol_angle(theta, "theta", strict=True)
     eta = _check_protocol_angle(eta, "eta", strict=True)
     lhs = criterion_lhs(meas, theta, eta)
     rhs = float(np.cos(2 * min(theta, eta)))
     p_s = achieved_rate(meas, theta, eta)
+    gap = abs(p_s - (1.0 - lhs))
+    if not gap <= ROUTE_MATCH_ATOL:
+        raise ValueError(f"delivered rate {p_s!r} and closed form 1 - lhs = {1.0 - lhs!r} "
+                         f"disagree by {gap:.3e} (> {ROUTE_MATCH_ATOL:.0e})")
     return CriterionReport(lhs=lhs, rhs=rhs, p_s=p_s,
                            optimal=abs(lhs - rhs) <= tol, tolerance=float(tol))
 

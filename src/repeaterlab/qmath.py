@@ -229,8 +229,6 @@ def parse_matrix_text(text: str) -> np.ndarray:
 def as_real_pairs(a: np.ndarray) -> list:
     """Nested [re, im] lists for JSON output; vectors give one pair per entry."""
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in arr]
-    if arr.ndim == 2:
-        return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
-    raise ValueError(f"expected a vector or matrix, got ndim={arr.ndim}")
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or matrix, got ndim={arr.ndim}")
+    return np.stack((arr.real, arr.imag), -1).tolist()

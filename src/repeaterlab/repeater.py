@@ -206,14 +206,19 @@ def _direct_forms(theta, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns the lower and upper projection bounds and the direct-success
     probability.  np.float_power squares through libm pow for scalars and
-    arrays alike, so a scalar call and a batch agree to the bit.
+    arrays alike, so a scalar call and a batch agree to the bit.  With
+    c = cos 2theta cos 2eta, 1 - c is summed from sines, since subtracting
+    c from 1 loses all precision at small angles.
     """
     numerator = np.float_power(np.sin(2 * theta), 2) * np.float_power(np.sin(2 * eta), 2)
-    c = np.cos(2 * theta) * np.cos(2 * eta)
-    lower = numerator / (4.0 * (1.0 + c))
+    cos_2theta = np.cos(2 * theta)
+    one_plus_c = 1.0 + cos_2theta * np.cos(2 * eta)
+    one_minus_c = 2.0 * (np.float_power(np.sin(theta), 2)
+                         + np.float_power(np.sin(eta), 2) * cos_2theta)
+    lower = numerator / (4.0 * one_plus_c)
     with np.errstate(divide="ignore", invalid="ignore"):
-        upper = np.where(c < 1.0, numerator / (4.0 * (1.0 - c)), np.inf)
-        direct = numerator / (2.0 * (1.0 - np.float_power(c, 2)))
+        upper = np.where(one_minus_c > 0.0, numerator / (4.0 * one_minus_c), np.inf)
+        direct = numerator / (2.0 * (one_minus_c * one_plus_c))
     return lower, upper, direct
 
 

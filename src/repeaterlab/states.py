@@ -161,10 +161,8 @@ def max_entangled(u: np.ndarray, d: int) -> np.ndarray:
     defect = float(np.linalg.norm(m @ m.conj().T - np.eye(d), 2))
     if defect > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    out = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        out += np.kron(m[:, k], qmath.basis_ket(k, d))
-    return out / np.sqrt(d)
+    # Sum_k (u|k>)|k> has amplitude u[i, k] at index i * d + k.
+    return m.reshape(-1) / np.sqrt(d)
 
 
 def is_max_entangled(psi: np.ndarray, dim_a: int, dim_b: int,

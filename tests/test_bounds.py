@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repeaterlab import qmath
+from repeaterlab import bounds, qmath
 from repeaterlab.bounds import (
     BoundResult,
     achieving_operator,
@@ -205,6 +205,42 @@ class TestAchievingOperator:
     def test_unitary_matches_helper(self):
         result = achieving_operator([0.6, 0.4], [0.5, 0.3, 0.2])
         assert np.array_equal(result.optimal_u, optimal_u(2, 3))
+
+    @pytest.mark.parametrize("d_a, d", [(d, d) for d in range(2, 13)]
+                             + [(2, 3), (3, 7), (5, 12), (1, 4)])
+    def test_checks_match_the_dense_formulas(self, d_a, d):
+        rng = np.random.default_rng(100 * d_a + d)
+        sa, sb = random_schmidt(rng, d_a), random_schmidt(rng, d)
+        result = achieving_operator(sa, sb)
+        m = result.m_i
+        compressed = bounds._top_gram_eigenvalue(m)
+        dense = float(np.linalg.eigvalsh(qmath.dagger(m) @ m)[-1])
+        assert abs(compressed - dense) <= 1e-12
+        assert compressed <= 1.0 + bounds.ELEMENT_ATOL
+        a_pad = np.zeros(d)
+        a_pad[:d_a] = sa.coefficients
+        g = np.sqrt(np.kron(a_pad, sb.coefficients))
+        joint = g[:, None] * m.T
+        omega = max_entangled(result.optimal_u, d)
+        rho_post = joint @ qmath.dagger(joint) / result.achieved_p
+        fidelity = float(np.real(np.vdot(omega, rho_post @ omega)))
+        assert abs(result.post_fidelity - np.clip(fidelity, 0.0, 1.0)) <= 1e-14
+
+    def test_compressed_eigenvalue_on_matrices_with_zero_columns(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+            m[:, rng.random(9) < 0.5] = 0.0
+            dense = float(np.linalg.eigvalsh(qmath.dagger(m) @ m)[-1])
+            assert bounds._top_gram_eigenvalue(m) == pytest.approx(dense, rel=1e-12, abs=1e-12)
+        assert bounds._top_gram_eigenvalue(np.zeros((4, 4), dtype=complex)) == 0.0
+
+    def test_rejects_an_element_above_the_identity(self, monkeypatch):
+        # A ceiling 1% too high scales M^dag M to a top eigenvalue of 1.01.
+        real_p_max = bounds.p_max
+        monkeypatch.setattr(bounds, "p_max", lambda a, b: 1.01 * real_p_max(a, b))
+        with pytest.raises(ValueError, match="not a valid measurement element"):
+            achieving_operator([0.5, 0.3, 0.2], [0.6, 0.3, 0.1])
 
     def test_to_dict_is_json_ready(self):
         payload = achieving_operator([0.5, 0.5], [0.5, 0.5]).to_dict()

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repeaterlab
-from repeaterlab import qmath
+from repeaterlab import cli, criterion, qmath
 from repeaterlab.cli import (
     MAX_GRID,
     SEED_ENV_VAR,
@@ -260,11 +261,28 @@ class TestRun:
         assert len(json_rows) == grid * grid
         if grid == 1:
             assert (json_rows[0]["theta"], json_rows[0]["eta"]) == (np.pi / 4, np.pi / 4)
+        assert max(max(row["theta"], row["eta"]) for row in json_rows) <= np.pi / 4
         for row in json_rows:
             theta, eta = row["theta"], row["eta"]
             assert row["p_ms"] == run_protocol_analytic(theta, eta).p_ms
             assert row["direct_success_prob"] == direct_success_prob(theta, eta)
             assert (row["lower_bound"], row["upper_bound"]) == projection_bounds(theta, eta)
+
+    @pytest.mark.parametrize("grid", [25, 41, 50])
+    def test_sweep_echoes_the_snapped_end_of_the_grid(self, grid):
+        # grid * (pi/4 / grid) rounds an ulp above pi/4 on these grids.
+        assert grid * ((np.pi / 4) / grid) > np.pi / 4
+        _, text = run(parse_args(["sweep", "--grid", str(grid)]))
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert float(rows[-1]["theta"]) == float(rows[-1]["eta"]) == np.pi / 4
+        assert max(float(row["theta"]) for row in rows) == np.pi / 4
+
+    def test_criterion_routes_that_disagree_exit_one(self, monkeypatch):
+        monkeypatch.setattr(criterion, "achieved_rate", lambda meas, theta, eta: 0.5)
+        status, report = run(parse_args(["criterion", "--theta", "0.3", "--eta", "0.6",
+                                         "--measurement", "bell"]))
+        assert status == 1
+        assert json.loads(report)["error"]["type"] == "ValueError"
 
     def test_compare(self):
         status, report = run(parse_args(["compare", "--theta", "0.3", "--eta", "0.6"]))
@@ -361,3 +379,63 @@ class TestMain:
             env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["p_ms"] == pytest.approx(2 * np.sin(0.3) ** 2)
+
+
+any_float = st.floats() | st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, 1e-300])
+# Mostly finite leaves, so that most blocks take the bulk route.
+leaf = st.one_of(st.floats(allow_nan=False, allow_infinity=False), any_float)
+
+
+@st.composite
+def float_blocks(draw):
+    """A rectangular nested list of floats, 1-D to 3-D."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+
+    def build(dims):
+        return draw(leaf) if not dims else [build(dims[1:]) for _ in range(dims[0])]
+    return build(shape)
+
+
+@st.composite
+def float_rows(draw):
+    """Dicts that share one key order and hold floats, like the sweep rows."""
+    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    return [{k: draw(leaf) for k in keys} for _ in range(draw(st.integers(1, 4)))]
+
+
+scalars = (any_float | st.integers() | st.booleans() | st.none() | st.text(max_size=6)
+           | st.floats(allow_nan=False).map(np.float64))
+documents = st.recursive(
+    scalars | float_blocks() | float_rows(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4) | st.integers(), children,
+                                        max_size=4)),
+    max_leaves=24)
+
+
+class TestDumps:
+    """The report writer against json.dumps(value, indent=2)."""
+
+    @given(documents)
+    @example([[1.0, -0.0], [float("nan"), 2.5]])
+    @example([[1.0, 2.0], [3.0]])
+    @example([{"a%r": 1.0}, {"a%r": 2.0}])
+    @example([{"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}])
+    @example([[[]], [[]]])
+    @example({"rows": [{"x": 1e308, "y": 1e308}], "block": [[1e308, 1e308]]})
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps_with_indent(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--theta", "0.3", "--eta", "0.6"],
+        ["compare", "--theta", "0.3", "--eta", "0.6"],
+        ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "1000", "--seed", "1"],
+        ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement", "computational"],
+        ["basis", "--theta", "0.3", "--eta", "0.6", "--format", "json"],
+        ["bound", "--a", "0.5,0.3,0.2", "--b", "0.6,0.4"],
+        ["sweep", "--grid", "4", "--format", "json"],
+    ])
+    def test_reports_match_json_dumps_with_indent(self, argv):
+        _, report = run(parse_args(argv))
+        assert report == json.dumps(json.loads(report), indent=2) + "\n"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repeaterlab import qmath
+from repeaterlab import criterion, qmath
 from repeaterlab.criterion import (
     CriterionReport,
     RankOneRequiredError,
@@ -147,6 +147,17 @@ class TestIsOptimal:
         for meas in (optimal_measurement(0.3, 0.6), bell_kets(), computational_kets()):
             report = is_optimal(meas, 0.3, 0.6)
             assert report.p_s == pytest.approx(1.0 - report.lhs, abs=1e-10)
+
+    def test_routes_that_disagree_raise(self, monkeypatch):
+        # A delivered rate forged 2e-10 away from 1 - lhs must not pass.
+        honest = criterion.achieved_rate
+        monkeypatch.setattr(criterion, "achieved_rate",
+                            lambda meas, theta, eta: honest(meas, theta, eta) + 2e-10)
+        with pytest.raises(ValueError, match="disagree"):
+            is_optimal(bell_kets(), 0.3, 0.6)
+        monkeypatch.setattr(criterion, "achieved_rate", lambda meas, theta, eta: float("nan"))
+        with pytest.raises(ValueError, match="disagree"):
+            is_optimal(bell_kets(), 0.3, 0.6)
 
     def test_misordered_angles_relabel(self):
         # The larger angle may sit first; the verdict must not change.

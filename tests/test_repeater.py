@@ -239,6 +239,25 @@ class TestDirectSuccess:
     def test_equal_tilted_angles(self):
         assert direct_success_prob(np.pi / 6, np.pi / 6) == pytest.approx(0.3, abs=1e-15)
 
+    @pytest.mark.parametrize("theta, eta", [
+        (1e-7, 2e-7), (1e-5, 2e-5), (2e-5, 1e-5), (1e-3, 0.7), (0.3, 0.6), (0.2, 0.2),
+        (np.pi / 4, 0.1), (np.pi / 4, np.pi / 4)])
+    def test_closed_forms_match_extended_precision(self, theta, eta):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            t, e = mpmath.mpf(theta), mpmath.mpf(eta)
+            numerator = mpmath.sin(2 * t) ** 2 * mpmath.sin(2 * e) ** 2
+            c = mpmath.cos(2 * t) * mpmath.cos(2 * e)
+            want = (numerator / (4 * (1 + c)), numerator / (4 * (1 - c)),
+                    numerator / (2 * (1 - c * c)))
+        got = projection_bounds(theta, eta) + (direct_success_prob(theta, eta),)
+        for value, exact in zip(got, map(float, want)):
+            assert abs(value - exact) <= 2e-15 * exact
+
+    def test_tiny_angles_give_zero(self):
+        assert direct_success_prob(1e-160, 1e-160) == 0.0
+        assert projection_bounds(1e-160, 1e-160) == (0.0, 0.0)
+
     @given(protocol_angles, protocol_angles)
     @settings(max_examples=40, deadline=None)
     def test_equals_sum_of_direct_outcomes(self, theta, eta):
@@ -509,7 +528,7 @@ class TestBatchedKernel:
         columns = repeater._rate_table(theta, eta)
         for t, e, p_ms, direct, lower, upper in zip(theta, eta, *columns):
             assert p_ms == run_protocol_analytic(t, e).p_ms
-            # Tiny angles read 0/0 on both routes alike.
+            # Angles whose squared sines underflow read 0/0 on both routes alike.
             assert np.array_equal(direct, direct_success_prob(t, e), equal_nan=True)
             assert (lower, upper) == projection_bounds(t, e)
             expected = swap_success_loop(t, e, build_optimal_basis(t, e).kets)

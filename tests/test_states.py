@@ -146,6 +146,12 @@ class TestMaxEntangled:
         assert np.allclose(left, np.eye(3) / 3, atol=1e-12)
         assert states.is_max_entangled(k, 3, 3)
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_equals_the_kron_loop(self, d):
+        for u in (random_unitary(RNG, d), np.eye(d)[::-1].astype(complex)):
+            loop = sum(np.kron(u[:, k], qmath.basis_ket(k, d)) for k in range(d)) / np.sqrt(d)
+            assert np.array_equal(states.max_entangled(u, d), loop)
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             states.max_entangled(np.diag([1.0, 2.0]), 2)
