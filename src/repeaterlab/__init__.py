@@ -15,11 +15,11 @@ from .concentration import (GeneralMeasurement, NotEntangledError,
 from .criterion import (CriterionReport, RankOneRequiredError, achieved_rate,
                         criterion_lhs, is_optimal, measurement_from_text,
                         t_operators)
-from .repeater import (AnalyticResult, ComparisonRecord, OptimalBasis,
-                       ProjectiveMeasurement, SampledResult, bell_kets,
-                       build_optimal_basis, compare_with_bell, computational_kets,
-                       direct_success_prob, projection_bounds, run_protocol_analytic,
-                       run_protocol_sampled, run_protocol_with_kets)
+from .repeater import (AnalyticResult, ComparisonRecord, OptimalBasis, SampledResult,
+                       bell_kets, build_optimal_basis, compare_with_bell,
+                       computational_kets, direct_success_prob, projection_bounds,
+                       run_protocol_analytic, run_protocol_sampled,
+                       run_protocol_with_kets)
 from .states import (JointScenario, SchmidtState, TwoQubitPure,
                      canonical_two_qubit, is_max_entangled, make_joint,
                      max_entangled, state_from_config)
@@ -35,7 +35,6 @@ __all__ = [
     "JointScenario",
     "NotEntangledError",
     "OptimalBasis",
-    "ProjectiveMeasurement",
     "RankOneRequiredError",
     "SampledResult",
     "SchmidtState",

@@ -34,6 +34,8 @@ SWEEP_COLUMNS = ("theta", "eta", "p_ms", "direct_success_prob",
 # 500 points per angle a 2-core host peaks near 260 MB in ~5.5 s (CSV) or
 # 315 MB in ~3 s (JSON).
 MAX_GRID = 500
+# The sampler's multinomial draw takes a 64-bit count.
+MAX_SAMPLES = 2 ** 63 - 1
 # How json quotes strings and keys by default (ensure_ascii).
 _quote = json.encoder.encode_basestring_ascii
 
@@ -134,7 +136,7 @@ def _build_parser() -> _Parser:
     add_angles(p)
     add_phases(p)
     p.add_argument("--n", dest="n_samples", type=int, required=True,
-                   help="number of protocol runs to sample")
+                   help=f"number of protocol runs to sample, 1 to {MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=None,
                    help=f"random seed (falls back to ${SEED_ENV_VAR})")
     add_output(p, ("json", "csv"), "json")
@@ -184,15 +186,17 @@ def parse_args(argv: list[str]) -> RunConfig:
         if hasattr(ns, name):
             kwargs[name] = getattr(ns, name)
     if ns.command == "simulate":
-        if kwargs.get("n_samples", 0) < 1:
-            raise UsageError(f"--n must be at least 1, got {kwargs.get('n_samples')}")
-        if kwargs.get("seed") is None:
+        if not 1 <= kwargs["n_samples"] <= MAX_SAMPLES:
+            raise UsageError(f"--n must lie in [1, {MAX_SAMPLES}], got {kwargs['n_samples']}")
+        if kwargs["seed"] is None:
             env = os.environ.get(SEED_ENV_VAR)
             if env is not None:
                 try:
                     kwargs["seed"] = int(env)
                 except ValueError:
                     raise UsageError(f"${SEED_ENV_VAR} must be an integer, got {env!r}")
+        if kwargs["seed"] is not None and kwargs["seed"] < 0:
+            raise UsageError(f"the seed must be nonnegative, got {kwargs['seed']}")
     if ns.command == "sweep" and not 1 <= kwargs["grid"] <= MAX_GRID:
         raise UsageError(f"--grid must lie in [1, {MAX_GRID}], got {kwargs['grid']}")
     return RunConfig(**kwargs)

@@ -1,9 +1,11 @@
 """Optimality test for four-outcome projective measurements at the middle station.
 
-A closed-form sum over the projectors decides whether Clare's measurement
-achieves the best possible concentration rate, without simulating the
-protocol; the module also computes that rate directly so the two routes
-can vouch for each other.
+A measurement is given by its four rank-one kets, as the rows of one
+(4, 4) array checked for orthonormality; projector files are converted to
+kets where they are read.  A closed-form sum over the kets decides whether
+Clare's measurement achieves the best possible concentration rate, without
+simulating the protocol; the module also computes that rate directly so
+the two routes can vouch for each other.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from . import qmath
-from .repeater import ProjectiveMeasurement, _outcomes
+from .repeater import _orthonormal_kets, _outcomes
 from .states import _check_protocol_angle, _checked_amplitudes
 
+PROJECTOR_ATOL = 1e-10
 RANK_ONE_ATOL = 1e-10
 ROUTE_MATCH_ATOL = 1e-10
 DEFAULT_FLAG_TOL = 1e-9
@@ -63,80 +66,46 @@ def t_operators(theta: float, eta: float, strict: bool = True) -> tuple[np.ndarr
     return t1, t2
 
 
-def _as_projective(meas) -> ProjectiveMeasurement:
-    if isinstance(meas, ProjectiveMeasurement):
-        return meas
-    ops = list(meas)
-    if ops and np.asarray(ops[0]).ndim == 1:
-        return ProjectiveMeasurement.from_kets(ops)
-    return ProjectiveMeasurement(ops)
+def _lhs(phi: np.ndarray, theta: float, eta: float) -> float:
+    """criterion_lhs of validated kets (the rows of phi) at checked angles."""
+    if theta > eta:
+        phi, theta, eta = phi[:, _SWAP_PERM], eta, theta
+    t1, t2 = t_operators(theta, eta)
+    d1, d2 = t1.diagonal().real, t2.diagonal().real
+    # The diagonal of t1 (x) t2, at index 2a + b.
+    straight = np.abs(phi) ** 2 @ np.outer(d1, d2).ravel()
+    cross = (phi[:, :2].conj() * phi[:, 2:]) @ d2
+    return float(np.sum(np.sqrt(straight ** 2 + np.sin(2 * theta) ** 2 * np.abs(cross) ** 2)))
 
 
-def _rank_one_kets(meas: ProjectiveMeasurement) -> list[np.ndarray]:
-    kets = []
-    for i, p in enumerate(meas.projectors):
-        if abs(float(np.trace(p).real) - 1.0) > RANK_ONE_ATOL:
-            raise RankOneRequiredError(
-                f"projector {i} has rank {float(np.trace(p).real):.6g}; "
-                "the optimality test covers rank-1 projectors only"
-            )
-        vals, vecs = np.linalg.eigh(p)
-        kets.append(vecs[:, -1])
-    return kets
+def criterion_lhs(kets: Sequence[np.ndarray], theta: float, eta: float) -> float:
+    """Closed-form sum over four kets; equals cos(2 min angle) iff optimal.
 
-
-def _oriented(meas: ProjectiveMeasurement, theta: float,
-              eta: float) -> tuple[ProjectiveMeasurement, float, float]:
-    """Relabel so the smaller angle sits on Clare's first qubit."""
-    if theta <= eta:
-        return meas, theta, eta
-    swapped = [p[np.ix_(_SWAP_PERM, _SWAP_PERM)] for p in meas.projectors]
-    return ProjectiveMeasurement(swapped), eta, theta
-
-
-def criterion_lhs(meas, theta: float, eta: float) -> float:
-    """Closed-form sum over the projectors; equals cos(2 min angle) iff optimal.
-
-    Never smaller than that target, so the gap measures how far the
+    With the smaller angle first and d the diagonal of t1 (x) t2, ket phi
+    contributes sqrt(straight^2 + sin^2(2 theta) |cross|^2), where
+    straight = sum_t d_t |phi_t|^2 and cross = sum_b t2_bb conj(phi_b) phi_2+b.
+    Never smaller than the target, so the gap measures how far the
     measurement falls short.
     """
-    pm = _as_projective(meas)
-    if pm.dim != 4:
-        raise ValueError(f"expected projectors on the 4-dim middle space, got dim {pm.dim}")
-    _rank_one_kets(pm)
+    phi = _orthonormal_kets(kets, PROJECTOR_ATOL)
     theta = _check_protocol_angle(theta, "theta", strict=True)
     eta = _check_protocol_angle(eta, "eta", strict=True)
-    pm, th, et = _oriented(pm, theta, eta)
-    t1, t2 = t_operators(th, et)
-    diag_op = qmath.tensor(t1, t2)
-    flip = np.zeros((2, 2), dtype=complex)
-    flip[0, 1] = 1.0
-    flip_op = qmath.tensor(flip, t2)
-    s2 = np.sin(2 * th) ** 2
-    total = 0.0
-    for p in pm.projectors:
-        straight = float(np.trace(diag_op @ p).real)
-        cross = complex(np.trace(flip_op @ p))
-        total += np.sqrt(straight * straight + s2 * (cross.real ** 2 + cross.imag ** 2))
-    return float(total)
+    return _lhs(phi, theta, eta)
 
 
-def achieved_rate(meas, theta: float, eta: float) -> float:
-    """Concentration rate the measurement actually delivers.
+def achieved_rate(kets: Sequence[np.ndarray], theta: float, eta: float) -> float:
+    """Concentration rate the measurement with these four kets actually delivers.
 
     Runs the swap outcome by outcome: sums each post-state's optimal
     local-filter success weight, twice the smaller squared singular value
     of the leftover.  Independent of the closed-form route.
     """
-    pm = _as_projective(meas)
-    if pm.dim != 4:
-        raise ValueError(f"expected projectors on the 4-dim middle space, got dim {pm.dim}")
-    kets = _rank_one_kets(pm)
+    phi = _orthonormal_kets(kets, PROJECTOR_ATOL)
     _, _, f = _checked_amplitudes(theta, eta)
-    return float(np.sum(_outcomes(f, kets).filter_weight))
+    return float(np.sum(_outcomes(f, phi).filter_weight))
 
 
-def is_optimal(meas, theta: float, eta: float,
+def is_optimal(kets: Sequence[np.ndarray], theta: float, eta: float,
                tol: float = DEFAULT_FLAG_TOL) -> CriterionReport:
     """Full report: closed-form sum, target, delivered rate, and the verdict.
 
@@ -145,9 +114,10 @@ def is_optimal(meas, theta: float, eta: float,
     """
     theta = _check_protocol_angle(theta, "theta", strict=True)
     eta = _check_protocol_angle(eta, "eta", strict=True)
-    lhs = criterion_lhs(meas, theta, eta)
+    phi = _orthonormal_kets(kets, PROJECTOR_ATOL)
+    lhs = _lhs(phi, theta, eta)
     rhs = float(np.cos(2 * min(theta, eta)))
-    p_s = achieved_rate(meas, theta, eta)
+    p_s = achieved_rate(phi, theta, eta)
     gap = abs(p_s - (1.0 - lhs))
     if not gap <= ROUTE_MATCH_ATOL:
         raise ValueError(f"delivered rate {p_s!r} and closed form 1 - lhs = {1.0 - lhs!r} "
@@ -156,17 +126,54 @@ def is_optimal(meas, theta: float, eta: float,
                            optimal=abs(lhs - rhs) <= tol, tolerance=float(tol))
 
 
-def measurement_from_text(text: str) -> ProjectiveMeasurement:
-    """Read a four-outcome measurement from the matrix text format.
+def _projector_kets(p: np.ndarray) -> np.ndarray:
+    """The kets of a (4, 4, 4) stack of rank-one projectors, as rows.
 
-    Accepts four dim-4 kets (column or row vectors) or four 4x4 projectors.
+    Every block must be Hermitian and idempotent (each eigenvalue 0 or 1),
+    the blocks must sum to the identity, all at PROJECTOR_ATOL, and each
+    must have trace 1; each check runs once over the whole stack.  Each
+    ket is its block's top eigenvector.
+    """
+    # np.argmin of a boolean array is the first block that fails.
+    skew = p - p.conj().swapaxes(-2, -1)
+    ok = qmath.spectral_norm_within(skew, PROJECTOR_ATOL)
+    if not ok.all():
+        i = np.argmin(ok)
+        raise ValueError(f"projector {i} is not Hermitian "
+                         f"(defect {np.linalg.norm(skew[i], 2):.3e} > {PROJECTOR_ATOL:.1e})")
+    w, v = np.linalg.eigh(p)
+    ok = np.max(np.abs(w * w - w), axis=-1) <= PROJECTOR_ATOL
+    if not ok.all():
+        raise ValueError(f"projector {np.argmin(ok)} is not idempotent")
+    # Completeness comes before the rank check, so a set padded with a zero
+    # block fails as incomplete rather than as rank deficient.
+    if not qmath.spectral_norm_within(p.sum(axis=0) - np.eye(4), PROJECTOR_ATOL):
+        raise ValueError("projectors are not orthogonal and complete: "
+                         "they do not sum to the identity")
+    trace = np.trace(p, axis1=-2, axis2=-1).real
+    ok = np.abs(trace - 1.0) <= RANK_ONE_ATOL
+    if not ok.all():
+        i = np.argmin(ok)
+        raise RankOneRequiredError(f"projector {i} has rank {trace[i]:.6g}; "
+                                   "the optimality test covers rank-1 projectors only")
+    return v[..., -1]
+
+
+def measurement_from_text(text: str) -> np.ndarray:
+    """Read a four-outcome measurement from the matrix text format as its kets.
+
+    Accepts four dim-4 kets (column or row vectors) or four 4x4 rank-one
+    projectors, which are converted to kets here.  Returns the kets as the
+    rows of a (4, 4) array, checked to be an orthonormal basis.
     """
     blocks = qmath.parse_matrix_blocks(text)
     if len(blocks) != 4:
         raise ValueError(f"expected 4 blocks describing the measurement, found {len(blocks)}")
     shapes = {b.shape for b in blocks}
     if shapes <= {(4, 1), (1, 4)}:
-        return ProjectiveMeasurement.from_kets([b.reshape(4) for b in blocks])
-    if shapes == {(4, 4)}:
-        return ProjectiveMeasurement(blocks)
-    raise ValueError(f"blocks must be dim-4 kets or 4x4 projectors, got shapes {sorted(shapes)}")
+        kets = [b.reshape(4) for b in blocks]
+    elif shapes == {(4, 4)}:
+        kets = _projector_kets(np.array(blocks))
+    else:
+        raise ValueError(f"blocks must be dim-4 kets or 4x4 projectors, got shapes {sorted(shapes)}")
+    return _orthonormal_kets(kets, PROJECTOR_ATOL)

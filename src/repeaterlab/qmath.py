@@ -69,6 +69,19 @@ def require_normalized(psi: np.ndarray, atol: float = NORMALIZATION_ATOL, what: 
     return k
 
 
+def spectral_norm_within(a: np.ndarray, atol: float) -> np.ndarray:
+    """Whether each matrix of a stack has spectral norm at most atol.
+
+    The Frobenius norm bounds the spectral norm from above, so singular
+    values are computed only when that bound exceeds atol.  Entries must
+    be finite.
+    """
+    within = np.linalg.norm(a, axis=(-2, -1)) <= atol
+    if within.all():
+        return within
+    return np.linalg.norm(a, 2, axis=(-2, -1)) <= atol
+
+
 def tensor(*factors: np.ndarray) -> np.ndarray:
     """Kronecker product with index convention (i_a * dim_b + i_b)."""
     if not factors:
@@ -211,6 +224,8 @@ def parse_matrix_blocks(text: str) -> list[np.ndarray]:
             flat = np.array([float(t) for t in tokens[pos:pos + need]])
         except ValueError as exc:
             raise ValueError("non-numeric token in matrix body") from exc
+        if not np.isfinite(flat).all():
+            raise ValueError("non-finite entry in matrix body")
         pos += need
         blocks.append((flat[0::2] + 1j * flat[1::2]).reshape(rows, cols))
     if not blocks:

@@ -21,51 +21,9 @@ from . import qmath
 from .concentration import GeneralMeasurement, apply_measurement
 from .states import _amplitudes, _check_protocol_angle, _checked_amplitudes
 
-PROJECTOR_ATOL = 1e-10
 ORTHONORMAL_ATOL = 1e-12
 MAXIMAL_STATE_ATOL = 1e-10
 RATE_MATCH_ATOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectiveMeasurement:
-    """Complete set of mutually orthogonal projectors."""
-
-    projectors: tuple[np.ndarray, ...]
-
-    def __init__(self, projectors: Sequence[np.ndarray]) -> None:
-        ops = tuple(qmath.as_matrix(p) for p in projectors)
-        if not ops:
-            raise ValueError("a projective measurement needs at least one projector")
-        dim = ops[0].shape[0]
-        for i, p in enumerate(ops):
-            if p.shape != (dim, dim):
-                raise ValueError(f"projector shapes disagree: {p.shape} vs {(dim, dim)}")
-            qmath.require_hermitian(p, PROJECTOR_ATOL, what=f"projector {i}")
-            if float(np.linalg.norm(p @ p - p, 2)) > PROJECTOR_ATOL:
-                raise ValueError(f"projector {i} is not idempotent")
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                if float(np.linalg.norm(ops[i] @ ops[j], 2)) > PROJECTOR_ATOL:
-                    raise ValueError(f"projectors {i} and {j} are not orthogonal")
-        if float(np.linalg.norm(sum(ops) - np.eye(dim), 2)) > PROJECTOR_ATOL:
-            raise ValueError("projectors do not sum to the identity")
-        object.__setattr__(self, "projectors", ops)
-
-    @classmethod
-    def from_kets(cls, kets: Sequence[np.ndarray]) -> "ProjectiveMeasurement":
-        return cls([np.outer(k, np.conj(k)) for k in kets])
-
-    @property
-    def operators(self) -> tuple[np.ndarray, ...]:
-        return self.projectors
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self.projectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +43,6 @@ class OptimalBasis:
 
     def __post_init__(self) -> None:
         _orthonormal_kets(self.kets)
-
-    def measurement(self) -> ProjectiveMeasurement:
-        return ProjectiveMeasurement.from_kets(self.kets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,14 +207,21 @@ def _tuned_kets(f: np.ndarray, beta1: float = 0.0, beta2: float = 0.0) -> np.nda
     return kets
 
 
-def _orthonormal_kets(kets: Sequence[np.ndarray]) -> np.ndarray:
-    """Four kets as a (4, 4) array; raises unless they are an orthonormal basis."""
+def _orthonormal_kets(kets: Sequence[np.ndarray], atol: float = ORTHONORMAL_ATOL) -> np.ndarray:
+    """Four kets as the rows of a (4, 4) array; raises unless they are an orthonormal basis.
+
+    The check is one Gram product: the spectral norm of Gram - I must not
+    exceed atol.
+    """
     phi = np.asarray(kets, dtype=complex)
     if phi.shape != (4, 4):
         raise ValueError(f"expected four dim-4 kets, got an array of shape {phi.shape}")
-    gram = phi.conj() @ phi.T
-    if float(np.linalg.norm(gram - np.eye(4), 2)) > ORTHONORMAL_ATOL:
-        raise ValueError("basis kets are not orthonormal")
+    if not np.isfinite(phi).all():
+        raise ValueError("basis kets have non-finite entries")
+    defect = phi.conj() @ phi.T - np.eye(4)
+    if not qmath.spectral_norm_within(defect, atol):
+        raise ValueError(f"basis kets are not orthonormal (Gram defect "
+                         f"{np.linalg.norm(defect, 2):.3e} > {atol:.1e})")
     return phi
 
 

@@ -16,6 +16,7 @@ import repeaterlab
 from repeaterlab import cli, criterion, qmath
 from repeaterlab.cli import (
     MAX_GRID,
+    MAX_SAMPLES,
     SEED_ENV_VAR,
     RunConfig,
     UsageError,
@@ -24,6 +25,7 @@ from repeaterlab.cli import (
     run,
 )
 from repeaterlab.repeater import (
+    bell_kets,
     direct_success_prob,
     projection_bounds,
     run_protocol_analytic,
@@ -71,6 +73,19 @@ class TestParseArgs:
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         with pytest.raises(UsageError):
             parse_args(["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "10"])
+
+    def test_simulate_rejects_negative_environment_seed(self, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        with pytest.raises(UsageError, match="nonnegative"):
+            parse_args(["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "10"])
+
+    def test_simulate_accepts_the_largest_sample_count(self):
+        config = parse_args(["simulate", "--theta", "0.3", "--eta", "0.6",
+                             "--n", str(MAX_SAMPLES), "--seed", "0"])
+        assert config.n_samples == MAX_SAMPLES
+        status, report = run(config)
+        assert status == 0
+        assert json.loads(report)["n"] == MAX_SAMPLES
 
     def test_simulate_rejects_empty_sample(self):
         with pytest.raises(UsageError):
@@ -137,6 +152,9 @@ class TestParseArgs:
         ["rate", "--theta", "0.3"],
         ["rate", "--theta", "0.3", "--eta", "0.6", "--volume", "11"],
         ["rate", "--theta", "abc", "--eta", "0.6"],
+        ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", str(MAX_SAMPLES + 1)],
+        ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "99999999999999999999"],
+        ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "10", "--seed", "-1"],
     ])
     def test_bad_command_lines(self, argv):
         with pytest.raises(UsageError):
@@ -187,6 +205,19 @@ class TestRun:
                                          "--measurement-file", str(path)]))
         assert status == 0
         assert json.loads(report)["optimal"] is True
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_criterion_non_finite_file_reports_only_json(self, tmp_path, capsys, token):
+        lines = "".join(qmath.format_matrix_text(k) for k in bell_kets()).split("\n")
+        lines[1] = " ".join([token] + lines[1].split()[1:])
+        path = tmp_path / "meas.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert main(["criterion", "--theta", "0.3", "--eta", "0.6",
+                     "--measurement-file", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        error = json.loads(out.err)["error"]
+        assert (error["type"], error["message"]) == ("ValueError", "non-finite entry in matrix body")
 
     def test_criterion_missing_file(self, tmp_path):
         status, report = run(parse_args(["criterion", "--theta", "0.3", "--eta", "0.6",

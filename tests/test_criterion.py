@@ -17,7 +17,6 @@ from repeaterlab.criterion import (
     t_operators,
 )
 from repeaterlab.repeater import (
-    ProjectiveMeasurement,
     bell_kets,
     build_optimal_basis,
     computational_kets,
@@ -33,7 +32,31 @@ ordered_angles = st.tuples(
 
 
 def optimal_measurement(theta, eta, beta1=0.0, beta2=0.0):
-    return build_optimal_basis(theta, eta, beta1, beta2).measurement()
+    return build_optimal_basis(theta, eta, beta1, beta2).kets
+
+
+def measurement_text(kets, projectors: bool) -> str:
+    """A measurement file holding the kets, or their projectors."""
+    blocks = [np.outer(k, np.conj(k)) if projectors else k for k in kets]
+    return "".join(qmath.format_matrix_text(b) for b in blocks)
+
+
+def reference_lhs(kets, theta, eta):
+    """The closed-form sum as a trace over each projector, one 4x4 product at a time."""
+    projectors = [np.outer(k, np.conj(k)) for k in kets]
+    if theta > eta:
+        perm = (0, 2, 1, 3)
+        projectors = [p[np.ix_(perm, perm)] for p in projectors]
+        theta, eta = eta, theta
+    t1, t2 = t_operators(theta, eta)
+    diag_op = np.kron(t1, t2)
+    flip_op = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), t2)
+    total = 0.0
+    for p in projectors:
+        straight = np.trace(diag_op @ p).real
+        cross = np.trace(flip_op @ p)
+        total += np.sqrt(straight ** 2 + np.sin(2 * theta) ** 2 * abs(cross) ** 2)
+    return total
 
 
 class TestTOperators:
@@ -77,20 +100,33 @@ class TestCriterionLhs:
         assert lhs == pytest.approx(1.0, abs=1e-12)
 
     def test_accepts_ket_lists(self):
-        kets = list(optimal_measurement(0.3, 0.6).projectors)
-        as_proj = criterion_lhs(ProjectiveMeasurement(kets), 0.3, 0.6)
-        as_kets = criterion_lhs(build_optimal_basis(0.3, 0.6).kets, 0.3, 0.6)
-        assert as_proj == pytest.approx(as_kets, abs=1e-12)
+        kets = optimal_measurement(0.3, 0.6)
+        want = criterion_lhs(kets, 0.3, 0.6)
+        for form in (list(kets), np.asarray(kets),
+                     measurement_from_text(measurement_text(kets, projectors=False))):
+            assert criterion_lhs(form, 0.3, 0.6) == pytest.approx(want, abs=1e-15)
 
     def test_rejects_higher_rank_projectors(self):
+        # The test takes kets; projectors become kets at the text boundary,
+        # which admits rank-one projectors only.
         p01 = np.diag([1.0, 1.0, 0.0, 0.0])
-        p23 = np.diag([0.0, 0.0, 1.0, 1.0])
-        with pytest.raises(RankOneRequiredError):
-            criterion_lhs([p01, p23], 0.3, 0.6)
+        with pytest.raises(ValueError, match="dim-4 kets"):
+            criterion_lhs([p01, np.diag([0.0, 0.0, 1.0, 1.0])], 0.3, 0.6)
+        blocks = [p01, np.diag([0.0, 0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0]),
+                  np.zeros((4, 4))]
+        with pytest.raises(RankOneRequiredError, match="projector 0 has rank 2"):
+            measurement_from_text("".join(qmath.format_matrix_text(b) for b in blocks))
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
             criterion_lhs([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 0.3, 0.6)
+
+    @given(ordered_angles, st.booleans(), st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_projector_trace_formula(self, pair, larger_first, seed):
+        theta, eta = pair[::-1] if larger_first else pair
+        kets = random_orthonormal_kets(np.random.default_rng(seed))
+        assert abs(criterion_lhs(kets, theta, eta) - reference_lhs(kets, theta, eta)) <= 1e-12
 
     @given(ordered_angles, st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -191,16 +227,36 @@ class TestMeasurementFromText:
         assert is_optimal(meas, np.pi / 6, np.pi / 4).optimal
 
     def test_projector_blocks(self):
-        reference = optimal_measurement(0.3, 0.6)
-        text = "\n".join(qmath.format_matrix_text(p) for p in reference.projectors)
-        meas = measurement_from_text(text)
-        for got, want in zip(meas.projectors, reference.projectors):
-            assert np.allclose(got, want, atol=1e-12)
+        # Each projector becomes its ket, up to a global phase.
+        reference = optimal_measurement(0.3, 0.6, beta1=0.7, beta2=-1.2)
+        kets = measurement_from_text(measurement_text(reference, projectors=True))
+        assert kets.shape == (4, 4)
+        for got, want in zip(kets, reference):
+            assert abs(abs(np.vdot(got, want)) - 1.0) <= 1e-12
+
+    @given(ordered_angles, st.booleans(), st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_ket_and_projector_files_agree(self, pair, larger_first, seed):
+        theta, eta = pair[::-1] if larger_first else pair
+        kets = random_orthonormal_kets(np.random.default_rng(seed))
+        reports = [is_optimal(measurement_from_text(measurement_text(kets, projectors)),
+                              theta, eta) for projectors in (False, True)]
+        for field in ("lhs", "rhs", "p_s"):
+            assert abs(getattr(reports[0], field) - getattr(reports[1], field)) <= 1e-12
+        assert reports[0].optimal == reports[1].optimal
 
     def test_row_vector_blocks(self):
         text = "\n".join(qmath.format_matrix_text(k.reshape(1, 4)) for k in bell_kets())
         meas = measurement_from_text(text)
-        assert len(meas) == 4
+        assert np.array_equal(meas, np.asarray(bell_kets()))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("projectors", [False, True])
+    def test_rejects_non_finite_entries(self, token, projectors):
+        lines = measurement_text(bell_kets(), projectors).split("\n")
+        lines[1] = " ".join([token] + lines[1].split()[1:])
+        with pytest.raises(ValueError, match="non-finite entry"):
+            measurement_from_text("\n".join(lines))
 
     def test_wrong_block_count(self):
         text = "\n".join(qmath.format_matrix_text(k) for k in bell_kets()[:3])

@@ -9,10 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from repeaterlab import qmath, repeater, states
 from repeaterlab.concentration import p_e
-from repeaterlab.criterion import achieved_rate
+from repeaterlab.criterion import achieved_rate, measurement_from_text
 from repeaterlab.repeater import (
     AnalyticResult,
-    ProjectiveMeasurement,
     bell_kets,
     bob_filter,
     build_optimal_basis,
@@ -153,10 +152,9 @@ class TestOptimalBasis:
     @given(protocol_angles, protocol_angles, phases, phases)
     @settings(max_examples=40, deadline=None)
     def test_measurement_is_projective(self, theta, eta, beta1, beta2):
-        basis = build_optimal_basis(theta, eta, beta1, beta2)
-        m = basis.measurement()
-        assert len(m) == 4
-        assert m.dim == 4
+        phi = np.asarray(build_optimal_basis(theta, eta, beta1, beta2).kets)
+        assert phi.shape == (4, 4)
+        assert np.allclose(phi.conj() @ phi.T, np.eye(4), atol=1e-12)
 
 
 class TestAnalyticRate:
@@ -403,41 +401,76 @@ class TestCompareWithBell:
         assert round_tripped["rates_equal"] is True
 
 
+def projector_text(blocks) -> str:
+    return "".join(qmath.format_matrix_text(np.asarray(b, dtype=complex)) for b in blocks)
+
+
+BELL_PROJECTORS = [np.outer(k, k.conj()) for k in bell_kets()]
+
+
 class TestProjectiveMeasurement:
+    """A measurement is four orthonormal kets, the rows of one checked (4, 4) array.
+
+    Kets are checked by one Gram product; projector blocks are checked and
+    converted to kets where a measurement file is read.
+    """
+
     def test_from_bell_kets(self):
-        m = ProjectiveMeasurement.from_kets(bell_kets())
-        assert len(m) == 4
-        assert m.dim == 4
-        assert m.operators == m.projectors
+        phi = repeater._orthonormal_kets(bell_kets())
+        assert phi.shape == (4, 4)
+        assert np.array_equal(phi, np.asarray(bell_kets()))
 
     def test_computational_kets_are_complete(self):
-        ProjectiveMeasurement.from_kets(computational_kets())
+        assert np.array_equal(repeater._orthonormal_kets(computational_kets()), np.eye(4))
 
     def test_rejects_incomplete_set(self):
         with pytest.raises(ValueError):
-            ProjectiveMeasurement.from_kets(bell_kets()[:3])
+            repeater._orthonormal_kets(bell_kets()[:3])
+        # A zero block is a projector of rank 0: the set fails as incomplete.
+        with pytest.raises(ValueError, match="sum to the identity") as info:
+            measurement_from_text(projector_text(BELL_PROJECTORS[:3] + [np.zeros((4, 4))]))
+        assert type(info.value) is ValueError
 
     def test_rejects_non_idempotent(self):
-        with pytest.raises(ValueError):
-            ProjectiveMeasurement([0.5 * np.eye(2), 0.5 * np.eye(2)])
+        with pytest.raises(ValueError, match="not orthonormal"):
+            repeater._orthonormal_kets([2.0 * k for k in bell_kets()])
+        # Trace 2 as well, but the idempotence check comes first.
+        with pytest.raises(ValueError, match="projector 0 is not idempotent") as info:
+            measurement_from_text(projector_text([0.5 * np.eye(4)] * 4))
+        assert type(info.value) is ValueError
 
     def test_rejects_non_orthogonal(self):
-        p0 = np.diag([1.0, 0.0])
-        with pytest.raises(ValueError):
-            ProjectiveMeasurement([p0, p0, np.diag([0.0, 1.0])])
+        kets = bell_kets()
+        with pytest.raises(ValueError, match="not orthonormal"):
+            repeater._orthonormal_kets([kets[0], kets[0], kets[2], kets[3]])
+        p = BELL_PROJECTORS
+        with pytest.raises(ValueError, match="not orthogonal"):
+            measurement_from_text(projector_text([p[0], p[0], p[2], p[3]]))
 
     def test_rejects_non_hermitian(self):
-        t = np.array([[1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            ProjectiveMeasurement([t, np.eye(2) - t])
+        t = BELL_PROJECTORS[0] + np.triu(np.full((4, 4), 1e-3), 1)
+        with pytest.raises(ValueError, match="projector 0 is not Hermitian"):
+            measurement_from_text(projector_text([t] + BELL_PROJECTORS[1:]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            ProjectiveMeasurement([np.eye(2), np.eye(3)])
+            repeater._orthonormal_kets([np.ones(4), np.ones(3), np.ones(4), np.ones(4)])
+        with pytest.raises(ValueError, match="dim-4 kets"):
+            repeater._orthonormal_kets(np.eye(3))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            ProjectiveMeasurement([])
+            repeater._orthonormal_kets([])
+        with pytest.raises(ValueError):
+            measurement_from_text("")
+
+    def test_rejects_non_finite_kets(self):
+        kets = np.asarray(bell_kets())
+        kets[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            repeater._orthonormal_kets(kets)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_protocol_with_kets(0.3, 0.6, kets)
 
 
 class TestArbitraryBases:
