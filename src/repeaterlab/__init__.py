@@ -10,8 +10,7 @@ outcome can achieve in any finite dimension.
 
 from .bounds import (BoundResult, achieving_operator, optimal_u, p_max,
                      steering_bound, trace_rearrangement_lb)
-from .concentration import (GeneralMeasurement, NotEntangledError,
-                            apply_measurement, p_e, procrustean)
+from .concentration import NotEntangledError, p_e, procrustean
 from .criterion import (CriterionReport, RankOneRequiredError, achieved_rate,
                         criterion_lhs, is_optimal, measurement_from_text,
                         t_operators)
@@ -31,7 +30,6 @@ __all__ = [
     "BoundResult",
     "ComparisonRecord",
     "CriterionReport",
-    "GeneralMeasurement",
     "JointScenario",
     "NotEntangledError",
     "OptimalBasis",
@@ -41,7 +39,6 @@ __all__ = [
     "TwoQubitPure",
     "achieved_rate",
     "achieving_operator",
-    "apply_measurement",
     "bell_kets",
     "build_optimal_basis",
     "canonical_two_qubit",

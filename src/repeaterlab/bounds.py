@@ -18,10 +18,6 @@ import numpy as np
 from . import qmath
 from .states import SchmidtState, max_entangled
 
-PSD_ATOL = 1e-10
-TRACE_ATOL = 1e-10
-ELEMENT_ATOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class BoundResult:
@@ -45,11 +41,11 @@ class BoundResult:
 
 def _require_state(rho: np.ndarray, what: str) -> np.ndarray:
     m = qmath.as_matrix(rho)
-    qmath.require_hermitian(m, PSD_ATOL, what=what)
+    qmath.require_hermitian(m, qmath.LOOSE_ATOL, what=what)
     w = np.linalg.eigvalsh(m)
-    if float(w[0]) < -PSD_ATOL:
+    if float(w[0]) < -qmath.LOOSE_ATOL:
         raise ValueError(f"{what} has negative eigenvalue {float(w[0]):.3e}")
-    if abs(float(np.trace(m).real) - 1.0) > TRACE_ATOL:
+    if abs(float(np.trace(m).real) - 1.0) > qmath.LOOSE_ATOL:
         raise ValueError(f"{what} must have unit trace, got {float(np.trace(m).real)!r}")
     return m
 
@@ -66,7 +62,7 @@ def steering_bound(rho: np.ndarray, rho_i: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {rho_i.shape}")
     kernel = np.eye(rho.shape[0]) - qmath.support_projector(rho)
     leak = float(np.trace(kernel @ rho_i).real)
-    if leak > qmath.SUPPORT_CUTOFF:
+    if leak > qmath.STRICT_ATOL:
         warnings.warn(
             f"rho_i has weight {leak:.3e} outside the support of rho; bound is 0",
             RuntimeWarning, stacklevel=2)
@@ -79,8 +75,8 @@ def trace_rearrangement_lb(a: np.ndarray, b: np.ndarray) -> float:
     """Floor on tr(AB): ascending spectrum of A against descending of B."""
     a = qmath.as_matrix(a)
     b = qmath.as_matrix(b)
-    qmath.require_hermitian(a, PSD_ATOL, what="a")
-    qmath.require_hermitian(b, PSD_ATOL, what="b")
+    qmath.require_hermitian(a, qmath.LOOSE_ATOL, what="a")
+    qmath.require_hermitian(b, qmath.LOOSE_ATOL, what="b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     la = np.linalg.eigvalsh(a)
@@ -107,7 +103,9 @@ def p_max(a: SchmidtState | Sequence[float], b: SchmidtState | Sequence[float]) 
     d_a, d = sa.dim, sb.dim
     ca = np.asarray(sa.coefficients)
     cb = np.asarray(sb.coefficients)
-    denom = float(np.sum(1.0 / (ca * cb[d_a - 1 :: -1])))
+    # A product that underflows makes the sum infinite and the ceiling 0.
+    with np.errstate(over="ignore", divide="ignore"):
+        denom = float(np.sum(1.0 / (ca * cb[d_a - 1 :: -1])))
     return float(d / denom)
 
 
@@ -158,18 +156,19 @@ def achieving_operator(a: SchmidtState | Sequence[float],
     a_pad[:d_a] = sa.coefficients
     diag = np.kron(a_pad, np.asarray(sb.coefficients))
     g = np.sqrt(diag)
-    inv_g = np.where(g > np.sqrt(qmath.SUPPORT_CUTOFF), 1.0 / np.where(g > 0, g, 1.0), 0.0)
+    # SchmidtState coefficients are positive, so only the padding is zero.
+    inv_g = np.where(g > 0.0, 1.0 / np.where(g > 0.0, g, 1.0), 0.0)
     m_i = np.sqrt(ceiling) * np.outer(omega, omega.conj() * inv_g)
 
     top = _top_gram_eigenvalue(m_i)
-    if top > 1.0 + ELEMENT_ATOL:
+    if top > 1.0 + qmath.LOOSE_ATOL:
         raise ValueError(
             f"operator is not a valid measurement element: "
             f"largest eigenvalue of M^dag M exceeds 1 by {top - 1.0:.3e}")
 
     joint = g[:, None] * m_i.T
     achieved = float(np.sum(np.abs(joint) ** 2))
-    if achieved > qmath.PROB_FLOOR:
+    if achieved > 0.0:
         # <omega| J J^dag |omega> = ||J^dag omega||^2, without forming J J^dag.
         overlap = omega.conj() @ joint
         fidelity = float(np.vdot(overlap, overlap).real) / achieved

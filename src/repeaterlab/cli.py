@@ -22,7 +22,7 @@ import numpy as np
 
 from . import qmath
 from .bounds import achieving_operator
-from .criterion import DEFAULT_FLAG_TOL, is_optimal, measurement_from_text
+from .criterion import is_optimal, measurement_from_text
 from .repeater import (_rate_table, bell_kets, build_optimal_basis, compare_with_bell,
                        computational_kets, run_protocol_analytic, run_protocol_sampled)
 
@@ -61,7 +61,7 @@ class RunConfig:
     schmidt_b: tuple[float, ...] = field(default=())
     measurement: str | None = None
     measurement_file: str | None = None
-    tolerance: float = DEFAULT_FLAG_TOL
+    tolerance: float = qmath.FLAG_TOL
     grid: int = 20
 
 
@@ -90,7 +90,7 @@ def _tolerance(text: str) -> float:
 def _schmidt_list(text: str) -> tuple[float, ...]:
     values = tuple(_finite(tok) for tok in text.split(","))
     total = sum(values)
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > qmath.TEXT_SUM_ATOL:
         raise argparse.ArgumentTypeError(f"coefficients must sum to 1, got {total!r}")
     return tuple(sorted((v / total for v in values), reverse=True))
 
@@ -148,7 +148,7 @@ def _build_parser() -> _Parser:
                        help="one of the built-in bases")
     group.add_argument("--measurement-file", dest="measurement_file",
                        help="matrix text file with four dim-4 kets or 4x4 projectors")
-    p.add_argument("--tol", dest="tolerance", type=_tolerance, default=DEFAULT_FLAG_TOL,
+    p.add_argument("--tol", dest="tolerance", type=_tolerance, default=qmath.FLAG_TOL,
                    help="tolerance for the optimality flag")
     add_output(p, ("json", "csv"), "json")
 

@@ -8,47 +8,14 @@ the filtering measurement below attains it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from . import qmath
 from .states import TwoQubitPure
 
-COMPLETENESS_ATOL = 1e-10
-
 
 class NotEntangledError(ValueError):
     """Raised when the input state carries no entanglement to concentrate."""
-
-
-@dataclass(frozen=True, eq=False)
-class GeneralMeasurement:
-    """Measurement operators M_i with sum_i M_i^dag M_i = I."""
-
-    operators: tuple[np.ndarray, ...]
-
-    def __init__(self, operators: Sequence[np.ndarray]) -> None:
-        ops = tuple(qmath.as_matrix(m) for m in operators)
-        if not ops:
-            raise ValueError("a measurement needs at least one operator")
-        dim = ops[0].shape[0]
-        for m in ops:
-            if m.shape != (dim, dim):
-                raise ValueError(f"operator shapes disagree: {m.shape} vs {(dim, dim)}")
-        total = sum(m.conj().T @ m for m in ops)
-        defect = float(np.linalg.norm(total - np.eye(dim), 2))
-        if defect > COMPLETENESS_ATOL:
-            raise ValueError(f"measurement is not complete (defect {defect:.3e})")
-        object.__setattr__(self, "operators", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self.operators)
 
 
 def p_e(state: TwoQubitPure | np.ndarray) -> float:
@@ -67,11 +34,13 @@ def p_e(state: TwoQubitPure | np.ndarray) -> float:
     return float(min(1.0, 2.0 * smallest * smallest))
 
 
-def procrustean(lam: float) -> GeneralMeasurement:
+def procrustean(lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Two-outcome filter whose outcome 0 maximizes cos(lam)|00> + sin(lam)|11>.
 
-    For lam in (0, pi/4] the filter damps the |0> component; past pi/4 the
-    basis roles swap so the larger amplitude is damped instead.
+    Returns the 2x2 operators (m0, m1) on the second qubit, with
+    m0^dag m0 + m1^dag m1 = I.  For lam in (0, pi/4] the filter damps the
+    |0> component; past pi/4 the basis roles swap so the larger amplitude
+    is damped instead.
     """
     lam = float(lam)
     if lam == 0.0:
@@ -85,7 +54,7 @@ def procrustean(lam: float) -> GeneralMeasurement:
     else:
         ratio = c / s
         keep, damp = 0, 1
-    if ratio > 1.0 - 1e-15:
+    if ratio > 1.0 - qmath.PROB_FLOOR:
         # Balanced within float rounding: the filter is the identity.
         ratio = 1.0
     m0 = np.zeros((2, 2), dtype=complex)
@@ -93,56 +62,4 @@ def procrustean(lam: float) -> GeneralMeasurement:
     m0[damp, damp] = ratio
     m1 = np.zeros((2, 2), dtype=complex)
     m1[damp, damp] = np.sqrt(1.0 - ratio * ratio)
-    return GeneralMeasurement([m0, m1])
-
-
-def _operators_of(m: GeneralMeasurement | Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    if isinstance(m, GeneralMeasurement):
-        return m.operators
-    ops = getattr(m, "operators", None)
-    if ops is not None:
-        return tuple(qmath.as_matrix(op) for op in ops)
-    # Raw operator lists are validated on the way in.
-    return GeneralMeasurement(m).operators
-
-
-def apply_measurement(m: GeneralMeasurement | Sequence[np.ndarray], psi: np.ndarray,
-                      wire: int | None = None,
-                      dims: Sequence[int] | None = None) -> list[tuple[float, np.ndarray]]:
-    """Born-rule application of a measurement to one subsystem of a ket.
-
-    Returns one (probability, normalized post state) pair per operator.
-    The wire defaults to the last subsystem, which is Bob's slot in every
-    register layout used here.
-    """
-    ops = _operators_of(m)
-    ket = qmath.require_normalized(psi, what="measured state")
-    d_op = ops[0].shape[0]
-    if dims is None:
-        n_ops = int(round(np.log(ket.size) / np.log(d_op)))
-        if d_op ** n_ops != ket.size:
-            raise ValueError(
-                f"cannot infer subsystem dims for state size {ket.size} and operator dim {d_op}")
-        dims = (d_op,) * n_ops
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != ket.size:
-        raise ValueError(f"subsystem dims {dims} do not match state size {ket.size}")
-    if wire is None:
-        wire = len(dims) - 1
-    if not 0 <= wire < len(dims):
-        raise ValueError(f"wire {wire} out of range for {len(dims)} subsystems")
-    if dims[wire] != d_op:
-        raise ValueError(f"operator dim {d_op} does not fit wire {wire} of dim {dims[wire]}")
-
-    results: list[tuple[float, np.ndarray]] = []
-    for op in ops:
-        moved = np.tensordot(op, ket.reshape(dims), axes=(1, wire))
-        branch = np.moveaxis(moved, 0, wire).reshape(-1)
-        prob = float(np.real(np.vdot(branch, branch)))
-        if prob > qmath.PROB_FLOOR:
-            branch = branch / np.sqrt(prob)
-        else:
-            prob = max(prob, 0.0)
-            branch = np.zeros_like(branch)
-        results.append((prob, branch))
-    return results
+    return m0, m1

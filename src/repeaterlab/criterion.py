@@ -19,11 +19,6 @@ from . import qmath
 from .repeater import _orthonormal_kets, _outcomes
 from .states import _check_protocol_angle, _checked_amplitudes
 
-PROJECTOR_ATOL = 1e-10
-RANK_ONE_ATOL = 1e-10
-ROUTE_MATCH_ATOL = 1e-10
-DEFAULT_FLAG_TOL = 1e-9
-
 # Exchanging the roles of the two source pairs swaps Clare's qubits.
 _SWAP_PERM = (0, 2, 1, 3)
 
@@ -87,7 +82,7 @@ def criterion_lhs(kets: Sequence[np.ndarray], theta: float, eta: float) -> float
     Never smaller than the target, so the gap measures how far the
     measurement falls short.
     """
-    phi = _orthonormal_kets(kets, PROJECTOR_ATOL)
+    phi = _orthonormal_kets(kets, qmath.LOOSE_ATOL)
     theta = _check_protocol_angle(theta, "theta", strict=True)
     eta = _check_protocol_angle(eta, "eta", strict=True)
     return _lhs(phi, theta, eta)
@@ -100,28 +95,28 @@ def achieved_rate(kets: Sequence[np.ndarray], theta: float, eta: float) -> float
     local-filter success weight, twice the smaller squared singular value
     of the leftover.  Independent of the closed-form route.
     """
-    phi = _orthonormal_kets(kets, PROJECTOR_ATOL)
+    phi = _orthonormal_kets(kets, qmath.LOOSE_ATOL)
     _, _, f = _checked_amplitudes(theta, eta)
     return float(np.sum(_outcomes(f, phi).filter_weight))
 
 
 def is_optimal(kets: Sequence[np.ndarray], theta: float, eta: float,
-               tol: float = DEFAULT_FLAG_TOL) -> CriterionReport:
+               tol: float = qmath.FLAG_TOL) -> CriterionReport:
     """Full report: closed-form sum, target, delivered rate, and the verdict.
 
     Raises ValueError when the two routes disagree: the delivered rate must
-    equal 1 - lhs within ROUTE_MATCH_ATOL.
+    equal 1 - lhs within qmath.LOOSE_ATOL.
     """
     theta = _check_protocol_angle(theta, "theta", strict=True)
     eta = _check_protocol_angle(eta, "eta", strict=True)
-    phi = _orthonormal_kets(kets, PROJECTOR_ATOL)
+    phi = _orthonormal_kets(kets, qmath.LOOSE_ATOL)
     lhs = _lhs(phi, theta, eta)
     rhs = float(np.cos(2 * min(theta, eta)))
     p_s = achieved_rate(phi, theta, eta)
     gap = abs(p_s - (1.0 - lhs))
-    if not gap <= ROUTE_MATCH_ATOL:
+    if not gap <= qmath.LOOSE_ATOL:
         raise ValueError(f"delivered rate {p_s!r} and closed form 1 - lhs = {1.0 - lhs!r} "
-                         f"disagree by {gap:.3e} (> {ROUTE_MATCH_ATOL:.0e})")
+                         f"disagree by {gap:.3e} (> {qmath.LOOSE_ATOL:.0e})")
     return CriterionReport(lhs=lhs, rhs=rhs, p_s=p_s,
                            optimal=abs(lhs - rhs) <= tol, tolerance=float(tol))
 
@@ -130,28 +125,28 @@ def _projector_kets(p: np.ndarray) -> np.ndarray:
     """The kets of a (4, 4, 4) stack of rank-one projectors, as rows.
 
     Every block must be Hermitian and idempotent (each eigenvalue 0 or 1),
-    the blocks must sum to the identity, all at PROJECTOR_ATOL, and each
+    the blocks must sum to the identity, all at qmath.LOOSE_ATOL, and each
     must have trace 1; each check runs once over the whole stack.  Each
     ket is its block's top eigenvector.
     """
     # np.argmin of a boolean array is the first block that fails.
     skew = p - p.conj().swapaxes(-2, -1)
-    ok = qmath.spectral_norm_within(skew, PROJECTOR_ATOL)
+    ok = qmath.spectral_norm_within(skew, qmath.LOOSE_ATOL)
     if not ok.all():
         i = np.argmin(ok)
         raise ValueError(f"projector {i} is not Hermitian "
-                         f"(defect {np.linalg.norm(skew[i], 2):.3e} > {PROJECTOR_ATOL:.1e})")
+                         f"(defect {np.linalg.norm(skew[i], 2):.3e} > {qmath.LOOSE_ATOL:.1e})")
     w, v = np.linalg.eigh(p)
-    ok = np.max(np.abs(w * w - w), axis=-1) <= PROJECTOR_ATOL
+    ok = np.max(np.abs(w * w - w), axis=-1) <= qmath.LOOSE_ATOL
     if not ok.all():
         raise ValueError(f"projector {np.argmin(ok)} is not idempotent")
     # Completeness comes before the rank check, so a set padded with a zero
     # block fails as incomplete rather than as rank deficient.
-    if not qmath.spectral_norm_within(p.sum(axis=0) - np.eye(4), PROJECTOR_ATOL):
+    if not qmath.spectral_norm_within(p.sum(axis=0) - np.eye(4), qmath.LOOSE_ATOL):
         raise ValueError("projectors are not orthogonal and complete: "
                          "they do not sum to the identity")
     trace = np.trace(p, axis1=-2, axis2=-1).real
-    ok = np.abs(trace - 1.0) <= RANK_ONE_ATOL
+    ok = np.abs(trace - 1.0) <= qmath.LOOSE_ATOL
     if not ok.all():
         i = np.argmin(ok)
         raise RankOneRequiredError(f"projector {i} has rank {trace[i]:.6g}; "
@@ -176,4 +171,4 @@ def measurement_from_text(text: str) -> np.ndarray:
         kets = _projector_kets(np.array(blocks))
     else:
         raise ValueError(f"blocks must be dim-4 kets or 4x4 projectors, got shapes {sorted(shapes)}")
-    return _orthonormal_kets(kets, PROJECTOR_ATOL)
+    return _orthonormal_kets(kets, qmath.LOOSE_ATOL)

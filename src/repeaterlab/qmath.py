@@ -6,12 +6,20 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-HERMITIAN_ATOL = 1e-12
-NORMALIZATION_ATOL = 1e-12
-NEGATIVE_EIG_ATOL = 1e-10
-SUPPORT_CUTOFF = 1e-12
-PHASE_ATOL = 1e-10
+# Every threshold in the package, one name per value and meaning.  A defect
+# equal to its bound passes.
+# Rounding at unit scale: norms, Hermiticity, ket Gram, Schmidt sums, eigenvalue support.
+STRICT_ATOL = 1e-12
+# Checks after an eigensolver, a file read or two routes: PSD, projectors, unitarity, rates.
+LOOSE_ATOL = 1e-10
+# A probability at or below it never fires; a filter ratio within it of 1 is 1.
 PROB_FLOOR = 1e-15
+# Angles up to pi/4 plus this (decimal-rounded pi/4, as in 0.7854) snap down to pi/4.
+BOUNDARY_SLACK = 1e-4
+# Default tolerance of the criterion's optimality flag, |lhs - rhs|.
+FLAG_TOL = 1e-9
+# How far a command-line Schmidt list may sum from 1 before it is renormalized.
+TEXT_SUM_ATOL = 1e-9
 
 
 def as_matrix(a: np.ndarray | Sequence) -> np.ndarray:
@@ -44,14 +52,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return as_matrix(a).conj().T
 
 
-def is_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return float(np.linalg.norm(m - m.conj().T, 2)) <= atol
-
-
-def require_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "operator") -> np.ndarray:
+def require_hermitian(a: np.ndarray, atol: float = STRICT_ATOL, what: str = "operator") -> np.ndarray:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
@@ -61,7 +62,7 @@ def require_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "
     return m
 
 
-def require_normalized(psi: np.ndarray, atol: float = NORMALIZATION_ATOL, what: str = "state") -> np.ndarray:
+def require_normalized(psi: np.ndarray, atol: float = STRICT_ATOL, what: str = "state") -> np.ndarray:
     k = as_ket(psi)
     defect = abs(float(np.real(np.vdot(k, k))) - 1.0)
     if defect > atol:
@@ -92,36 +93,10 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Reduced operator on the kept subsystems, tracing out the rest."""
-    dims = tuple(int(d) for d in dims)
-    m = as_matrix(rho)
-    total = int(np.prod(dims))
-    if m.shape != (total, total):
-        raise ValueError(f"operator shape {m.shape} does not match subsystem dims {dims}")
-    n = len(dims)
-    keep_set = set(int(i) for i in keep)
-    if not keep_set <= set(range(n)):
-        raise ValueError(f"keep indices {sorted(keep_set)} out of range for {n} subsystems")
-    work = m.reshape(dims + dims)
-    # Trace highest wires first so lower axis numbers stay valid.
-    for wire in sorted(set(range(n)) - keep_set, reverse=True):
-        half = work.ndim // 2
-        work = np.trace(work, axis1=wire, axis2=wire + half)
-    kept_dim = int(np.prod([dims[i] for i in sorted(keep_set)])) if keep_set else 1
-    return work.reshape(kept_dim, kept_dim)
-
-
 class SchmidtDecomposition(NamedTuple):
     coefficients: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros(self.left_vectors.shape[1] * self.right_vectors.shape[1], dtype=complex)
-        for c, u, v in zip(self.coefficients, self.left_vectors, self.right_vectors):
-            out += c * np.kron(u, v)
-        return out
 
 
 def schmidt(psi: np.ndarray, dim_a: int, dim_b: int) -> SchmidtDecomposition:
@@ -139,17 +114,17 @@ def schmidt(psi: np.ndarray, dim_a: int, dim_b: int) -> SchmidtDecomposition:
     return SchmidtDecomposition(s[:r].astype(float), u.T[:r], vh[:r])
 
 
-def pinv_sqrt(rho: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def pinv_sqrt(rho: np.ndarray, cutoff: float = STRICT_ATOL) -> np.ndarray:
     """Inverse square root on the support; eigenvalues below cutoff map to 0."""
     m = require_hermitian(rho, what="pinv_sqrt input")
     w, v = np.linalg.eigh(m)
-    if w[0] < -NEGATIVE_EIG_ATOL:
+    if w[0] < -LOOSE_ATOL:
         raise ValueError(f"operator has negative eigenvalue {w[0]:.3e}")
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
     return (v * inv) @ v.conj().T
 
 
-def support_projector(rho: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def support_projector(rho: np.ndarray, cutoff: float = STRICT_ATOL) -> np.ndarray:
     """Orthogonal projector onto the eigenspaces above cutoff."""
     m = require_hermitian(rho, what="support_projector input")
     w, v = np.linalg.eigh(m)
@@ -162,31 +137,6 @@ def op_norm_inf(a: np.ndarray) -> float:
     m = require_hermitian(a, what="op_norm_inf input")
     w = np.linalg.eigvalsh(m)
     return float(np.max(np.abs(w))) if w.size else 0.0
-
-
-class EigenSystem(NamedTuple):
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def descending(self) -> "EigenSystem":
-        return EigenSystem(self.eigenvalues[::-1], self.eigenvectors[:, ::-1])
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
-
-def eigh_system(a: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
-    m = require_hermitian(a, what="eigh_system input")
-    w, v = np.linalg.eigh(m)
-    return EigenSystem(w.astype(float), v)
-
-
-def same_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = PHASE_ATOL) -> bool:
-    """Whether two normalized kets agree up to a global phase (|<a|b>| = 1)."""
-    x = require_normalized(a)
-    y = require_normalized(b)
-    return abs(abs(complex(np.vdot(x, y))) - 1.0) <= atol
 
 
 def format_matrix_text(m: np.ndarray) -> str:
@@ -231,14 +181,6 @@ def parse_matrix_blocks(text: str) -> list[np.ndarray]:
     if not blocks:
         raise ValueError("no matrix data found")
     return blocks
-
-
-def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse exactly one matrix block."""
-    blocks = parse_matrix_blocks(text)
-    if len(blocks) != 1:
-        raise ValueError(f"expected one matrix block, found {len(blocks)}")
-    return blocks[0]
 
 
 def as_real_pairs(a: np.ndarray) -> list:

@@ -18,12 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import qmath
-from .concentration import GeneralMeasurement, apply_measurement
 from .states import _amplitudes, _check_protocol_angle, _checked_amplitudes
-
-ORTHONORMAL_ATOL = 1e-12
-MAXIMAL_STATE_ATOL = 1e-10
-RATE_MATCH_ATOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +202,7 @@ def _tuned_kets(f: np.ndarray, beta1: float = 0.0, beta2: float = 0.0) -> np.nda
     return kets
 
 
-def _orthonormal_kets(kets: Sequence[np.ndarray], atol: float = ORTHONORMAL_ATOL) -> np.ndarray:
+def _orthonormal_kets(kets: Sequence[np.ndarray], atol: float = qmath.STRICT_ATOL) -> np.ndarray:
     """Four kets as the rows of a (4, 4) array; raises unless they are an orthonormal basis.
 
     The check is one Gram product: the spectral norm of Gram - I must not
@@ -286,7 +281,7 @@ def _outcomes(f: np.ndarray, kets) -> _Outcomes:
     prob = np.where(live, prob, 0.0)
     norm = np.sqrt(np.where(live, prob, 1.0))[..., None]
     coeffs = s / norm
-    maximal = live & np.all(np.abs(coeffs - np.sqrt(0.5)) <= MAXIMAL_STATE_ATOL, axis=-1)
+    maximal = live & np.all(np.abs(coeffs - np.sqrt(0.5)) <= qmath.LOOSE_ATOL, axis=-1)
     bob = np.where(maximal, 1.0, np.minimum(1.0, 2.0 * coeffs[..., 1] ** 2))
     return _Outcomes(clare_prob=prob,
                      leftover=m,
@@ -360,27 +355,6 @@ def direct_success_prob(theta: float, eta: float) -> float:
     return float(_direct_forms(theta, eta)[2])
 
 
-def bob_filter(post_state: np.ndarray) -> tuple[GeneralMeasurement, float]:
-    """Bob's local filter for a partially entangled post-swap state.
-
-    Built from the state's own Schmidt decomposition, so it works whatever
-    basis the state arrives in.  Returns the measurement and the Born
-    probability of its successful outcome 0.
-    """
-    dec = qmath.schmidt(post_state, 2, 2)
-    c0, c1 = float(dec.coefficients[0]), float(dec.coefficients[1])
-    if c1 <= 0.0:
-        raise ValueError("post state is a product state; no filter can help")
-    ratio = c1 / c0
-    v0 = dec.right_vectors[0]
-    v1 = dec.right_vectors[1]
-    m0 = ratio * np.outer(v0, v0.conj()) + np.outer(v1, v1.conj())
-    m1 = np.sqrt(max(0.0, 1.0 - ratio * ratio)) * np.outer(v0, v0.conj())
-    filt = GeneralMeasurement([m0, m1])
-    branches = apply_measurement(filt, post_state, wire=1, dims=(2, 2))
-    return filt, float(branches[0][0])
-
-
 def run_protocol_sampled(theta: float, eta: float, n: int,
                          seed: int | None = None,
                          beta1: float = 0.0, beta2: float = 0.0) -> SampledResult:
@@ -432,5 +406,5 @@ def compare_with_bell(theta: float, eta: float) -> ComparisonRecord:
     return ComparisonRecord(
         theta=basis.theta, eta=basis.eta,
         optimal=_summary(optimal), bell=_summary(bell),
-        rates_equal=abs(optimal.p_ms - bell.p_ms) <= RATE_MATCH_ATOL,
+        rates_equal=abs(optimal.p_ms - bell.p_ms) <= qmath.LOOSE_ATOL,
     )

@@ -14,11 +14,6 @@ import numpy as np
 
 from . import qmath
 
-ANGLE_SUM_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
-MAX_ENT_DEFAULT_ATOL = 1e-10
-BOUNDARY_SLACK = 1e-4
-
 
 @dataclass(frozen=True)
 class TwoQubitPure:
@@ -59,7 +54,7 @@ class SchmidtState:
             raise ValueError(f"Schmidt coefficients must be strictly positive, got {coeffs}")
         if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
             raise ValueError(f"Schmidt coefficients must be nonincreasing, got {coeffs}")
-        if abs(sum(coeffs) - 1.0) > ANGLE_SUM_ATOL:
+        if abs(sum(coeffs) - 1.0) > qmath.STRICT_ATOL:
             raise ValueError(f"Schmidt coefficients must sum to 1, got sum {sum(coeffs)}")
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -107,7 +102,7 @@ def _check_protocol_angle(value: float, name: str, strict: bool) -> float:
     value = float(value)
     if strict:
         # Decimal-rounded boundary inputs (0.7854 for pi/4) snap down.
-        if not 0.0 < value <= np.pi / 4 + BOUNDARY_SLACK:
+        if not 0.0 < value <= np.pi / 4 + qmath.BOUNDARY_SLACK:
             raise ValueError(f"{name} must lie in (0, pi/4], got {value}")
         return min(value, np.pi / 4)
     if not 0.0 < value < np.pi / 2:
@@ -148,25 +143,20 @@ def make_joint(theta: float, eta: float, strict: bool = True) -> JointScenario:
     return JointScenario(left=left, right=right, f=f, ket=ket)
 
 
-def clare_basis_ket(t: int) -> np.ndarray:
-    """Clare's joint basis vector |c1 c2> with t = 2*c1 + c2."""
-    return qmath.basis_ket(t, 4)
-
-
 def max_entangled(u: np.ndarray, d: int) -> np.ndarray:
     """Maximally entangled ket (u x I) (1/sqrt(d)) sum_k |k>|k>."""
     m = qmath.as_matrix(u)
     if m.shape != (d, d):
         raise ValueError(f"unitary must be {d}x{d}, got {m.shape}")
     defect = float(np.linalg.norm(m @ m.conj().T - np.eye(d), 2))
-    if defect > UNITARY_ATOL:
+    if defect > qmath.LOOSE_ATOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     # Sum_k (u|k>)|k> has amplitude u[i, k] at index i * d + k.
     return m.reshape(-1) / np.sqrt(d)
 
 
 def is_max_entangled(psi: np.ndarray, dim_a: int, dim_b: int,
-                     atol: float = MAX_ENT_DEFAULT_ATOL) -> bool:
+                     atol: float = qmath.LOOSE_ATOL) -> bool:
     """Whether all Schmidt coefficients equal 1/sqrt(min(dim_a, dim_b)) within atol."""
     dec = qmath.schmidt(psi, dim_a, dim_b)
     target = 1.0 / np.sqrt(min(dim_a, dim_b))

@@ -1,0 +1,53 @@
+"""Public surface: the exported names and the one tolerance table."""
+
+import ast
+from pathlib import Path
+
+import repeaterlab
+
+SRC = Path(repeaterlab.__file__).resolve().parent
+TOLERANCE_SUFFIXES = ("_ATOL", "_TOL", "_FLOOR", "_CUTOFF", "_SLACK")
+
+EXPECTED_ALL = {
+    "AnalyticResult", "BoundResult", "ComparisonRecord", "CriterionReport",
+    "JointScenario", "NotEntangledError", "OptimalBasis", "RankOneRequiredError",
+    "SampledResult", "SchmidtState", "TwoQubitPure",
+    "achieved_rate", "achieving_operator", "bell_kets", "build_optimal_basis",
+    "canonical_two_qubit", "compare_with_bell", "computational_kets", "criterion_lhs",
+    "direct_success_prob", "is_max_entangled", "is_optimal", "make_joint",
+    "max_entangled", "measurement_from_text", "optimal_u", "p_e", "p_max",
+    "procrustean", "projection_bounds", "run_protocol_analytic", "run_protocol_sampled",
+    "run_protocol_with_kets", "state_from_config", "steering_bound", "t_operators",
+    "trace_rearrangement_lb", "__version__",
+}
+
+
+def module_level_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        for target in targets:
+            names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def test_all_is_pinned():
+    assert len(repeaterlab.__all__) == 38
+    assert set(repeaterlab.__all__) == EXPECTED_ALL
+    for name in repeaterlab.__all__:
+        assert hasattr(repeaterlab, name)
+
+
+def test_tolerances_live_only_in_qmath():
+    modules = sorted(SRC.glob("*.py"))
+    assert SRC / "qmath.py" in modules
+    strays = {p.name: sorted(n for n in module_level_names(p) if n.endswith(TOLERANCE_SUFFIXES))
+              for p in modules if p.name != "qmath.py"}
+    assert {k: v for k, v in strays.items() if v} == {}
+    table = sorted(n for n in module_level_names(SRC / "qmath.py")
+                   if n.endswith(TOLERANCE_SUFFIXES))
+    assert 1 <= len(table) <= 6

@@ -202,6 +202,17 @@ class TestAchievingOperator:
         assert result.achieved_p == pytest.approx(result.p_max * 2 / 3, abs=1e-10)
         assert result.post_fidelity == pytest.approx(2 / 3, abs=1e-10)
 
+    @pytest.mark.parametrize("tiny", [1e-13, 1e-160, 1e-300])
+    def test_tiny_coefficients_keep_their_share(self, tiny):
+        # Equal dimensions reach the ceiling exactly however small a Schmidt
+        # product is; unequal ones keep the rank ratio d_a / d.
+        equal = achieving_operator([1.0 - tiny, tiny], [0.5, 0.5])
+        assert equal.achieved_p == pytest.approx(equal.p_max, rel=1e-12)
+        assert equal.post_fidelity == pytest.approx(1.0, abs=1e-12)
+        unequal = achieving_operator([1.0 - tiny, tiny], [0.5, 0.3, 0.2])
+        assert unequal.achieved_p == pytest.approx(unequal.p_max * 2 / 3, rel=1e-12)
+        assert unequal.post_fidelity == pytest.approx(2 / 3, abs=1e-12)
+
     def test_unitary_matches_helper(self):
         result = achieving_operator([0.6, 0.4], [0.5, 0.3, 0.2])
         assert np.array_equal(result.optimal_u, optimal_u(2, 3))
@@ -216,7 +227,7 @@ class TestAchievingOperator:
         compressed = bounds._top_gram_eigenvalue(m)
         dense = float(np.linalg.eigvalsh(qmath.dagger(m) @ m)[-1])
         assert abs(compressed - dense) <= 1e-12
-        assert compressed <= 1.0 + bounds.ELEMENT_ATOL
+        assert compressed <= 1.0 + qmath.LOOSE_ATOL
         a_pad = np.zeros(d)
         a_pad[:d_a] = sa.coefficients
         g = np.sqrt(np.kron(a_pad, sb.coefficients))

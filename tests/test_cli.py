@@ -373,6 +373,13 @@ class TestMain:
         assert out.out == ""
         assert json.loads(out.err)["error"]["type"] == "UsageError"
 
+    def test_underflowing_ceiling_is_quiet(self, capsys):
+        # 0.6 * 1e-320 is subnormal and its reciprocal overflows: the ceiling is 0.
+        assert main(["bound", "--a", "0.6,0.4", "--b", "1e-320,1"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert json.loads(out.out)["p_max"] == 0.0
+
     def test_memory_error_exits_one(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("cannot allocate the stack")

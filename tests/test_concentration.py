@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repeaterlab import qmath, states
-from repeaterlab.concentration import (
-    GeneralMeasurement,
-    NotEntangledError,
-    apply_measurement,
-    p_e,
-    procrustean,
-)
+from repeaterlab.concentration import NotEntangledError, p_e, procrustean
 from oracles import best_filter_grid
 
 RNG = np.random.default_rng(20240813)
@@ -23,29 +17,17 @@ def pair_ket(angle):
     return states.TwoQubitPure(angle).ket()
 
 
+def filtered(m, psi):
+    """Born probability and normalized post state of Bob's filter outcome m on psi."""
+    branch = np.kron(np.eye(2), m) @ psi
+    prob = float(np.vdot(branch, branch).real)
+    return prob, branch / np.sqrt(prob)
+
+
 def random_unitary(rng, d):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-class TestGeneralMeasurement:
-    def test_complete_pair(self):
-        m = GeneralMeasurement([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        assert m.dim == 2
-        assert len(m) == 2
-
-    def test_rejects_incomplete(self):
-        with pytest.raises(ValueError):
-            GeneralMeasurement([np.diag([1.0, 0.0])])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            GeneralMeasurement([])
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            GeneralMeasurement([np.eye(2), np.eye(3)])
 
 
 class TestConcentrationRate:
@@ -89,24 +71,22 @@ class TestConcentrationRate:
 
 class TestProcrustean:
     def test_balanced_filter_is_trivial(self):
-        m = procrustean(np.pi / 4)
-        assert np.allclose(m.operators[0], np.eye(2), atol=1e-15)
-        assert np.allclose(m.operators[1], np.zeros((2, 2)), atol=1e-15)
+        m0, m1 = procrustean(np.pi / 4)
+        assert np.allclose(m0, np.eye(2), atol=1e-15)
+        assert np.allclose(m1, np.zeros((2, 2)), atol=1e-15)
 
     def test_damps_larger_amplitude(self):
-        m = procrustean(np.pi / 6)
-        assert np.allclose(m.operators[0], np.diag([np.tan(np.pi / 6), 1.0]), atol=1e-15)
+        m0, _ = procrustean(np.pi / 6)
+        assert np.allclose(m0, np.diag([np.tan(np.pi / 6), 1.0]), atol=1e-15)
 
     def test_success_branch_is_maximal(self):
-        results = apply_measurement(procrustean(np.pi / 6), pair_ket(np.pi / 6), wire=1)
-        prob, post = results[0]
+        prob, post = filtered(procrustean(np.pi / 6)[0], pair_ket(np.pi / 6))
         assert prob == pytest.approx(0.5, abs=1e-12)
         assert states.is_max_entangled(post, 2, 2)
 
     def test_roles_swap_past_quarter_pi(self):
         angle = 1.0
-        results = apply_measurement(procrustean(angle), pair_ket(angle), wire=1)
-        prob, post = results[0]
+        prob, post = filtered(procrustean(angle)[0], pair_ket(angle))
         assert prob == pytest.approx(2 * np.cos(angle) ** 2, abs=1e-12)
         assert states.is_max_entangled(post, 2, 2)
 
@@ -119,85 +99,23 @@ class TestProcrustean:
         with pytest.raises(ValueError):
             procrustean(angle)
 
+    def test_operators_are_complete(self):
+        for angle in np.linspace(0.0, np.pi / 2, 202)[1:-1]:
+            m0, m1 = procrustean(angle)
+            total = m0.conj().T @ m0 + m1.conj().T @ m1
+            assert np.abs(total - np.eye(2)).max() <= 1e-15
+
     def test_attains_optimal_rate_on_grid(self):
         # Dual route: Born-rule success of the filter equals the closed-form rate.
         for angle in np.linspace(0.01, np.pi / 2 - 0.01, 100):
-            results = apply_measurement(procrustean(angle), pair_ket(angle), wire=1)
-            prob, post = results[0]
+            prob, post = filtered(procrustean(angle)[0], pair_ket(angle))
             assert abs(prob - p_e(states.TwoQubitPure(angle))) <= 1e-12
             assert states.is_max_entangled(post, 2, 2, atol=1e-8)
 
     def test_sampled_outcome_frequency(self):
         angle = 0.3
-        results = apply_measurement(procrustean(angle), pair_ket(angle), wire=1)
-        p0 = results[0][0]
+        p0, _ = filtered(procrustean(angle)[0], pair_ket(angle))
         n = 40000
         hits = int(np.random.default_rng(7).binomial(n, p0))
         sigma = np.sqrt(p0 * (1 - p0) / n)
         assert abs(hits / n - p0) <= 3 * sigma
-
-
-class TestApplyMeasurement:
-    def test_computational_on_plus_state(self):
-        plus = np.array([1, 1]) / np.sqrt(2)
-        m = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-        results = apply_measurement(m, plus)
-        assert results[0][0] == pytest.approx(0.5)
-        assert results[1][0] == pytest.approx(0.5)
-        assert np.allclose(results[0][1], [1, 0])
-        assert np.allclose(results[1][1], [0, 1])
-
-    def test_probabilities_sum_to_one(self):
-        z = RNG.normal(size=8) + 1j * RNG.normal(size=8)
-        psi = z / np.linalg.norm(z)
-        results = apply_measurement(procrustean(0.4), psi, wire=1)
-        assert sum(p for p, _ in results) == pytest.approx(1.0, abs=1e-12)
-
-    def test_default_wire_is_last(self):
-        psi = qmath.tensor(qmath.basis_ket(0, 2), qmath.basis_ket(0, 2), qmath.basis_ket(1, 2))
-        results = apply_measurement(procrustean(np.pi / 6), psi)
-        # The filter keeps |1> untouched, so acting on the last wire succeeds surely.
-        assert results[0][0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_explicit_wire_selects_subsystem(self):
-        psi = qmath.tensor(qmath.basis_ket(0, 2), qmath.basis_ket(0, 2), qmath.basis_ket(1, 2))
-        results = apply_measurement(procrustean(np.pi / 6), psi, wire=0)
-        assert results[0][0] == pytest.approx(np.tan(np.pi / 6) ** 2, abs=1e-12)
-
-    def test_mixed_dims(self):
-        m = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
-        psi = qmath.tensor(qmath.basis_ket(1, 2), np.ones(3) / np.sqrt(3))
-        results = apply_measurement(m, psi, wire=1, dims=(2, 3))
-        assert [p for p, _ in results] == pytest.approx([1 / 3] * 3)
-
-    def test_zero_probability_branch(self):
-        results = apply_measurement(procrustean(0.3), qmath.basis_ket(3, 4), wire=1)
-        assert results[1][0] == 0.0
-        assert np.allclose(results[1][1], 0.0)
-
-    def test_incomplete_raw_list_rejected(self):
-        with pytest.raises(ValueError):
-            apply_measurement([np.diag([1.0, 0.0])], np.array([1, 0]))
-
-    def test_unnormalized_state_rejected(self):
-        with pytest.raises(ValueError):
-            apply_measurement(procrustean(0.3), np.array([1.0, 1.0]))
-
-    def test_undecomposable_size_rejected(self):
-        psi = np.ones(6) / np.sqrt(6)
-        with pytest.raises(ValueError):
-            apply_measurement(procrustean(0.3), psi)
-
-    def test_dims_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            apply_measurement(procrustean(0.3), pair_ket(0.3), dims=(2, 3))
-
-    def test_wire_out_of_range(self):
-        with pytest.raises(ValueError):
-            apply_measurement(procrustean(0.3), pair_ket(0.3), wire=2)
-
-    def test_operator_does_not_fit_wire(self):
-        m = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
-        psi = qmath.tensor(qmath.basis_ket(1, 2), np.ones(3) / np.sqrt(3))
-        with pytest.raises(ValueError):
-            apply_measurement(m, psi, wire=0, dims=(2, 3))

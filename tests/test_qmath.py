@@ -1,11 +1,11 @@
-"""Linear-algebra core: tensor products, traces, decompositions, text I/O."""
+"""Linear-algebra core: tensor products, decompositions, text I/O."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repeaterlab import qmath
-from oracles import kron_loop, power_norm, random_hermitian
+from oracles import kron_loop, power_norm
 
 RNG = np.random.default_rng(20240811)
 
@@ -47,44 +47,6 @@ class TestTensor:
                            qmath.tensor(a, b) + qmath.tensor(c, b), atol=1e-12)
 
 
-class TestPartialTrace:
-    def test_maximally_entangled_reduces_to_mixed(self):
-        bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        rho = np.outer(bell, bell.conj())
-        assert np.allclose(qmath.partial_trace(rho, (2, 2), {0}), np.eye(2) / 2, atol=1e-12)
-
-    def test_product_state(self):
-        ket = qmath.basis_ket(0, 4)
-        rho = np.outer(ket, ket.conj())
-        assert np.allclose(qmath.partial_trace(rho, (2, 2), {0}),
-                           np.diag([1.0, 0.0]), atol=0)
-
-    def test_two_qubit_pure_marginal(self):
-        ket = np.array([np.cos(np.pi / 6), 0, 0, np.sin(np.pi / 6)])
-        rho = np.outer(ket, ket)
-        reduced = qmath.partial_trace(rho, (2, 2), {0})
-        assert np.allclose(reduced, np.diag([0.75, 0.25]), atol=1e-15)
-
-    def test_trace_preserved(self):
-        z = random_complex(RNG, 12, 12)
-        rho = z @ z.conj().T
-        rho /= np.trace(rho)
-        for keep in ({0}, {1}, {0, 1}, {2}, {0, 2}):
-            reduced = qmath.partial_trace(rho, (2, 3, 2), keep)
-            assert abs(np.trace(reduced) - 1.0) < 1e-12
-
-    def test_tracing_everything_gives_scalar_trace(self):
-        z = random_complex(RNG, 6, 6)
-        rho = z @ z.conj().T
-        out = qmath.partial_trace(rho, (2, 3), set())
-        assert out.shape == (1, 1)
-        assert abs(out[0, 0] - np.trace(rho)) < 1e-12 * abs(np.trace(rho))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            qmath.partial_trace(np.eye(6), (2, 2), {0})
-
-
 class TestSchmidt:
     def test_balanced_state(self):
         ket = np.array([1, 0, 0, 1]) / np.sqrt(2)
@@ -104,7 +66,9 @@ class TestSchmidt:
         psi = random_complex(RNG, 12)
         psi /= np.linalg.norm(psi)
         dec = qmath.schmidt(psi, 3, 4)
-        assert np.allclose(dec.reconstruct(), psi, atol=1e-10)
+        rebuilt = sum(c * np.kron(u, v) for c, u, v in
+                      zip(dec.coefficients, dec.left_vectors, dec.right_vectors))
+        assert np.allclose(rebuilt, psi, atol=1e-10)
         assert dec.coefficients[0] >= dec.coefficients[-1] >= 0.0
         assert abs(np.sum(np.square(dec.coefficients)) - 1.0) < 1e-12
 
@@ -168,24 +132,6 @@ class TestOpNorm:
             qmath.op_norm_inf(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestEigenSystem:
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 16))
-    @settings(max_examples=30, deadline=None)
-    def test_reconstruction(self, seed, dim):
-        a = random_hermitian(np.random.default_rng(seed), dim)
-        system = qmath.eigh_system(a)
-        assert np.allclose(system.reconstruct(), a, atol=1e-10)
-        for lam, vec in zip(system.eigenvalues, system.eigenvectors.T):
-            assert np.allclose(a @ vec, lam * vec, atol=1e-10)
-
-    def test_both_orders(self):
-        a = np.diag([3.0, -1.0, 2.0])
-        system = qmath.eigh_system(a)
-        assert list(system.eigenvalues) == sorted([3.0, -1.0, 2.0])
-        assert list(system.descending().eigenvalues) == sorted([3.0, -1.0, 2.0], reverse=True)
-        assert np.allclose(system.descending().reconstruct(), a, atol=1e-12)
-
-
 class TestHelpers:
     def test_basis_ket(self):
         assert np.array_equal(qmath.basis_ket(2, 4), np.array([0, 0, 1, 0], dtype=complex))
@@ -197,8 +143,7 @@ class TestHelpers:
         assert np.array_equal(qmath.dagger(a), a.conj().T)
 
     def test_hermitian_gate(self):
-        assert qmath.is_hermitian(np.eye(3))
-        assert not qmath.is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert np.array_equal(qmath.require_hermitian(np.eye(3)), np.eye(3))
         with pytest.raises(ValueError):
             qmath.require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
@@ -206,14 +151,6 @@ class TestHelpers:
         qmath.require_normalized(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             qmath.require_normalized(np.array([1.0, 1.0]))
-
-    def test_same_up_to_phase(self):
-        v = random_complex(RNG, 4)
-        v /= np.linalg.norm(v)
-        assert qmath.same_up_to_phase(v, np.exp(1j * 0.7) * v)
-        w = random_complex(RNG, 4)
-        w /= np.linalg.norm(w)
-        assert not qmath.same_up_to_phase(v, w)
 
     def test_as_real_pairs_shapes(self):
         v = np.array([1 + 2j, 3.0])
@@ -227,14 +164,14 @@ class TestHelpers:
 class TestMatrixText:
     def test_round_trip_matrix(self):
         m = random_complex(RNG, 3, 5)
-        parsed = qmath.parse_matrix_text(qmath.format_matrix_text(m))
+        [parsed] = qmath.parse_matrix_blocks(qmath.format_matrix_text(m))
         assert np.array_equal(parsed, m)
 
     def test_round_trip_ket_as_column(self):
         v = random_complex(RNG, 4)
         text = qmath.format_matrix_text(v)
         assert text.splitlines()[0] == "4 1"
-        parsed = qmath.parse_matrix_text(text)
+        [parsed] = qmath.parse_matrix_blocks(text)
         assert parsed.shape == (4, 1)
         assert np.array_equal(parsed.reshape(4), v)
 
@@ -257,8 +194,3 @@ class TestMatrixText:
     def test_malformed_input(self, bad):
         with pytest.raises(ValueError):
             qmath.parse_matrix_blocks(bad)
-
-    def test_single_block_required(self):
-        text = qmath.format_matrix_text(np.eye(2)) + "\n" + qmath.format_matrix_text(np.eye(2))
-        with pytest.raises(ValueError):
-            qmath.parse_matrix_text(text)

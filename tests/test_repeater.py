@@ -13,7 +13,6 @@ from repeaterlab.criterion import achieved_rate, measurement_from_text
 from repeaterlab.repeater import (
     AnalyticResult,
     bell_kets,
-    bob_filter,
     build_optimal_basis,
     compare_with_bell,
     computational_kets,
@@ -107,7 +106,7 @@ class TestOptimalBasis:
     def test_balanced_angles_give_bell_basis(self):
         basis = build_optimal_basis(np.pi / 4, np.pi / 4)
         for ket in basis.kets:
-            assert any(qmath.same_up_to_phase(ket, b, atol=1e-12) for b in bell_kets())
+            assert any(abs(abs(np.vdot(ket, b)) - 1.0) <= 1e-12 for b in bell_kets())
 
     def test_direct_success_ket_probability(self):
         basis = build_optimal_basis(np.pi / 6, np.pi / 4)
@@ -147,7 +146,7 @@ class TestOptimalBasis:
         expected[1] = f[1] ** 2
         expected[2] = -np.exp(-1j * beta1) * f[2] ** 2
         expected /= np.linalg.norm(expected)
-        assert qmath.same_up_to_phase(result.per_outcome[2].post_state, expected, atol=1e-12)
+        assert abs(abs(np.vdot(result.per_outcome[2].post_state, expected)) - 1.0) <= 1e-12
 
     @given(protocol_angles, protocol_angles, phases, phases)
     @settings(max_examples=40, deadline=None)
@@ -301,21 +300,29 @@ class TestDirectSuccess:
 
 
 class TestBobFilter:
+    """Bob's filter weight from the kernel, against an explicit filter on the leftover."""
+
     def test_matches_concentration_rate(self):
-        post = run_protocol_analytic(0.3, 0.6).per_outcome[2].post_state
-        filt, born_p0 = bob_filter(post)
-        assert born_p0 == pytest.approx(p_e(post), abs=1e-12)
+        record = run_protocol_analytic(0.3, 0.6).per_outcome[2]
+        assert record.bob_success_prob == pytest.approx(p_e(record.post_state), abs=1e-12)
 
     def test_success_branch_is_maximal(self):
-        from repeaterlab.concentration import apply_measurement
-        post = run_protocol_analytic(0.3, 0.6).per_outcome[3].post_state
-        filt, _ = bob_filter(post)
-        branches = apply_measurement(filt, post, wire=1, dims=(2, 2))
-        assert states.is_max_entangled(branches[0][1], 2, 2)
+        # Damp Bob's larger Schmidt component down to the smaller one.
+        record = run_protocol_analytic(0.3, 0.6).per_outcome[3]
+        dec = qmath.schmidt(record.post_state, 2, 2)
+        v0, v1 = dec.right_vectors
+        ratio = dec.coefficients[1] / dec.coefficients[0]
+        m0 = ratio * np.outer(v0, v0.conj()) + np.outer(v1, v1.conj())
+        branch = np.kron(np.eye(2), m0) @ record.post_state
+        prob = float(np.vdot(branch, branch).real)
+        assert prob == pytest.approx(record.bob_success_prob, abs=1e-12)
+        assert states.is_max_entangled(branch / np.sqrt(prob), 2, 2)
 
     def test_rejects_product_state(self):
-        with pytest.raises(ValueError):
-            bob_filter(qmath.basis_ket(0, 4))
+        # A separable basis leaves product states, which no filter can help.
+        result = run_protocol_with_kets(0.3, 0.6, computational_kets())
+        assert all(r.bob_success_prob == 0.0 and not r.maximal for r in result.per_outcome)
+        assert result.p_ms == 0.0
 
 
 class TestSampled:

@@ -118,16 +118,6 @@ class TestMakeJoint:
         assert np.linalg.norm(sc.ket) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestClareBasisKet:
-    def test_index_convention(self):
-        k = states.clare_basis_ket(2)
-        assert np.array_equal(k, [0, 0, 1, 0])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            states.clare_basis_ket(4)
-
-
 class TestMaxEntangled:
     def test_identity_gives_uniform_pair(self):
         k = states.max_entangled(np.eye(2), 2)
@@ -141,8 +131,9 @@ class TestMaxEntangled:
     def test_reduced_state_is_uniform(self):
         u = random_unitary(RNG, 3)
         k = states.max_entangled(u, 3)
-        rho = np.outer(k, k.conj())
-        left = qmath.partial_trace(rho, (3, 3), (0,))
+        # Alice's reduced state: trace Bob's factor out of |k><k|.
+        m = k.reshape(3, 3)
+        left = m @ m.conj().T
         assert np.allclose(left, np.eye(3) / 3, atol=1e-12)
         assert states.is_max_entangled(k, 3, 3)
 
@@ -191,7 +182,7 @@ class TestCanonicalTwoQubit:
         assert 0.0 <= angle <= np.pi / 4
         target = np.array([np.cos(angle), 0, 0, np.sin(angle)], dtype=complex)
         moved = qmath.tensor(u_a, u_b) @ psi
-        assert qmath.same_up_to_phase(moved, target, atol=1e-10)
+        assert abs(abs(np.vdot(moved, target)) - 1.0) <= 1e-10
 
     def test_locally_rotated_pair(self):
         psi = states.TwoQubitPure(0.5).ket()
