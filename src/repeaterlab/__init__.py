@@ -19,9 +19,7 @@ from .repeater import (AnalyticResult, ComparisonRecord, OptimalBasis, SampledRe
                        computational_kets, direct_success_prob, projection_bounds,
                        run_protocol_analytic, run_protocol_sampled,
                        run_protocol_with_kets)
-from .states import (JointScenario, SchmidtState, TwoQubitPure,
-                     canonical_two_qubit, is_max_entangled, make_joint,
-                     max_entangled, state_from_config)
+from .states import SchmidtState, max_entangled
 
 __version__ = "0.1.0"
 
@@ -30,25 +28,20 @@ __all__ = [
     "BoundResult",
     "ComparisonRecord",
     "CriterionReport",
-    "JointScenario",
     "NotEntangledError",
     "OptimalBasis",
     "RankOneRequiredError",
     "SampledResult",
     "SchmidtState",
-    "TwoQubitPure",
     "achieved_rate",
     "achieving_operator",
     "bell_kets",
     "build_optimal_basis",
-    "canonical_two_qubit",
     "compare_with_bell",
     "computational_kets",
     "criterion_lhs",
     "direct_success_prob",
-    "is_max_entangled",
     "is_optimal",
-    "make_joint",
     "max_entangled",
     "measurement_from_text",
     "optimal_u",
@@ -59,7 +52,6 @@ __all__ = [
     "run_protocol_analytic",
     "run_protocol_sampled",
     "run_protocol_with_kets",
-    "state_from_config",
     "steering_bound",
     "t_operators",
     "trace_rearrangement_lb",

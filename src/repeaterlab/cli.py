@@ -34,6 +34,9 @@ SWEEP_COLUMNS = ("theta", "eta", "p_ms", "direct_success_prob",
 # 500 points per angle a 2-core host peaks near 260 MB in ~5.5 s (CSV) or
 # 315 MB in ~3 s (JSON).
 MAX_GRID = 500
+# A bound operator is d^2 x d^2, so time, memory and report size grow as d^4:
+# at 32 coefficients a 2-core host takes ~1 s, ~315 MB and a 44 MB report.
+MAX_BOUND_DIM = 32
 # The sampler's multinomial draw takes a 64-bit count.
 MAX_SAMPLES = 2 ** 63 - 1
 # How json quotes strings and keys by default (ensure_ascii).
@@ -88,7 +91,11 @@ def _tolerance(text: str) -> float:
 
 
 def _schmidt_list(text: str) -> tuple[float, ...]:
-    values = tuple(_finite(tok) for tok in text.split(","))
+    tokens = text.split(",")
+    if len(tokens) > MAX_BOUND_DIM:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_BOUND_DIM} coefficients, got {len(tokens)}")
+    values = tuple(_finite(tok) for tok in tokens)
     total = sum(values)
     if abs(total - 1.0) > qmath.TEXT_SUM_ATOL:
         raise argparse.ArgumentTypeError(f"coefficients must sum to 1, got {total!r}")
@@ -154,9 +161,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bound", help="general-dimension success ceiling and reaching operator")
     p.add_argument("--a", dest="schmidt_a", type=_schmidt_list, required=True,
-                   help="comma-separated Schmidt coefficients of the first pair")
+                   help="comma-separated Schmidt coefficients of the first pair "
+                        f"(at most {MAX_BOUND_DIM})")
     p.add_argument("--b", dest="schmidt_b", type=_schmidt_list, required=True,
-                   help="comma-separated Schmidt coefficients of the second pair")
+                   help="comma-separated Schmidt coefficients of the second pair "
+                        f"(at most {MAX_BOUND_DIM})")
     add_output(p, ("json", "csv"), "json")
 
     p = sub.add_parser("sweep", help="rate and bounds over an angle grid")
@@ -202,14 +211,12 @@ def parse_args(argv: list[str]) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _flat_csv(record: dict) -> str:
-    """Scalar fields of a report as a one-row CSV table."""
-    flat = {k: v for k, v in record.items()
-            if isinstance(v, (int, float, bool, str)) or v is None}
+def _csv(fieldnames, rows) -> str:
+    """A CSV table: the header, then one line per row of values."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(flat), lineterminator="\n")
-    writer.writeheader()
-    writer.writerow({k: _csv_cell(v) for k, v in flat.items()})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows(map(_csv_cell, row) for row in rows)
     return buf.getvalue()
 
 
@@ -311,15 +318,6 @@ def _sweep_rows(grid: int) -> list[dict]:
     return [dict(zip(SWEEP_COLUMNS, row)) for row in zip(*(c.tolist() for c in columns))]
 
 
-def _sweep_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(SWEEP_COLUMNS), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _csv_cell(row[k]) for k in SWEEP_COLUMNS})
-    return buf.getvalue()
-
-
 def _criterion_measurement(config: RunConfig):
     if config.measurement == "bell":
         return bell_kets()
@@ -368,7 +366,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         elif config.command == "sweep":
             rows = _sweep_rows(config.grid)
             if config.output_format == "csv":
-                return 0, _sweep_csv(rows)
+                return 0, _csv(SWEEP_COLUMNS, map(dict.values, rows))
             return 0, _dumps(rows) + "\n"
         elif config.command == "compare":
             record = compare_with_bell(config.theta, config.eta).to_dict()
@@ -379,7 +377,10 @@ def run(config: RunConfig) -> tuple[int, str]:
                            "command": config.command}}
         return 1, json.dumps(error) + "\n"
     if config.output_format == "csv":
-        return 0, _flat_csv(record)
+        # Scalar fields only, as a one-row table.
+        flat = {k: v for k, v in record.items()
+                if isinstance(v, (int, float, bool, str)) or v is None}
+        return 0, _csv(flat, [flat.values()])
     return 0, _dumps(record) + "\n"
 
 

@@ -11,21 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import qmath
-from .states import TwoQubitPure
 
 
 class NotEntangledError(ValueError):
     """Raised when the input state carries no entanglement to concentrate."""
 
 
-def p_e(state: TwoQubitPure | np.ndarray) -> float:
-    """Best probability of filtering the given two-qubit pure state to a maximal one.
+def p_e(state: np.ndarray) -> float:
+    """Best probability of filtering a two-qubit pure state to a maximal one.
 
-    Equals twice the smallest squared Schmidt coefficient, capped at 1.
+    Takes the normalized 4-amplitude ket.  Equals twice the smallest
+    squared Schmidt coefficient, capped at 1.
     """
-    if isinstance(state, TwoQubitPure):
-        c, s = np.cos(state.angle), np.sin(state.angle)
-        return float(min(1.0, 2.0 * min(c * c, s * s)))
     ket = qmath.as_ket(state)
     if ket.size != 4:
         raise ValueError(f"expected a two-qubit state of dimension 4, got {ket.size}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qmath
 from .repeater import _orthonormal_kets, _outcomes
-from .states import _check_protocol_angle, _checked_amplitudes
+from .states import _checked_amplitudes, _checked_angles
 
 # Exchanging the roles of the two source pairs swaps Clare's qubits.
 _SWAP_PERM = (0, 2, 1, 3)
@@ -47,14 +47,14 @@ class CriterionReport:
         }
 
 
-def t_operators(theta: float, eta: float, strict: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def t_operators(theta: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Single-qubit operators carrying the pair amplitudes into the test.
 
     The first has trace cos(2 theta); the second is a state (unit trace).
+    Requires theta <= eta.
     """
-    theta = _check_protocol_angle(theta, "theta", strict=True)
-    eta = _check_protocol_angle(eta, "eta", strict=True)
-    if strict and theta > eta:
+    theta, eta = _checked_angles(theta, eta)
+    if theta > eta:
         raise ValueError(f"expected theta <= eta, got theta={theta} > eta={eta}")
     t1 = np.diag([np.cos(theta) ** 2, -np.sin(theta) ** 2]).astype(complex)
     t2 = np.diag([np.cos(eta) ** 2, np.sin(eta) ** 2]).astype(complex)
@@ -83,8 +83,7 @@ def criterion_lhs(kets: Sequence[np.ndarray], theta: float, eta: float) -> float
     measurement falls short.
     """
     phi = _orthonormal_kets(kets, qmath.LOOSE_ATOL)
-    theta = _check_protocol_angle(theta, "theta", strict=True)
-    eta = _check_protocol_angle(eta, "eta", strict=True)
+    theta, eta = _checked_angles(theta, eta)
     return _lhs(phi, theta, eta)
 
 
@@ -107,8 +106,7 @@ def is_optimal(kets: Sequence[np.ndarray], theta: float, eta: float,
     Raises ValueError when the two routes disagree: the delivered rate must
     equal 1 - lhs within qmath.LOOSE_ATOL.
     """
-    theta = _check_protocol_angle(theta, "theta", strict=True)
-    eta = _check_protocol_angle(eta, "eta", strict=True)
+    theta, eta = _checked_angles(theta, eta)
     phi = _orthonormal_kets(kets, qmath.LOOSE_ATOL)
     lhs = _lhs(phi, theta, eta)
     rhs = float(np.cos(2 * min(theta, eta)))

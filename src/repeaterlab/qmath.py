@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small quantum registers (dim <= 64)."""
+"""Dense complex linear algebra for small quantum registers."""
 
 from __future__ import annotations
 
@@ -81,16 +81,6 @@ def spectral_norm_within(a: np.ndarray, atol: float) -> np.ndarray:
     if within.all():
         return within
     return np.linalg.norm(a, 2, axis=(-2, -1)) <= atol
-
-
-def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product with index convention (i_a * dim_b + i_b)."""
-    if not factors:
-        raise ValueError("tensor needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
 
 
 class SchmidtDecomposition(NamedTuple):

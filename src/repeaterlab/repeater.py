@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import qmath
-from .states import _amplitudes, _check_protocol_angle, _checked_amplitudes
+from .states import _amplitudes, _checked_amplitudes, _checked_angles
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +178,7 @@ def projection_bounds(theta: float, eta: float) -> tuple[float, float]:
     A direct success is a Clare outcome after which Alice and Bob already
     hold a maximally entangled state.
     """
-    theta = _check_protocol_angle(theta, "theta", strict=True)
-    eta = _check_protocol_angle(eta, "eta", strict=True)
+    theta, eta = _checked_angles(theta, eta)
     lower, upper, _ = _direct_forms(theta, eta)
     return float(lower), float(upper)
 
@@ -350,8 +349,7 @@ def run_protocol_analytic(theta: float, eta: float,
 
 def direct_success_prob(theta: float, eta: float) -> float:
     """Probability that Clare's outcome alone finishes the job."""
-    theta = _check_protocol_angle(theta, "theta", strict=True)
-    eta = _check_protocol_angle(eta, "eta", strict=True)
+    theta, eta = _checked_angles(theta, eta)
     return float(_direct_forms(theta, eta)[2])
 
 

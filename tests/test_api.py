@@ -10,14 +10,14 @@ TOLERANCE_SUFFIXES = ("_ATOL", "_TOL", "_FLOOR", "_CUTOFF", "_SLACK")
 
 EXPECTED_ALL = {
     "AnalyticResult", "BoundResult", "ComparisonRecord", "CriterionReport",
-    "JointScenario", "NotEntangledError", "OptimalBasis", "RankOneRequiredError",
-    "SampledResult", "SchmidtState", "TwoQubitPure",
+    "NotEntangledError", "OptimalBasis", "RankOneRequiredError",
+    "SampledResult", "SchmidtState",
     "achieved_rate", "achieving_operator", "bell_kets", "build_optimal_basis",
-    "canonical_two_qubit", "compare_with_bell", "computational_kets", "criterion_lhs",
-    "direct_success_prob", "is_max_entangled", "is_optimal", "make_joint",
+    "compare_with_bell", "computational_kets", "criterion_lhs",
+    "direct_success_prob", "is_optimal",
     "max_entangled", "measurement_from_text", "optimal_u", "p_e", "p_max",
     "procrustean", "projection_bounds", "run_protocol_analytic", "run_protocol_sampled",
-    "run_protocol_with_kets", "state_from_config", "steering_bound", "t_operators",
+    "run_protocol_with_kets", "steering_bound", "t_operators",
     "trace_rearrangement_lb", "__version__",
 }
 
@@ -36,7 +36,7 @@ def module_level_names(path: Path) -> set[str]:
 
 
 def test_all_is_pinned():
-    assert len(repeaterlab.__all__) == 38
+    assert len(repeaterlab.__all__) == 32
     assert set(repeaterlab.__all__) == EXPECTED_ALL
     for name in repeaterlab.__all__:
         assert hasattr(repeaterlab, name)

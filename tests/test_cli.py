@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import repeaterlab
 from repeaterlab import cli, criterion, qmath
 from repeaterlab.cli import (
+    MAX_BOUND_DIM,
     MAX_GRID,
     MAX_SAMPLES,
     SEED_ENV_VAR,
@@ -103,6 +104,18 @@ class TestParseArgs:
     def test_bound_rejects_malformed_list(self):
         with pytest.raises(UsageError):
             parse_args(["bound", "--a", "0.5,x", "--b", "0.5,0.5"])
+
+    def test_bound_lists_are_capped(self, capsys):
+        at_cap = ",".join([repr(1 / MAX_BOUND_DIM)] * MAX_BOUND_DIM)
+        over = ",".join([repr(1 / (MAX_BOUND_DIM + 1))] * (MAX_BOUND_DIM + 1))
+        config = parse_args(["bound", "--a", at_cap, "--b", at_cap])
+        assert len(config.schmidt_a) == len(config.schmidt_b) == MAX_BOUND_DIM
+        for argv in (["bound", "--a", over, "--b", "0.5,0.5"],
+                     ["bound", "--a", "0.5,0.5", "--b", over]):
+            with pytest.raises(UsageError, match=f"at most {MAX_BOUND_DIM}"):
+                parse_args(argv)
+            assert main(argv) == 2
+            assert capsys.readouterr().out == ""
 
     def test_criterion_builtin(self):
         config = parse_args(["criterion", "--theta", "0.3", "--eta", "0.6",

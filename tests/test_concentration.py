@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repeaterlab import qmath, states
 from repeaterlab.concentration import NotEntangledError, p_e, procrustean
 from oracles import best_filter_grid
 
@@ -14,7 +13,13 @@ pair_angles = st.floats(min_value=1e-3, max_value=np.pi / 2 - 1e-3)
 
 
 def pair_ket(angle):
-    return states.TwoQubitPure(angle).ket()
+    return np.array([np.cos(angle), 0, 0, np.sin(angle)], dtype=complex)
+
+
+def is_maximal(psi, atol=1e-10):
+    """Whether both Schmidt coefficients of a two-qubit ket equal 1/sqrt(2)."""
+    coeffs = np.linalg.svd(np.reshape(psi, (2, 2)), compute_uv=False)
+    return bool(np.all(np.abs(coeffs - np.sqrt(0.5)) <= atol))
 
 
 def filtered(m, psi):
@@ -32,25 +37,25 @@ def random_unitary(rng, d):
 
 class TestConcentrationRate:
     def test_balanced_pair_needs_no_filtering(self):
-        assert p_e(states.TwoQubitPure(np.pi / 4)) == pytest.approx(1.0)
+        assert p_e(pair_ket(np.pi / 4)) == pytest.approx(1.0)
 
     def test_tilted_pair(self):
-        assert p_e(states.TwoQubitPure(np.pi / 6)) == pytest.approx(0.5)
+        assert p_e(pair_ket(np.pi / 6)) == pytest.approx(0.5)
 
     def test_ket_route_matches_angle_route(self):
         angle = 0.3
-        assert p_e(pair_ket(angle)) == pytest.approx(p_e(states.TwoQubitPure(angle)), abs=1e-14)
+        assert p_e(pair_ket(angle)) == pytest.approx(2 * np.sin(angle) ** 2, abs=1e-14)
 
     def test_matches_exhaustive_filter_search(self):
         # Best diagonal filter over a dense grid must attain, never exceed, the rate.
         angle = 0.3
         best = best_filter_grid(np.cos(angle), np.sin(angle), 4000)
-        rate = p_e(states.TwoQubitPure(angle))
+        rate = p_e(pair_ket(angle))
         assert best <= rate + 1e-12
         assert best == pytest.approx(rate, abs=1e-6)
 
     def test_angle_past_quarter_pi_uses_smaller_amplitude(self):
-        assert p_e(states.TwoQubitPure(1.2)) == pytest.approx(2 * np.cos(1.2) ** 2)
+        assert p_e(pair_ket(1.2)) == pytest.approx(2 * np.cos(1.2) ** 2)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
@@ -58,7 +63,7 @@ class TestConcentrationRate:
 
     def test_local_unitary_invariance(self):
         psi = pair_ket(0.4)
-        rot = qmath.tensor(random_unitary(RNG, 2), random_unitary(RNG, 2))
+        rot = np.kron(random_unitary(RNG, 2), random_unitary(RNG, 2))
         assert p_e(rot @ psi) == pytest.approx(p_e(psi), abs=1e-12)
 
     @given(pair_angles)
@@ -66,7 +71,7 @@ class TestConcentrationRate:
     def test_rate_formula(self, angle):
         c, s = np.cos(angle), np.sin(angle)
         expected = min(1.0, 2.0 * min(c * c, s * s))
-        assert p_e(states.TwoQubitPure(angle)) == pytest.approx(expected, abs=1e-12)
+        assert p_e(pair_ket(angle)) == pytest.approx(expected, abs=1e-12)
 
 
 class TestProcrustean:
@@ -82,13 +87,13 @@ class TestProcrustean:
     def test_success_branch_is_maximal(self):
         prob, post = filtered(procrustean(np.pi / 6)[0], pair_ket(np.pi / 6))
         assert prob == pytest.approx(0.5, abs=1e-12)
-        assert states.is_max_entangled(post, 2, 2)
+        assert is_maximal(post)
 
     def test_roles_swap_past_quarter_pi(self):
         angle = 1.0
         prob, post = filtered(procrustean(angle)[0], pair_ket(angle))
         assert prob == pytest.approx(2 * np.cos(angle) ** 2, abs=1e-12)
-        assert states.is_max_entangled(post, 2, 2)
+        assert is_maximal(post)
 
     def test_product_state_rejected(self):
         with pytest.raises(NotEntangledError):
@@ -109,8 +114,8 @@ class TestProcrustean:
         # Dual route: Born-rule success of the filter equals the closed-form rate.
         for angle in np.linspace(0.01, np.pi / 2 - 0.01, 100):
             prob, post = filtered(procrustean(angle)[0], pair_ket(angle))
-            assert abs(prob - p_e(states.TwoQubitPure(angle))) <= 1e-12
-            assert states.is_max_entangled(post, 2, 2, atol=1e-8)
+            assert abs(prob - p_e(pair_ket(angle))) <= 1e-12
+            assert is_maximal(post, atol=1e-8)
 
     def test_sampled_outcome_frequency(self):
         angle = 0.3

@@ -77,10 +77,6 @@ class TestTOperators:
         with pytest.raises(ValueError):
             t_operators(0.6, 0.3)
 
-    def test_order_check_can_be_disabled(self):
-        t1, _ = t_operators(0.6, 0.3, strict=False)
-        assert t1[0, 0].real == pytest.approx(np.cos(0.6) ** 2)
-
     def test_boundary_input_snaps(self):
         t1, _ = t_operators(0.7854, 0.7854)
         assert np.trace(t1).real == pytest.approx(0.0, abs=1e-15)

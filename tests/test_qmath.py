@@ -1,50 +1,16 @@
-"""Linear-algebra core: tensor products, decompositions, text I/O."""
+"""Linear-algebra core: decompositions, operator functions, text I/O."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repeaterlab import qmath
-from oracles import kron_loop, power_norm
+from oracles import power_norm
 
 RNG = np.random.default_rng(20240811)
 
 
 def random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-class TestTensor:
-    def test_identity_times_identity(self):
-        assert np.array_equal(qmath.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_projector_placement(self):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        assert np.array_equal(qmath.tensor(p0, p1), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_matches_index_loop(self):
-        c2, s2 = np.cos(0.4) ** 2, np.sin(0.4) ** 2
-        a = np.diag([c2, -s2])
-        assert np.allclose(qmath.tensor(a, np.eye(2)), kron_loop(a, np.eye(2)), atol=0)
-
-    def test_multi_factor(self):
-        a, b, c = (random_complex(RNG, 2, 2) for _ in range(3))
-        assert np.allclose(qmath.tensor(a, b, c),
-                           kron_loop(kron_loop(a, b), c), atol=1e-12)
-
-    @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_associative_and_bilinear(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (random_complex(rng, 2, 2) for _ in range(3))
-        left = qmath.tensor(qmath.tensor(a, b), c)
-        right = qmath.tensor(a, qmath.tensor(b, c))
-        assert np.allclose(left, right, atol=1e-12)
-        z = complex(rng.normal(), rng.normal())
-        assert np.allclose(qmath.tensor(z * a, b), z * qmath.tensor(a, b), atol=1e-12)
-        assert np.allclose(qmath.tensor(a + c, b),
-                           qmath.tensor(a, b) + qmath.tensor(c, b), atol=1e-12)
 
 
 class TestSchmidt:
@@ -79,7 +45,7 @@ class TestSchmidt:
         for _ in range(5):
             qa, _ = np.linalg.qr(random_complex(RNG, 2, 2))
             qb, _ = np.linalg.qr(random_complex(RNG, 3, 3))
-            rotated = qmath.tensor(qa, qb) @ psi
+            rotated = np.kron(qa, qb) @ psi
             coeffs = qmath.schmidt(rotated, 2, 3).coefficients
             assert np.allclose(coeffs, base, atol=1e-10)
 

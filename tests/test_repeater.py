@@ -38,7 +38,7 @@ phases = st.floats(min_value=-np.pi, max_value=np.pi)
 
 def family_grid(theta, eta, n_alpha=41, n_phase=9):
     """All sampled direct-success kets with their Born probabilities."""
-    f = states.make_joint(theta, eta).f
+    f = build_optimal_basis(theta, eta).f
     joint = joint_ket_loop(theta, eta)
     out = []
     for alpha in np.linspace(0.0, np.pi / 2, n_alpha):
@@ -183,7 +183,7 @@ class TestAnalyticRate:
         # For eta >= theta the smaller amplitude of each leftover is known in
         # closed form; the engine's Schmidt route must agree.
         theta, eta = 0.3, 0.6
-        f = states.make_joint(theta, eta).f
+        f = build_optimal_basis(theta, eta).f
         q3 = 2 * f[2] ** 4 / (f[1] ** 4 + f[2] ** 4)
         q4 = 2 * f[3] ** 4 / (f[0] ** 4 + f[3] ** 4)
         result = run_protocol_analytic(theta, eta)
@@ -192,7 +192,7 @@ class TestAnalyticRate:
 
     def test_filterable_conditional_rates_swapped_order(self):
         theta, eta = 0.6, 0.3
-        f = states.make_joint(theta, eta).f
+        f = build_optimal_basis(theta, eta).f
         q3 = 2 * min(f[1], f[2]) ** 4 / (f[1] ** 4 + f[2] ** 4)
         result = run_protocol_analytic(theta, eta)
         assert result.per_outcome[2].bob_success_prob == pytest.approx(q3, abs=1e-12)
@@ -316,7 +316,8 @@ class TestBobFilter:
         branch = np.kron(np.eye(2), m0) @ record.post_state
         prob = float(np.vdot(branch, branch).real)
         assert prob == pytest.approx(record.bob_success_prob, abs=1e-12)
-        assert states.is_max_entangled(branch / np.sqrt(prob), 2, 2)
+        coeffs = np.linalg.svd((branch / np.sqrt(prob)).reshape(2, 2), compute_uv=False)
+        assert np.all(np.abs(coeffs - np.sqrt(0.5)) <= 1e-10)
 
     def test_rejects_product_state(self):
         # A separable basis leaves product states, which no filter can help.
