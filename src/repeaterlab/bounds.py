@@ -23,20 +23,16 @@ from .states import SchmidtState, max_entangled
 class BoundResult:
     """Ceiling, the unitary picking the target state, and the reaching operator."""
 
+    # Declared in report order: to_dict and the CLI report follow vars().
     p_max: float
-    optimal_u: np.ndarray
-    m_i: np.ndarray
     achieved_p: float
     post_fidelity: float
+    optimal_u: np.ndarray
+    m_i: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "p_max": self.p_max,
-            "achieved_p": self.achieved_p,
-            "post_fidelity": self.post_fidelity,
-            "optimal_u": qmath.as_real_pairs(self.optimal_u),
-            "m_i": qmath.as_real_pairs(self.m_i),
-        }
+        return {k: qmath.as_real_pairs(v) if isinstance(v, np.ndarray) else v
+                for k, v in vars(self).items()}
 
 
 def _require_state(rho: np.ndarray, what: str) -> np.ndarray:

@@ -35,7 +35,8 @@ SWEEP_COLUMNS = ("theta", "eta", "p_ms", "direct_success_prob",
 # 315 MB in ~3 s (JSON).
 MAX_GRID = 500
 # A bound operator is d^2 x d^2, so time, memory and report size grow as d^4:
-# at 32 coefficients a 2-core host takes ~1 s, ~315 MB and a 44 MB report.
+# at 32 coefficients a fresh process on a 2-core host takes ~0.25 s, peaks
+# near 115 MB RSS and writes a 44 MB report.
 MAX_BOUND_DIM = 32
 # The sampler's multinomial draw takes a 64-bit count.
 MAX_SAMPLES = 2 ** 63 - 1
@@ -235,35 +236,69 @@ def _dumps(value, newline: str = "\n") -> str:
 
     An indent puts json on its pure-Python encoder, at about a microsecond
     per float, which made a bound report's d^2 x d^2 operator cost seconds.
+    The pieces `_write` collects are joined once, so a report of tens of MB
+    is copied once rather than once per level of nesting.  `newline`
+    carries the current indentation.
+    """
+    out: list[str] = []
+    _write(value, newline, out)
+    return "".join(out)
+
+
+def _report(value) -> str:
+    """A JSON report: _dumps(value) and a final newline, in one join."""
+    out: list[str] = []
+    _write(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the text of _dumps(value, newline) to out, in pieces.
+
     Dicts and lists are walked here so a block (see `_block`) is found at
-    any depth.  Common scalars are written as json writes them (repr for
-    finite floats and ints, ASCII-escaped strings); anything else goes to
-    json.dumps.  `newline` carries the current indentation.
+    any depth.  A numpy array is written as its `qmath.as_real_pairs` lists
+    would be, without building them (see `_write_array`).  Common scalars
+    are written as json writes them (repr for finite floats and ints,
+    ASCII-escaped strings); anything else goes to json.dumps.
     """
     kind = type(value)
     if kind is str:
-        return _quote(value)
-    if kind is int or (kind is float and math.isfinite(value)):
-        return repr(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, dict) and value and all(type(k) is str for k in value):
+        out.append(_quote(value))
+    elif kind is int or (kind is float and math.isfinite(value)):
+        out.append(repr(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, dict) and value and all(type(k) is str for k in value):
         inner = newline + "  "
-        items = (_quote(k) + ": " + _dumps(v, inner) for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, list) and value:
+        opening = "{"
+        for k, v in value.items():
+            out.append(opening + inner + _quote(k) + ": ")
+            _write(v, inner, out)
+            opening = ","
+        out.append(newline + "}")
+    elif isinstance(value, list) and value:
         block = _block(value, newline)
         if block is not None:
-            return block
+            out.append(block)
+            return
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in value) + newline + "]"
-    if isinstance(value, (dict, list, tuple)):
+        opening = "["
+        for v in value:
+            out.append(opening + inner)
+            _write(v, inner, out)
+            opening = ","
+        out.append(newline + "]")
+    elif isinstance(value, np.ndarray):
+        _write_array(value, newline, out)
+    elif isinstance(value, (dict, list, tuple)):
         # Empty, a tuple, or keyed by non-strings.  JSON strings hold no raw
         # newline, so re-indenting the lines is exact.
-        return json.dumps(value, indent=2).replace("\n", newline)
-    return json.dumps(value)
+        out.append(json.dumps(value, indent=2).replace("\n", newline))
+    else:
+        out.append(json.dumps(value))
 
 
 def _block(value: list, newline: str) -> str | None:
@@ -304,6 +339,30 @@ def _block(value: list, newline: str) -> str | None:
         inner = outer + "  "
         item = "[" + inner + ("," + inner).join([item] * shape[depth]) + outer + "]"
     return item % leaves
+
+
+def _write_array(a: np.ndarray, newline: str, out: list[str]) -> None:
+    """_write(qmath.as_real_pairs(a), newline, out), each distinct matrix row formatted once.
+
+    A bound operator's nonzero rows are all equal, so at d = 24 its 576
+    rows hold two distinct ones.  Rows are keyed by their bytes, not their
+    values, so a row of 0.0 and one of -0.0 stay apart.  Vectors and empty
+    matrices go through their lists.
+    """
+    if a.ndim != 2 or a.size == 0:
+        _write(qmath.as_real_pairs(a), newline, out)
+        return
+    inner = newline + "  "
+    written: dict[bytes, str] = {}
+    opening = "["
+    for row in np.asarray(a, dtype=complex):
+        key = row.tobytes()
+        if key not in written:
+            written[key] = _dumps(qmath.as_real_pairs(row), inner)
+        out.append(opening + inner)
+        out.append(written[key])
+        opening = ","
+    out.append(newline + "]")
 
 
 def _sweep_rows(grid: int) -> list[dict]:
@@ -362,12 +421,13 @@ def run(config: RunConfig) -> tuple[int, str]:
             meas = _criterion_measurement(config)
             record = is_optimal(meas, config.theta, config.eta, config.tolerance).to_dict()
         elif config.command == "bound":
-            record = achieving_operator(config.schmidt_a, config.schmidt_b).to_dict()
+            # The arrays go to _report as they are; to_dict would list them.
+            record = vars(achieving_operator(config.schmidt_a, config.schmidt_b))
         elif config.command == "sweep":
             rows = _sweep_rows(config.grid)
             if config.output_format == "csv":
                 return 0, _csv(SWEEP_COLUMNS, map(dict.values, rows))
-            return 0, _dumps(rows) + "\n"
+            return 0, _report(rows)
         elif config.command == "compare":
             record = compare_with_bell(config.theta, config.eta).to_dict()
         else:
@@ -381,7 +441,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         flat = {k: v for k, v in record.items()
                 if isinstance(v, (int, float, bool, str)) or v is None}
         return 0, _csv(flat, [flat.values()])
-    return 0, _dumps(record) + "\n"
+    return 0, _report(record)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import repeaterlab
 from repeaterlab import cli, criterion, qmath
+from repeaterlab.bounds import achieving_operator
 from repeaterlab.cli import (
     MAX_BOUND_DIM,
     MAX_GRID,
@@ -464,6 +466,27 @@ documents = st.recursive(
     max_leaves=24)
 
 
+part = any_float | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+
+@st.composite
+def complex_arrays(draw):
+    """Complex vectors and matrices whose rows repeat, with signed zeros and non-finite parts."""
+    cols = draw(st.integers(0, 4))
+    row = st.lists(st.builds(complex, part, part), min_size=cols, max_size=cols)
+    pool = draw(st.lists(row, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        return np.array(pool[0], dtype=complex)
+    rows = draw(st.lists(st.sampled_from(pool), max_size=6))
+    return np.array(rows, dtype=complex).reshape(len(rows), cols)
+
+
+def schmidt_texts(da, db):
+    """Two seeded, unsorted coefficient lists of the given lengths, as --a and --b take them."""
+    rng = np.random.default_rng(100 * da + db)
+    return [",".join(map(repr, rng.dirichlet(np.ones(d)).tolist())) for d in (da, db)]
+
+
 class TestDumps:
     """The report writer against json.dumps(value, indent=2)."""
 
@@ -490,3 +513,41 @@ class TestDumps:
     def test_reports_match_json_dumps_with_indent(self, argv):
         _, report = run(parse_args(argv))
         assert report == json.dumps(json.loads(report), indent=2) + "\n"
+
+    @given(complex_arrays())
+    @example(np.array([[np.nan, 1]], dtype=complex))
+    @example(np.array([[0.0, 1.0], [-0.0, 1.0]], dtype=complex))
+    @example(np.array([[0j, 1j], [complex(0.0, -0.0), 1j]]))
+    @example(np.zeros((2, 0), dtype=complex))
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_match_json_dumps_of_real_pairs(self, a):
+        pairs = qmath.as_real_pairs(a)
+        assert cli._dumps(a) == json.dumps(pairs, indent=2)
+        assert cli._dumps({"a": a}) == json.dumps({"a": pairs}, indent=2)
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 3), (3, 5), (1, 4),
+                                      (8, 8), (12, 12), (8, 12)])
+    def test_bound_report_is_to_dict_written_by_json(self, dims, swapped):
+        a, b = schmidt_texts(*dims)
+        if swapped:
+            a, b = b, a
+        config = parse_args(["bound", "--a", a, "--b", b])
+        status, report = run(config)
+        assert status == 0
+        want = achieving_operator(config.schmidt_a, config.schmidt_b).to_dict()
+        assert report == json.dumps(want, indent=2) + "\n"
+
+    def test_bound_report_memory(self):
+        # Nested [re, im] lists for the d^2 x d^2 operator peaked near 6x the
+        # report, and wrapping the joined rows in further strings near 2.4x.
+        a, b = schmidt_texts(24, 24)
+        config = parse_args(["bound", "--a", a, "--b", b])
+        run(config)  # a first call pays one-off lazy imports
+        tracemalloc.start()
+        try:
+            _, report = run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(report)

@@ -25,6 +25,7 @@ from oracles import random_orthonormal_kets
 
 RNG = np.random.default_rng(20240814)
 
+protocol_angle = st.floats(min_value=0.0, max_value=np.pi / 4, exclude_min=True)
 ordered_angles = st.tuples(
     st.floats(min_value=1e-2, max_value=np.pi / 4),
     st.floats(min_value=1e-2, max_value=np.pi / 4),
@@ -202,6 +203,16 @@ class TestIsOptimal:
     def test_phase_freedom_preserves_optimality(self):
         meas = optimal_measurement(0.3, 0.6, beta1=1.1, beta2=-0.4)
         assert is_optimal(meas, 0.3, 0.6).optimal
+
+    @given(protocol_angle, protocol_angle, st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=100, deadline=None)
+    def test_tuned_basis_meets_the_criterion_everywhere(self, theta, eta, beta1, beta2):
+        for first, second in ((theta, eta), (eta, theta)):
+            kets = build_optimal_basis(first, second, beta1, beta2).kets
+            report = is_optimal(kets, first, second)
+            assert report.optimal
+            assert abs(report.lhs - report.rhs) <= 1e-12
 
     def test_tolerance_is_respected(self):
         meas = computational_kets()
