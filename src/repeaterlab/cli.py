@@ -30,9 +30,10 @@ SEED_ENV_VAR = "REPEATERLAB_SEED"
 BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
 SWEEP_COLUMNS = ("theta", "eta", "p_ms", "direct_success_prob",
                  "lower_bound", "upper_bound")
-# The sweep holds all grid^2 points and their report in memory at once: at
-# 500 points per angle a 2-core host peaks near 260 MB in ~5.5 s (CSV) or
-# 315 MB in ~3 s (JSON).
+# The sweep holds its grid^2 rows of floats and their report in memory at
+# once (the kernel takes the grid in slices): at 500 points per angle a
+# 2-core host peaks near 145 MB in ~1.5-2 s (CSV) or 230 MB in ~1.7-1.9 s
+# (JSON), most of it spent writing 1.5M floats with repr.
 MAX_GRID = 500
 # A bound operator is d^2 x d^2, so time, memory and report size grow as d^4:
 # at 32 coefficients a fresh process on a 2-core host takes ~0.25 s, peaks
@@ -304,36 +305,25 @@ def _write(value, newline: str, out: list[str]) -> None:
 def _block(value: list, newline: str) -> str | None:
     """A nonempty list as json.dumps(value, indent=2) writes it, or None if not a block.
 
-    A block is a rectangular nested list of finite floats, or a list of
-    dicts that share one key order and hold only finite floats (the sweep
-    rows).  It is written by filling a template built from its shape with
-    one `template % leaves` (%r is float.__repr__, which json writes too).
+    A block is a rectangular nested list of finite floats.  It is written
+    by filling a template built from its shape with one `template % leaves`
+    (%r is float.__repr__, which json writes too).
     """
     shape = [len(value)]
     level = value
-    if type(value[0]) is dict:
-        keys = tuple(value[0])
-        if (not keys or set(map(type, value)) != {dict} or not all(type(k) is str for k in keys)
-                or not all(map(keys.__eq__, map(tuple, value)))):
+    while type(level[0]) is list:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {len(level[0])}:
             return None
-        row = newline + "    "
-        item = ("{" + row + ("," + row).join(_quote(k).replace("%", "%%") + ": %r"
-                                            for k in keys) + newline + "  }")
-        level = itertools.chain.from_iterable(map(dict.values, value))
-    else:
-        item = "%r"
-        while type(level[0]) is list:
-            if set(map(type, level)) != {list} or set(map(len, level)) != {len(level[0])}:
-                return None
-            shape.append(len(level[0]))
-            level = list(itertools.chain.from_iterable(level))
-            if not level:
-                return None
+        shape.append(len(level[0]))
+        level = list(itertools.chain.from_iterable(level))
+        if not level:
+            return None
     leaves = tuple(level)
     if set(map(type, leaves)) != {float}:
         return None
     if not math.isfinite(sum(leaves)) and not all(map(math.isfinite, leaves)):
         return None
+    item = "%r"
     for depth in reversed(range(len(shape))):
         outer = newline + "  " * depth
         inner = outer + "  "
@@ -365,16 +355,38 @@ def _write_array(a: np.ndarray, newline: str, out: list[str]) -> None:
     out.append(newline + "]")
 
 
-def _sweep_rows(grid: int) -> list[dict]:
-    """Every (theta, eta) pair of the grid, row-major in theta, in one kernel call.
+def _sweep_columns(grid: int) -> list[list[float]]:
+    """The SWEEP_COLUMNS at every (theta, eta) pair of the grid, row-major in theta.
 
-    The grid angle i * step can round an ulp above pi/4; rows carry and are
-    computed with the snapped angle, as the scalar functions are.
+    The whole grid goes through `_rate_table` at once.  The grid angle
+    i * step can round an ulp above pi/4; rows carry and are computed with
+    the snapped angle, as the scalar functions are.
     """
     angles = np.minimum(np.arange(1, grid + 1) * ((np.pi / 4.0) / grid), np.pi / 4)
     theta, eta = np.repeat(angles, grid), np.tile(angles, grid)
-    columns = (theta, eta) + _rate_table(theta, eta)
-    return [dict(zip(SWEEP_COLUMNS, row)) for row in zip(*(c.tolist() for c in columns))]
+    return [c.tolist() for c in (theta, eta) + _rate_table(theta, eta)]
+
+
+def _rows_text(columns: list[list[float]], head: str, row: str, sep: str, tail: str) -> str:
+    """head, `row` once per row joined by sep, then tail, filled row by row in one `%`."""
+    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
+    return (head + sep.join([row] * len(columns[0])) + tail) % cells
+
+
+def _sweep_csv(grid: int) -> str:
+    """The sweep as csv.writer writes its columns: the repr of a float needs no quoting."""
+    return _rows_text(_sweep_columns(grid), ",".join(SWEEP_COLUMNS) + "\n",
+                      ",".join(["%r"] * len(SWEEP_COLUMNS)), "\n", "\n")
+
+
+def _sweep_json(grid: int) -> str:
+    """The sweep as _report writes a list of one dict per row.
+
+    Every cell is finite for angles in (0, pi/4], and %r writes a finite
+    float as json does.
+    """
+    item = "{\n    " + ",\n    ".join(_quote(k) + ": %r" for k in SWEEP_COLUMNS) + "\n  }"
+    return _rows_text(_sweep_columns(grid), "[\n  ", item, ",\n  ", "\n]\n")
 
 
 def _criterion_measurement(config: RunConfig):
@@ -424,10 +436,9 @@ def run(config: RunConfig) -> tuple[int, str]:
             # The arrays go to _report as they are; to_dict would list them.
             record = vars(achieving_operator(config.schmidt_a, config.schmidt_b))
         elif config.command == "sweep":
-            rows = _sweep_rows(config.grid)
             if config.output_format == "csv":
-                return 0, _csv(SWEEP_COLUMNS, map(dict.values, rows))
-            return 0, _report(rows)
+                return 0, _sweep_csv(config.grid)
+            return 0, _sweep_json(config.grid)
         elif config.command == "compare":
             record = compare_with_bell(config.theta, config.eta).to_dict()
         else:

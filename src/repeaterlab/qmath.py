@@ -12,7 +12,7 @@ import numpy as np
 STRICT_ATOL = 1e-12
 # Checks after an eigensolver, a file read or two routes: PSD, projectors, unitarity, rates.
 LOOSE_ATOL = 1e-10
-# A probability at or below it never fires; a filter ratio within it of 1 is 1.
+# A filter ratio within it of 1 is 1.
 PROB_FLOOR = 1e-15
 # Angles up to pi/4 plus this (decimal-rounded pi/4, as in 0.7854) snap down to pi/4.
 BOUNDARY_SLACK = 1e-4

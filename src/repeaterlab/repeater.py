@@ -186,11 +186,17 @@ def projection_bounds(theta: float, eta: float) -> tuple[float, float]:
 def _tuned_kets(f: np.ndarray, beta1: float = 0.0, beta2: float = 0.0) -> np.ndarray:
     """Clare's tuned kets for amplitudes f of shape (..., 4), as rows of (..., 4, 4).
 
-    Normalized through angles, so tiny amplitudes cannot underflow a norm.
+    Each ket pairs two components of f, (f2, f1) or (f3, f0), divided by
+    their hypot.  Each pair is first rescaled by the power of two that
+    brings its larger component into [1/2, 1); the rescale is exact, so
+    the kets stay orthonormal however small the amplitudes.
     """
-    a12 = np.arctan2(f[..., 1], f[..., 2])
-    a03 = np.arctan2(f[..., 0], f[..., 3])
-    c12, s12, c03, s03 = np.cos(a12), np.sin(a12), np.cos(a03), np.sin(a03)
+    x, y = f[..., 2:], f[..., 1::-1]
+    _, e = np.frexp(np.maximum(x, y))
+    x, y = np.ldexp(x, -e), np.ldexp(y, -e)
+    h = np.hypot(x, y)
+    c, s = x / h, y / h
+    c12, c03, s12, s03 = c[..., 0], c[..., 1], s[..., 0], s[..., 1]
     e1 = np.exp(1j * beta1)
     e2 = np.exp(1j * beta2)
     kets = np.zeros(f.shape[:-1] + (4, 4), dtype=complex)
@@ -261,32 +267,52 @@ class _Outcomes(NamedTuple):
 
 
 def _outcomes(f: np.ndarray, kets) -> _Outcomes:
-    """Every Clare outcome at once, from one batched 2x2 singular-value solve.
+    """Every Clare outcome at once, from closed-form 2x2 singular values.
 
     Projecting Clare onto ket phi leaves Alice and Bob the 2x2 matrix
-    M[a, b] = f[2a+b] conj(phi[2a+b]).  The outcome probability is its
-    squared Frobenius norm, and Bob's best filter succeeds with weight
-    2 s_min(M)^2, twice the smaller squared singular value; the leftover
-    is maximal when both normalized singular values equal 1/sqrt(2).
+    M = [[m0, m1], [m2, m3]], m_t = f[t] conj(phi[t]).  The outcome
+    probability is its squared Frobenius norm p + r, with
+    p = |m0|^2 + |m1|^2 and r = |m2|^2 + |m3|^2, and Bob's best filter
+    succeeds with weight 2 s_min^2, twice the smaller squared singular
+    value; the leftover is maximal when both normalized singular values
+    equal 1/sqrt(2).  An outcome fires unless its probability is exactly 0.
+
+    With q = m0 conj(m2) + m1 conj(m3), s_max^2 = (p + r)/2 + hypot((p - r)/2, |q|),
+    a sum of nonnegative terms, and s_min = |m0 m3 - m1 m2| / s_max, whose
+    absolute error is about eps s_max, as LAPACK's.  Each leftover is first
+    rescaled by the power of two that brings its largest entry into
+    [1/2, 1), so no square underflows; the rescale is exact.
 
     Amplitudes f of shape (..., 4) and kets of shape (..., K, 4) broadcast
     over their leading axes; every field has shape (..., K), the leftovers
     (..., K, 4).
     """
     m = np.asarray(f)[..., None, :] * np.asarray(kets, dtype=complex).conj()
-    prob = np.einsum("...kt,...kt->...k", m.conj(), m).real
-    s = np.linalg.svd(m.reshape(m.shape[:-1] + (2, 2)), compute_uv=False)
-    live = prob > qmath.PROB_FLOOR
-    prob = np.where(live, prob, 0.0)
-    norm = np.sqrt(np.where(live, prob, 1.0))[..., None]
-    coeffs = s / norm
-    maximal = live & np.all(np.abs(coeffs - np.sqrt(0.5)) <= qmath.LOOSE_ATOL, axis=-1)
-    bob = np.where(maximal, 1.0, np.minimum(1.0, 2.0 * coeffs[..., 1] ** 2))
+    _, e = np.frexp(np.abs(m).max(axis=-1))
+    # Capped so that 2^k stays finite.  Scaled, a nonzero leftover has an
+    # entry of at least 2^-51, so s_max >= 2^-51 and p + r >= 2^-102: the
+    # floors below only turn 0/0 into 0 for a zero leftover.
+    k = np.minimum(-e, 1023)
+    scaled = m * np.ldexp(1.0, k)[..., None]
+    m0, m1, m2, m3 = scaled[..., 0], scaled[..., 1], scaled[..., 2], scaled[..., 3]
+    squares = (scaled * scaled.conj()).real
+    p = squares[..., 0] + squares[..., 1]
+    r = squares[..., 2] + squares[..., 3]
+    total = p + r
+    s_max = np.sqrt(0.5 * total + np.hypot(0.5 * (p - r), np.abs(m0 * m2.conj() + m1 * m3.conj())))
+    s_min = np.abs(m0 * m3 - m1 * m2) / np.maximum(s_max, 2.0 ** -64)
+    prob = np.ldexp(total, -2 * k)
+    live = prob > 0.0
+    norm = np.sqrt(np.maximum(total, 2.0 ** -128))
+    c_min = s_min / norm
+    maximal = (live & (np.abs(s_max / norm - np.sqrt(0.5)) <= qmath.LOOSE_ATOL)
+               & (np.abs(c_min - np.sqrt(0.5)) <= qmath.LOOSE_ATOL))
+    bob = np.where(maximal, 1.0, np.minimum(1.0, 2.0 * c_min ** 2))
     return _Outcomes(clare_prob=prob,
                      leftover=m,
                      maximal=maximal,
                      bob_success_prob=np.where(live, bob, 0.0),
-                     filter_weight=np.where(live, 2.0 * s[..., 1] ** 2, 0.0))
+                     filter_weight=np.ldexp(2.0 * s_min ** 2, -2 * k))
 
 
 def _success(out: _Outcomes) -> np.ndarray:
@@ -299,15 +325,25 @@ def _rate(out: _Outcomes) -> np.ndarray:
     return np.sum(_success(out), axis=-1)
 
 
+# Grid points per kernel call in _rate_table.  The kernel's temporaries are
+# a few dozen arrays of four outcomes per point, so taking a large grid in
+# slices keeps its memory per point as low as a small grid's.
+_TABLE_SLICE = 4096
+
+
 def _rate_table(theta: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, ...]:
     """Tuned-basis rate, direct-success probability and projection bounds.
 
-    Takes arrays of checked (snapped) angles and evaluates them all with
-    one kernel call.
+    Takes 1-D arrays of checked (snapped) angles and evaluates them with
+    one kernel call per slice of _TABLE_SLICE points.
     """
     f = _amplitudes(theta, eta)
+    rate = np.empty(len(f))
+    for start in range(0, len(f), _TABLE_SLICE):
+        part = f[start:start + _TABLE_SLICE]
+        rate[start:start + _TABLE_SLICE] = _rate(_outcomes(part, _tuned_kets(part)))
     lower, upper, direct = _direct_forms(theta, eta)
-    return _rate(_outcomes(f, _tuned_kets(f))), direct, lower, upper
+    return rate, direct, lower, upper
 
 
 def _analysis(theta: float, eta: float, f: np.ndarray, kets) -> AnalyticResult:
@@ -387,22 +423,20 @@ def run_protocol_sampled(theta: float, eta: float, n: int,
                          ledger_stats=ledger_stats)
 
 
-def _summary(result: AnalyticResult) -> BranchSummary:
-    return BranchSummary(p_ms=result.p_ms, bob_action_prob=result.bob_action_prob,
-                         expected_local_measurements=1.0 + result.bob_action_prob)
-
-
 def compare_with_bell(theta: float, eta: float) -> ComparisonRecord:
     """Tuned basis versus plain Bell measurement on the same resources.
 
     Both reach the same success rate; the tuned basis spares Bob a local
-    measurement whenever Clare's outcome already finished the job.
+    measurement whenever Clare's outcome already finished the job.  Both
+    bases go through one kernel call.
     """
     basis = build_optimal_basis(theta, eta)
-    optimal = _analysis(basis.theta, basis.eta, basis.f, basis.kets)
-    bell = _analysis(basis.theta, basis.eta, basis.f, bell_kets())
+    out = _outcomes(basis.f, np.stack((basis.kets, bell_kets())))
+    p_ms = _rate(out).tolist()
+    bob_action = np.sum(np.where(out.maximal, 0.0, out.clare_prob), axis=-1).tolist()
+    optimal, bell = (BranchSummary(p_ms=p, bob_action_prob=b, expected_local_measurements=1.0 + b)
+                     for p, b in zip(p_ms, bob_action))
     return ComparisonRecord(
-        theta=basis.theta, eta=basis.eta,
-        optimal=_summary(optimal), bell=_summary(bell),
-        rates_equal=abs(optimal.p_ms - bell.p_ms) <= qmath.LOOSE_ATOL,
+        theta=basis.theta, eta=basis.eta, optimal=optimal, bell=bell,
+        rates_equal=abs(p_ms[0] - p_ms[1]) <= qmath.LOOSE_ATOL,
     )

@@ -314,6 +314,17 @@ class TestRun:
             assert row["direct_success_prob"] == direct_success_prob(theta, eta)
             assert (row["lower_bound"], row["upper_bound"]) == projection_bounds(theta, eta)
 
+    @pytest.mark.parametrize("grid", list(range(1, 13)) + [25, 50])
+    def test_sweep_reports_are_what_csv_and_json_write(self, grid):
+        rows = list(zip(*cli._sweep_columns(grid)))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cli.SWEEP_COLUMNS)
+        writer.writerows(rows)
+        assert cli._sweep_csv(grid) == buf.getvalue()
+        records = [dict(zip(cli.SWEEP_COLUMNS, row)) for row in rows]
+        assert cli._sweep_json(grid) == json.dumps(records, indent=2) + "\n"
+
     @pytest.mark.parametrize("grid", [25, 41, 50])
     def test_sweep_echoes_the_snapped_end_of_the_grid(self, grid):
         # grid * (pi/4 / grid) rounds an ulp above pi/4 on these grids.
@@ -398,7 +409,7 @@ class TestMain:
     def test_memory_error_exits_one(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("cannot allocate the stack")
-        monkeypatch.setattr(np.linalg, "svd", exhausted)
+        monkeypatch.setattr(cli, "_rate_table", exhausted)
         assert main(["sweep", "--grid", "3"]) == 1
         out = capsys.readouterr()
         assert out.out == ""

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repeaterlab import qmath, repeater, states
 from repeaterlab.concentration import p_e
@@ -33,6 +33,12 @@ from oracles import (
 )
 
 protocol_angles = st.floats(min_value=1e-2, max_value=np.pi / 4)
+# Log-uniform in [1e-150, pi/4], where 2 sin^2 of either angle is a normal float.
+small_angles = st.floats(min_value=np.log(1e-150), max_value=np.log(np.pi / 4)).map(
+    lambda x: min(float(np.exp(x)), np.pi / 4))
+EPS = np.finfo(float).eps
+# The smallest subnormal, the rounding step of a square that underflows.
+SUBNORMAL = 5e-324
 phases = st.floats(min_value=-np.pi, max_value=np.pi)
 
 
@@ -210,6 +216,26 @@ class TestAnalyticRate:
                 expected = min(2 * np.sin(theta) ** 2, 2 * np.sin(eta) ** 2)
                 got = run_protocol_analytic(theta, eta).p_ms
                 assert abs(got - expected) <= 1e-12
+
+    @given(small_angles, small_angles)
+    @example(1e-8, 1e-8)
+    @example(1e-4, 1e-4)
+    @example(1e-150, 3e-150)
+    @settings(max_examples=200, deadline=None)
+    def test_rate_is_exact_at_small_angles(self, theta, eta):
+        # Every route, relative to the rate: an outcome of probability 1e-16
+        # still fires, and tiny ket components keep their precision.  Angles
+        # that differ by less than 1e-8 relative are left out unless equal:
+        # within ~1e-10 the filtered outcome counts as maximal
+        # (qmath.LOOSE_ATOL) and Bob's weight snaps to 1, which moves the
+        # rate by up to ~1e-10 relative, as it always has.
+        assume(theta == eta or abs(theta - eta) > 1e-8 * max(theta, eta))
+        want = min(2 * np.sin(theta) ** 2, 2 * np.sin(eta) ** 2)
+        record = compare_with_bell(theta, eta)
+        table = repeater._rate_table(np.array([theta]), np.array([eta]))[0]
+        for p_ms in (run_protocol_analytic(theta, eta).p_ms, record.optimal.p_ms,
+                     record.bell.p_ms, table[0]):
+            assert abs(p_ms - want) <= 8 * EPS * want
 
     def test_order_of_angles_does_not_matter(self):
         a = run_protocol_analytic(0.6, 0.3)
@@ -583,3 +609,63 @@ class TestBatchedKernel:
         for i, (t, e) in enumerate(zip(theta, eta)):
             assert direct[i] == direct_success_prob(t, e)
             assert (lower[i], upper[i]) == projection_bounds(t, e)
+
+    def test_rate_table_memory_per_point(self):
+        # Taken in slices, the table's peak is one slice's temporaries plus
+        # its output columns.  One kernel call over the whole grid peaked at
+        # 896 B per point.
+        grid = 200
+        angles = np.minimum(np.arange(1, grid + 1) * ((np.pi / 4) / grid), np.pi / 4)
+        theta, eta = np.repeat(angles, grid), np.tile(angles, grid)
+        repeater._rate_table(theta[:1], eta[:1])
+        tracemalloc.start()
+        try:
+            repeater._rate_table(theta, eta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / grid ** 2 < 400
+
+    def test_slices_equal_one_kernel_call(self):
+        theta, eta = np.random.default_rng(7).uniform(1e-3, np.pi / 4, size=(2, 10_000))
+        f = states._amplitudes(theta, eta)
+        whole = repeater._rate(repeater._outcomes(f, repeater._tuned_kets(f)))
+        assert np.array_equal(repeater._rate_table(theta, eta)[0], whole)
+
+
+class TestClosedFormKernel:
+    """The kernel's closed-form 2x2 singular values against np.linalg.svd."""
+
+    @given(open_angles, open_angles, kinds, st.integers(0, 2 ** 32 - 1), st.integers(0, 1000))
+    @example(0.4, 0.4, "tuned", 0, 0)
+    @example(0.4, 0.4, "tuned", 0, 1000)
+    @example(np.pi / 4, np.pi / 4, "tuned", 0, 0)
+    @example(np.pi / 4, np.pi / 4, "tuned", 0, 600)
+    @settings(max_examples=300, deadline=None)
+    def test_singular_values_match_lapack(self, theta, eta, kind, seed, shift):
+        """s_min within 4 eps s_max of LAPACK's, on leftovers scaled by 2^-shift.
+
+        Seen through the fields that carry it: the filter weight 2 s_min^2,
+        Bob's weight min(1, 2 c_min^2) of the normalized values c, and the
+        maximal flags.
+        """
+        f = np.ldexp(states._amplitudes(theta, eta), -shift)
+        out = repeater._outcomes(f, np.asarray(kets_of(kind, theta, eta, seed), dtype=complex))
+        s = np.linalg.svd(out.leftover.reshape(-1, 2, 2), compute_uv=False)
+        s_max, s_min = s[:, 0], s[:, 1]
+        # |2 s^2 - 2 t^2| = 2 |s - t| (s + t) <= 16 eps s_max^2, plus two
+        # roundings of a square that underflows.
+        assert np.all(np.abs(out.filter_weight - 2 * s_min ** 2)
+                      <= 16 * EPS * s_max ** 2 + 2 * SUBNORMAL)
+        live = out.clare_prob > 0.0
+        norm = np.hypot(s_max, s_min)
+        c = s / np.where(norm > 0.0, norm, 1.0)[:, None]
+        balanced = np.all(np.abs(c - np.sqrt(0.5)) <= qmath.LOOSE_ATOL, axis=-1)
+        assert np.array_equal(out.maximal, live & balanced)
+        bob = np.where(out.maximal, 1.0, np.minimum(1.0, 2 * c[:, 1] ** 2))
+        assert np.all(np.abs(out.bob_success_prob - np.where(live, bob, 0.0)) <= 32 * EPS)
+        if kind == "tuned" and shift == 0 and theta == eta >= 0.1:
+            # Equal angles add a third maximal outcome, and pi/4 (or an
+            # angle within about 1e-10 of it) a fourth.
+            assert out.maximal.sum() >= 3
+            assert out.maximal.all() or theta != np.pi / 4
