@@ -21,18 +21,30 @@ from .states import SchmidtState, max_entangled
 
 @dataclass(frozen=True, eq=False)
 class BoundResult:
-    """Ceiling, the unitary picking the target state, and the reaching operator."""
+    """Ceiling, the unitary picking the target state, and the reaching operator.
 
-    # Declared in report order: to_dict and the CLI report follow vars().
+    The operator is rank one, m_i = scale * outer(omega, w), and is kept
+    as those factors; the `m_i` property forms the d^2 x d^2 array.
+    """
+
     p_max: float
     achieved_p: float
     post_fidelity: float
     optimal_u: np.ndarray
-    m_i: np.ndarray
+    scale: float
+    omega: np.ndarray
+    w: np.ndarray
+
+    @property
+    def m_i(self) -> np.ndarray:
+        return self.scale * np.outer(self.omega, self.w)
 
     def to_dict(self) -> dict:
-        return {k: qmath.as_real_pairs(v) if isinstance(v, np.ndarray) else v
-                for k, v in vars(self).items()}
+        return {"p_max": self.p_max,
+                "achieved_p": self.achieved_p,
+                "post_fidelity": self.post_fidelity,
+                "optimal_u": qmath.as_real_pairs(self.optimal_u),
+                "m_i": qmath.as_real_pairs(self.m_i)}
 
 
 def _require_state(rho: np.ndarray, what: str) -> np.ndarray:
@@ -117,18 +129,6 @@ def optimal_u(d_a: int, d: int) -> np.ndarray:
     return u
 
 
-def _top_gram_eigenvalue(m: np.ndarray) -> float:
-    """Largest eigenvalue of M^dag M, from the Gram matrix of M's nonzero columns.
-
-    A zero column of M adds only a zero row and column to M^dag M, so
-    dropping it keeps the spectrum apart from zeros.
-    """
-    cols = m[:, np.any(m != 0, axis=0)]
-    if cols.shape[1] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(qmath.dagger(cols) @ cols)[-1])
-
-
 def achieving_operator(a: SchmidtState | Sequence[float],
                        b: SchmidtState | Sequence[float]) -> BoundResult:
     """Measurement element reaching the ceiling, checked on the actual state.
@@ -154,21 +154,28 @@ def achieving_operator(a: SchmidtState | Sequence[float],
     g = np.sqrt(diag)
     # SchmidtState coefficients are positive, so only the padding is zero.
     inv_g = np.where(g > 0.0, 1.0 / np.where(g > 0.0, g, 1.0), 0.0)
-    m_i = np.sqrt(ceiling) * np.outer(omega, omega.conj() * inv_g)
+    scale = np.sqrt(ceiling)
+    w = omega.conj() * inv_g
 
-    top = _top_gram_eigenvalue(m_i)
+    # M = scale |omega><conj(w)| is rank one, so M^dag M has the single
+    # nonzero eigenvalue ||omega||^2 ||scale w||^2.  Scaling w before
+    # squaring keeps 1/g, up to 1e300 for tiny coefficients, from
+    # overflowing.
+    sw = scale * w
+    norm_omega = float(np.vdot(omega, omega).real)
+    top = norm_omega * float(np.vdot(sw, sw).real)
     if top > 1.0 + qmath.LOOSE_ATOL:
         raise ValueError(
             f"operator is not a valid measurement element: "
             f"largest eigenvalue of M^dag M exceeds 1 by {top - 1.0:.3e}")
 
-    joint = g[:, None] * m_i.T
-    achieved = float(np.sum(np.abs(joint) ** 2))
-    if achieved > 0.0:
-        # <omega| J J^dag |omega> = ||J^dag omega||^2, without forming J J^dag.
-        overlap = omega.conj() @ joint
-        fidelity = float(np.vdot(overlap, overlap).real) / achieved
-    else:
-        fidelity = 0.0
-    return BoundResult(p_max=ceiling, optimal_u=u, m_i=m_i,
-                       achieved_p=achieved, post_fidelity=float(np.clip(fidelity, 0.0, 1.0)))
+    # The joint (g x 1) M^T is outer(t, omega) with t = g scale w: the
+    # outcome probability is ||omega||^2 ||t||^2, and the post state's
+    # overlap with omega is |<omega|t>|^2 / ||t||^2.
+    t = g * sw
+    norm_t = float(np.vdot(t, t).real)
+    achieved = norm_omega * norm_t
+    fidelity = abs(complex(np.vdot(omega, t))) ** 2 / norm_t if norm_t > 0.0 else 0.0
+    return BoundResult(p_max=ceiling, achieved_p=achieved,
+                       post_fidelity=float(np.clip(fidelity, 0.0, 1.0)),
+                       optimal_u=u, scale=scale, omega=omega, w=w)

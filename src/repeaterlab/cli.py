@@ -30,14 +30,19 @@ SEED_ENV_VAR = "REPEATERLAB_SEED"
 BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
 SWEEP_COLUMNS = ("theta", "eta", "p_ms", "direct_success_prob",
                  "lower_bound", "upper_bound")
+# How a sweep report fills each column: the angles arrive as text, formatted
+# once per grid angle, and the rest are floats written with repr.
+_SWEEP_CELLS = ("%s", "%s", "%r", "%r", "%r", "%r")
 # The sweep holds its grid^2 rows of floats and their report in memory at
 # once (the kernel takes the grid in slices): at 500 points per angle a
-# 2-core host peaks near 145 MB in ~1.5-2 s (CSV) or 230 MB in ~1.7-1.9 s
-# (JSON), most of it spent writing 1.5M floats with repr.
+# 2-core host peaks near 131 MB (CSV) or 213 MB (JSON) in ~2 s, most of it
+# spent writing the 1M rate and bound floats with repr.
 MAX_GRID = 500
-# A bound operator is d^2 x d^2, so time, memory and report size grow as d^4:
-# at 32 coefficients a fresh process on a 2-core host takes ~0.25 s, peaks
-# near 115 MB RSS and writes a 44 MB report.
+# A bound report writes a d^2 x d^2 operator, so its size and the time to
+# write it grow as d^4 (the library keeps the operator as rank-one factors):
+# at 32 coefficients a fresh process on a 2-core host takes ~0.35 s, peaks
+# near 116 MB RSS and writes a 44 MB report.  Forming the dense operator, as
+# the library once did, took ~0.38 s and 140 MB on the same host.
 MAX_BOUND_DIM = 32
 # The sampler's multinomial draw takes a 64-bit count.
 MAX_SAMPLES = 2 ** 63 - 1
@@ -258,10 +263,10 @@ def _write(value, newline: str, out: list[str]) -> None:
     """Append the text of _dumps(value, newline) to out, in pieces.
 
     Dicts and lists are walked here so a block (see `_block`) is found at
-    any depth.  A numpy array is written as its `qmath.as_real_pairs` lists
-    would be, without building them (see `_write_array`).  Common scalars
-    are written as json writes them (repr for finite floats and ints,
-    ASCII-escaped strings); anything else goes to json.dumps.
+    any depth.  A numpy array is written as its `qmath.as_real_pairs`
+    lists, and a callable writes its own text (see `_write_rank_one`).
+    Common scalars are written as json writes them (repr for finite floats
+    and ints, ASCII-escaped strings); anything else goes to json.dumps.
     """
     kind = type(value)
     if kind is str:
@@ -293,7 +298,9 @@ def _write(value, newline: str, out: list[str]) -> None:
             opening = ","
         out.append(newline + "]")
     elif isinstance(value, np.ndarray):
-        _write_array(value, newline, out)
+        _write(qmath.as_real_pairs(value), newline, out)
+    elif callable(value):
+        value(newline, out)
     elif isinstance(value, (dict, list, tuple)):
         # Empty, a tuple, or keyed by non-strings.  JSON strings hold no raw
         # newline, so re-indenting the lines is exact.
@@ -331,43 +338,42 @@ def _block(value: list, newline: str) -> str | None:
     return item % leaves
 
 
-def _write_array(a: np.ndarray, newline: str, out: list[str]) -> None:
-    """_write(qmath.as_real_pairs(a), newline, out), each distinct matrix row formatted once.
+def _write_rank_one(scale: float, omega: np.ndarray, w: np.ndarray,
+                    newline: str, out: list[str]) -> None:
+    """_write(qmath.as_real_pairs(scale * np.outer(omega, w)), newline, out), without the matrix.
 
-    A bound operator's nonzero rows are all equal, so at d = 24 its 576
-    rows hold two distinct ones.  Rows are keyed by their bytes, not their
-    values, so a row of 0.0 and one of -0.0 stay apart.  Vectors and empty
-    matrices go through their lists.
+    Row i is scale * (omega[i] * w), computed as the outer product computes
+    it, so rows whose omega[i] have equal bytes are equal and each is
+    formatted once: a bound operator's omega holds two distinct entries.
+    Keying by bytes, not values, keeps 0.0 and -0.0 apart.
     """
-    if a.ndim != 2 or a.size == 0:
-        _write(qmath.as_real_pairs(a), newline, out)
-        return
     inner = newline + "  "
-    written: dict[bytes, str] = {}
-    opening = "["
-    for row in np.asarray(a, dtype=complex):
-        key = row.tobytes()
-        if key not in written:
-            written[key] = _dumps(qmath.as_real_pairs(row), inner)
-        out.append(opening + inner)
-        out.append(written[key])
-        opening = ","
-    out.append(newline + "]")
+    distinct, index = np.unique(omega.view(f"V{omega.itemsize}"), return_inverse=True)
+    rows = [_dumps(qmath.as_real_pairs(scale * (x * w)), inner)
+            for x in distinct.view(omega.dtype)]
+    sep = "," + inner
+    out.append("[" + inner)
+    for i in index.tolist():
+        out.append(rows[i])
+        out.append(sep)
+    out[-1] = newline + "]"
 
 
-def _sweep_columns(grid: int) -> list[list[float]]:
+def _sweep_columns(grid: int, angle=float) -> list[list]:
     """The SWEEP_COLUMNS at every (theta, eta) pair of the grid, row-major in theta.
 
     The whole grid goes through `_rate_table` at once.  The grid angle
     i * step can round an ulp above pi/4; rows carry and are computed with
-    the snapped angle, as the scalar functions are.
+    the snapped angle, as the scalar functions are.  The theta and eta
+    columns hold angle(a) for the grid's angles a, each computed once.
     """
     angles = np.minimum(np.arange(1, grid + 1) * ((np.pi / 4.0) / grid), np.pi / 4)
-    theta, eta = np.repeat(angles, grid), np.tile(angles, grid)
-    return [c.tolist() for c in (theta, eta) + _rate_table(theta, eta)]
+    table = _rate_table(np.repeat(angles, grid), np.tile(angles, grid))
+    cells = [angle(a) for a in angles.tolist()]
+    return [[c for c in cells for _ in range(grid)], cells * grid] + [c.tolist() for c in table]
 
 
-def _rows_text(columns: list[list[float]], head: str, row: str, sep: str, tail: str) -> str:
+def _rows_text(columns: list[list], head: str, row: str, sep: str, tail: str) -> str:
     """head, `row` once per row joined by sep, then tail, filled row by row in one `%`."""
     cells = tuple(itertools.chain.from_iterable(zip(*columns)))
     return (head + sep.join([row] * len(columns[0])) + tail) % cells
@@ -375,18 +381,19 @@ def _rows_text(columns: list[list[float]], head: str, row: str, sep: str, tail: 
 
 def _sweep_csv(grid: int) -> str:
     """The sweep as csv.writer writes its columns: the repr of a float needs no quoting."""
-    return _rows_text(_sweep_columns(grid), ",".join(SWEEP_COLUMNS) + "\n",
-                      ",".join(["%r"] * len(SWEEP_COLUMNS)), "\n", "\n")
+    return _rows_text(_sweep_columns(grid, repr), ",".join(SWEEP_COLUMNS) + "\n",
+                      ",".join(_SWEEP_CELLS), "\n", "\n")
 
 
 def _sweep_json(grid: int) -> str:
     """The sweep as _report writes a list of one dict per row.
 
-    Every cell is finite for angles in (0, pi/4], and %r writes a finite
+    Every cell is finite for angles in (0, pi/4], and repr writes a finite
     float as json does.
     """
-    item = "{\n    " + ",\n    ".join(_quote(k) + ": %r" for k in SWEEP_COLUMNS) + "\n  }"
-    return _rows_text(_sweep_columns(grid), "[\n  ", item, ",\n  ", "\n]\n")
+    item = "{\n    " + ",\n    ".join(
+        _quote(k) + ": " + cell for k, cell in zip(SWEEP_COLUMNS, _SWEEP_CELLS)) + "\n  }"
+    return _rows_text(_sweep_columns(grid, repr), "[\n  ", item, ",\n  ", "\n]\n")
 
 
 def _criterion_measurement(config: RunConfig):
@@ -433,8 +440,15 @@ def run(config: RunConfig) -> tuple[int, str]:
             meas = _criterion_measurement(config)
             record = is_optimal(meas, config.theta, config.eta, config.tolerance).to_dict()
         elif config.command == "bound":
-            # The arrays go to _report as they are; to_dict would list them.
-            record = vars(achieving_operator(config.schmidt_a, config.schmidt_b))
+            # to_dict's fields, but the arrays go to _report as they are
+            # and the operator is written from its factors.
+            result = achieving_operator(config.schmidt_a, config.schmidt_b)
+            record = {"p_max": result.p_max,
+                      "achieved_p": result.achieved_p,
+                      "post_fidelity": result.post_fidelity,
+                      "optimal_u": result.optimal_u,
+                      "m_i": functools.partial(_write_rank_one, result.scale,
+                                               result.omega, result.w)}
         elif config.command == "sweep":
             if config.output_format == "csv":
                 return 0, _sweep_csv(config.grid)

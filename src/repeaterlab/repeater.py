@@ -256,14 +256,27 @@ def computational_kets() -> tuple[np.ndarray, ...]:
 class _Outcomes(NamedTuple):
     """Per-outcome arrays, one entry per ket; zero where the outcome never fires.
 
-    `leftover` is the unnormalized leftover M, flattened, for every outcome.
+    `scaled` is each outcome's leftover M, flattened, times the power of two
+    that brings its largest entry into [1/2, 1), and `norm` the norm of
+    `scaled` (floored for a zero leftover).
     """
 
     clare_prob: np.ndarray
-    leftover: np.ndarray
+    scaled: np.ndarray
+    norm: np.ndarray
     maximal: np.ndarray
     bob_success_prob: np.ndarray
     filter_weight: np.ndarray
+
+    @property
+    def post_state(self) -> np.ndarray:
+        """Each leftover normalized, zero where the outcome never fires.
+
+        Divided by the rescaled leftover's own norm, since sqrt(clare_prob)
+        has lost bits when the probability is subnormal.
+        """
+        return np.where(self.clare_prob[..., None] > 0.0,
+                        self.scaled / self.norm[..., None], 0.0)
 
 
 def _outcomes(f: np.ndarray, kets) -> _Outcomes:
@@ -274,8 +287,10 @@ def _outcomes(f: np.ndarray, kets) -> _Outcomes:
     probability is its squared Frobenius norm p + r, with
     p = |m0|^2 + |m1|^2 and r = |m2|^2 + |m3|^2, and Bob's best filter
     succeeds with weight 2 s_min^2, twice the smaller squared singular
-    value; the leftover is maximal when both normalized singular values
-    equal 1/sqrt(2).  An outcome fires unless its probability is exactly 0.
+    value; on the normalized leftover that is 2 c_min^2, also when the
+    leftover counts as maximal (both normalized singular values within
+    LOOSE_ATOL of 1/sqrt(2)), which only the ledger and the sampler read.
+    An outcome fires unless its probability is exactly 0.
 
     With q = m0 conj(m2) + m1 conj(m3), s_max^2 = (p + r)/2 + hypot((p - r)/2, |q|),
     a sum of nonnegative terms, and s_min = |m0 m3 - m1 m2| / s_max, whose
@@ -284,7 +299,7 @@ def _outcomes(f: np.ndarray, kets) -> _Outcomes:
     [1/2, 1), so no square underflows; the rescale is exact.
 
     Amplitudes f of shape (..., 4) and kets of shape (..., K, 4) broadcast
-    over their leading axes; every field has shape (..., K), the leftovers
+    over their leading axes; every field has shape (..., K), `scaled`
     (..., K, 4).
     """
     m = np.asarray(f)[..., None, :] * np.asarray(kets, dtype=complex).conj()
@@ -307,9 +322,13 @@ def _outcomes(f: np.ndarray, kets) -> _Outcomes:
     c_min = s_min / norm
     maximal = (live & (np.abs(s_max / norm - np.sqrt(0.5)) <= qmath.LOOSE_ATOL)
                & (np.abs(c_min - np.sqrt(0.5)) <= qmath.LOOSE_ATOL))
-    bob = np.where(maximal, 1.0, np.minimum(1.0, 2.0 * c_min ** 2))
+    # Within 8 eps (2^-49) of 1, 2 c_min^2 is read as 1: that is its
+    # rounding error at an exactly maximal leftover.
+    weight = 2.0 * c_min ** 2
+    bob = np.where(weight >= 1.0 - 2.0 ** -49, 1.0, weight)
     return _Outcomes(clare_prob=prob,
-                     leftover=m,
+                     scaled=scaled,
+                     norm=norm,
                      maximal=maximal,
                      bob_success_prob=np.where(live, bob, 0.0),
                      filter_weight=np.ldexp(2.0 * s_min ** 2, -2 * k))
@@ -350,12 +369,11 @@ def _analysis(theta: float, eta: float, f: np.ndarray, kets) -> AnalyticResult:
     """Per-outcome breakdown at checked angles with amplitudes f."""
     out = _outcomes(f, kets)
     records = tuple(
-        OutcomeRecord(outcome=index, clare_prob=float(p),
-                      post_state=m / np.sqrt(p) if p > 0.0 else np.zeros(4, dtype=complex),
+        OutcomeRecord(outcome=index, clare_prob=float(p), post_state=post,
                       maximal=bool(maximal), bob_success_prob=float(q),
                       success_prob=float(success))
-        for index, (p, m, maximal, q, success) in enumerate(
-            zip(out.clare_prob, out.leftover, out.maximal, out.bob_success_prob,
+        for index, (p, post, maximal, q, success) in enumerate(
+            zip(out.clare_prob, out.post_state, out.maximal, out.bob_success_prob,
                 _success(out)), start=1))
     bob_action = float(sum(r.clare_prob for r in records if not r.maximal))
     return AnalyticResult(theta=theta, eta=eta, p_ms=float(_rate(out)),

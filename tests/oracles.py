@@ -163,3 +163,38 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (z + z.conj().T) / 2.0
+
+
+def dense_bound(a, b) -> dict:
+    """The ceiling's reaching operator built and checked as a dense d^2 x d^2 array.
+
+    From two nonincreasing Schmidt coefficient lists: the shorter list a is
+    padded to the longer one's length d, and the ceiling is
+    d / sum_k 1 / (a_k b_{d_a-1-k}).  The target pairs basis state k of
+    the first pair with k' = d_a-1-k (k' = k beyond d_a), and
+    m_i = sqrt(ceiling) outer(omega, conj(omega) / g) with g = sqrt(a x b)
+    (zero where a is padded).  The largest eigenvalue of M^dag M comes
+    from eigvalsh; the outcome probability and the post-state fidelity
+    from the joint g[:, None] * m_i.T.
+    """
+    a, b = (list(a), list(b)) if len(a) <= len(b) else (list(b), list(a))
+    d_a, d = len(a), len(b)
+    p = d / sum(1.0 / (a[k] * b[d_a - 1 - k]) for k in range(d_a))
+    omega = np.zeros(d * d, dtype=complex)
+    g = np.zeros(d * d)
+    for i in range(d):
+        for k in range(d):
+            if i < d_a:
+                g[i * d + k] = np.sqrt(a[i] * b[k])
+            partner = d_a - 1 - k if k < d_a else k
+            if i == partner:
+                omega[i * d + k] = 1.0 / np.sqrt(d)
+    inv_g = np.array([1.0 / x if x > 0.0 else 0.0 for x in g])
+    m = np.sqrt(p) * np.outer(omega, omega.conj() * inv_g)
+    top = float(np.linalg.eigvalsh(m.conj().T @ m)[-1])
+    joint = g[:, None] * m.T
+    achieved = float(np.sum(np.abs(joint) ** 2))
+    rho = joint @ joint.conj().T
+    fidelity = float(np.real(np.vdot(omega, rho @ omega))) / achieved
+    return {"p_max": p, "m_i": m, "top": top, "achieved_p": achieved,
+            "post_fidelity": fidelity}

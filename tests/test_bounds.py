@@ -1,6 +1,7 @@
 """General-dimension ceiling: steering, trace rearrangement, reaching operator."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from repeaterlab.bounds import (
 )
 from repeaterlab.repeater import projection_bounds
 from repeaterlab.states import SchmidtState, max_entangled
-from oracles import random_density, random_hermitian
+from oracles import dense_bound, random_density, random_hermitian
 
 RNG = np.random.default_rng(20240815)
 
@@ -217,34 +218,46 @@ class TestAchievingOperator:
         result = achieving_operator([0.6, 0.4], [0.5, 0.3, 0.2])
         assert np.array_equal(result.optimal_u, optimal_u(2, 3))
 
+    @staticmethod
+    def assert_matches_dense(a, b):
+        result = achieving_operator(a, b)
+        dense = dense_bound(a, b)
+        # The closed-form top eigenvalue of M^dag M, from the factors.
+        sw = result.scale * result.w
+        top = float(np.vdot(result.omega, result.omega).real * np.vdot(sw, sw).real)
+        assert abs(top - dense["top"]) <= 1e-12
+        assert top <= 1.0 + qmath.LOOSE_ATOL
+        assert result.p_max == pytest.approx(dense["p_max"], rel=1e-12)
+        assert np.allclose(result.m_i, dense["m_i"], rtol=1e-12, atol=0.0)
+        assert result.achieved_p == pytest.approx(dense["achieved_p"], rel=1e-12)
+        assert abs(result.post_fidelity - np.clip(dense["post_fidelity"], 0.0, 1.0)) <= 1e-14
+
     @pytest.mark.parametrize("d_a, d", [(d, d) for d in range(2, 13)]
-                             + [(2, 3), (3, 7), (5, 12), (1, 4)])
+                             + [(2, 3), (3, 7), (5, 12), (1, 4), (1, 1)])
     def test_checks_match_the_dense_formulas(self, d_a, d):
         rng = np.random.default_rng(100 * d_a + d)
         sa, sb = random_schmidt(rng, d_a), random_schmidt(rng, d)
-        result = achieving_operator(sa, sb)
-        m = result.m_i
-        compressed = bounds._top_gram_eigenvalue(m)
-        dense = float(np.linalg.eigvalsh(qmath.dagger(m) @ m)[-1])
-        assert abs(compressed - dense) <= 1e-12
-        assert compressed <= 1.0 + qmath.LOOSE_ATOL
-        a_pad = np.zeros(d)
-        a_pad[:d_a] = sa.coefficients
-        g = np.sqrt(np.kron(a_pad, sb.coefficients))
-        joint = g[:, None] * m.T
-        omega = max_entangled(result.optimal_u, d)
-        rho_post = joint @ qmath.dagger(joint) / result.achieved_p
-        fidelity = float(np.real(np.vdot(omega, rho_post @ omega)))
-        assert abs(result.post_fidelity - np.clip(fidelity, 0.0, 1.0)) <= 1e-14
+        self.assert_matches_dense(sa.coefficients, sb.coefficients)
 
-    def test_compressed_eigenvalue_on_matrices_with_zero_columns(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-            m[:, rng.random(9) < 0.5] = 0.0
-            dense = float(np.linalg.eigvalsh(qmath.dagger(m) @ m)[-1])
-            assert bounds._top_gram_eigenvalue(m) == pytest.approx(dense, rel=1e-12, abs=1e-12)
-        assert bounds._top_gram_eigenvalue(np.zeros((4, 4), dtype=complex)) == 0.0
+    @pytest.mark.parametrize("tiny", [1e-160, 1e-300])
+    @pytest.mark.parametrize("b", [[0.5, 0.5], [0.5, 0.3, 0.2], "tiny"])
+    def test_tiny_coefficients_match_the_dense_formulas(self, tiny, b):
+        a = [1.0 - tiny, tiny]
+        self.assert_matches_dense(a, a if b == "tiny" else b)
+
+    def test_forms_no_dense_operator(self):
+        # The operator stays as its factors: a dense m_i at d = 32 alone is
+        # 1024^2 complex entries, 16 MB.
+        a = np.full(32, 1 / 32)
+        achieving_operator(a, a)
+        tracemalloc.start()
+        try:
+            result = achieving_operator(a, a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert result.m_i.shape == (1024, 1024)
 
     def test_rejects_an_element_above_the_identity(self, monkeypatch):
         # A ceiling 1% too high scales M^dag M to a top eigenvalue of 1.01.

@@ -478,6 +478,7 @@ documents = st.recursive(
 
 
 part = any_float | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+finite_part = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 0.0])
 
 
 @st.composite
@@ -536,11 +537,26 @@ class TestDumps:
         assert cli._dumps(a) == json.dumps(pairs, indent=2)
         assert cli._dumps({"a": a}) == json.dumps({"a": pairs}, indent=2)
 
+    @given(st.floats(0.0, 1.0),
+           st.lists(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0.5 + 0j,
+                                     -0.5j]), min_size=1, max_size=6),
+           st.lists(st.builds(complex, finite_part, finite_part), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_one_matches_json_dumps_of_real_pairs(self, scale, omega, w):
+        omega, w = np.array(omega, dtype=complex), np.array(w, dtype=complex)
+        out = []
+        cli._write_rank_one(scale, omega, w, "\n", out)
+        pairs = qmath.as_real_pairs(scale * np.outer(omega, w))
+        assert "".join(out) == json.dumps(pairs, indent=2)
+
     @pytest.mark.parametrize("swapped", [False, True])
     @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 3), (3, 5), (1, 4),
-                                      (8, 8), (12, 12), (8, 12)])
+                                      (8, 8), (12, 12), (8, 12), (24, 24), (1, 32),
+                                      ("1,1e-13", "0.5,0.3,0.2"), ("1,1e-160", "0.5,0.5"),
+                                      ("1,1e-300", "0.6,0.4"), ("1,1e-300", "1,1e-300")])
     def test_bound_report_is_to_dict_written_by_json(self, dims, swapped):
-        a, b = schmidt_texts(*dims)
+        # Integer dims are lengths of seeded lists; strings are the lists.
+        a, b = schmidt_texts(*dims) if isinstance(dims[0], int) else dims
         if swapped:
             a, b = b, a
         config = parse_args(["bound", "--a", a, "--b", b])

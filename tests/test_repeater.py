@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repeaterlab import qmath, repeater, states
 from repeaterlab.concentration import p_e
@@ -35,6 +35,9 @@ from oracles import (
 protocol_angles = st.floats(min_value=1e-2, max_value=np.pi / 4)
 # Log-uniform in [1e-150, pi/4], where 2 sin^2 of either angle is a normal float.
 small_angles = st.floats(min_value=np.log(1e-150), max_value=np.log(np.pi / 4)).map(
+    lambda x: min(float(np.exp(x)), np.pi / 4))
+# Log-uniform down to 1e-160, where outcome probabilities turn subnormal.
+tiny_angles = st.floats(min_value=np.log(1e-160), max_value=np.log(np.pi / 4)).map(
     lambda x: min(float(np.exp(x)), np.pi / 4))
 EPS = np.finfo(float).eps
 # The smallest subnormal, the rounding step of a square that underflows.
@@ -221,21 +224,43 @@ class TestAnalyticRate:
     @example(1e-8, 1e-8)
     @example(1e-4, 1e-4)
     @example(1e-150, 3e-150)
+    @example(0.3, 0.3 * (1 + 1.3e-10))
+    @example(1.0000000000000687e-150, 1.0000000000000118e-150)
     @settings(max_examples=200, deadline=None)
     def test_rate_is_exact_at_small_angles(self, theta, eta):
         # Every route, relative to the rate: an outcome of probability 1e-16
-        # still fires, and tiny ket components keep their precision.  Angles
-        # that differ by less than 1e-8 relative are left out unless equal:
-        # within ~1e-10 the filtered outcome counts as maximal
-        # (qmath.LOOSE_ATOL) and Bob's weight snaps to 1, which moves the
-        # rate by up to ~1e-10 relative, as it always has.
-        assume(theta == eta or abs(theta - eta) > 1e-8 * max(theta, eta))
+        # still fires, and tiny ket components keep their precision.
         want = min(2 * np.sin(theta) ** 2, 2 * np.sin(eta) ** 2)
         record = compare_with_bell(theta, eta)
         table = repeater._rate_table(np.array([theta]), np.array([eta]))[0]
         for p_ms in (run_protocol_analytic(theta, eta).p_ms, record.optimal.p_ms,
                      record.bell.p_ms, table[0]):
             assert abs(p_ms - want) <= 8 * EPS * want
+
+    @pytest.mark.parametrize("theta", [1e-150, 1e-8, 0.05, 0.3, 0.6, 0.78])
+    @pytest.mark.parametrize("offset", [s * 10.0 ** -k for k in (4, 7, 10, 13, 15)
+                                        for s in (1, -1)])
+    def test_rate_is_exact_near_equal_angles(self, theta, offset):
+        # A filtered leftover within qmath.LOOSE_ATOL of maximal still counts
+        # as maximal in the ledger, but Bob's weight is its own 2 c_min^2:
+        # snapped to 1, the rate at (0.3, 0.3 (1 + 1.3e-10)) was 1.3e-10 high.
+        eta = theta * (1 + offset)
+        want = min(2 * np.sin(theta) ** 2, 2 * np.sin(eta) ** 2)
+        assert abs(run_protocol_analytic(theta, eta).p_ms - want) <= 8 * EPS * want
+
+    @given(tiny_angles, tiny_angles)
+    @example(1e-160, 1e-160)
+    @example(1e-160, np.pi / 4)
+    @example(3e-162, 1e-150)
+    @settings(max_examples=100, deadline=None)
+    def test_post_states_are_normalized_at_tiny_angles(self, theta, eta):
+        # A subnormal clare_prob has lost bits; the post state is the
+        # leftover over its own rescaled norm, not over sqrt(clare_prob).
+        for record in run_protocol_analytic(theta, eta).per_outcome:
+            if record.clare_prob > 0.0:
+                assert abs(np.linalg.norm(record.post_state) - 1.0) <= 4 * EPS
+            else:
+                assert not record.post_state.any()
 
     def test_order_of_angles_does_not_matter(self):
         a = run_protocol_analytic(0.6, 0.3)
@@ -650,8 +675,10 @@ class TestClosedFormKernel:
         maximal flags.
         """
         f = np.ldexp(states._amplitudes(theta, eta), -shift)
-        out = repeater._outcomes(f, np.asarray(kets_of(kind, theta, eta, seed), dtype=complex))
-        s = np.linalg.svd(out.leftover.reshape(-1, 2, 2), compute_uv=False)
+        kets = np.asarray(kets_of(kind, theta, eta, seed), dtype=complex)
+        out = repeater._outcomes(f, kets)
+        leftover = f * kets.conj()
+        s = np.linalg.svd(leftover.reshape(-1, 2, 2), compute_uv=False)
         s_max, s_min = s[:, 0], s[:, 1]
         # |2 s^2 - 2 t^2| = 2 |s - t| (s + t) <= 16 eps s_max^2, plus two
         # roundings of a square that underflows.
@@ -662,7 +689,7 @@ class TestClosedFormKernel:
         c = s / np.where(norm > 0.0, norm, 1.0)[:, None]
         balanced = np.all(np.abs(c - np.sqrt(0.5)) <= qmath.LOOSE_ATOL, axis=-1)
         assert np.array_equal(out.maximal, live & balanced)
-        bob = np.where(out.maximal, 1.0, np.minimum(1.0, 2 * c[:, 1] ** 2))
+        bob = np.minimum(1.0, 2 * c[:, 1] ** 2)
         assert np.all(np.abs(out.bob_success_prob - np.where(live, bob, 0.0)) <= 32 * EPS)
         if kind == "tuned" and shift == 0 and theta == eta >= 0.1:
             # Equal angles add a third maximal outcome, and pi/4 (or an
