@@ -39,12 +39,16 @@ class BoundResult:
     def m_i(self) -> np.ndarray:
         return self.scale * np.outer(self.omega, self.w)
 
-    def to_dict(self) -> dict:
+    def record(self, m_i) -> dict:
+        """The report's fields in order, with `m_i` given for the operator."""
         return {"p_max": self.p_max,
                 "achieved_p": self.achieved_p,
                 "post_fidelity": self.post_fidelity,
                 "optimal_u": qmath.as_real_pairs(self.optimal_u),
-                "m_i": qmath.as_real_pairs(self.m_i)}
+                "m_i": m_i}
+
+    def to_dict(self) -> dict:
+        return self.record(qmath.as_real_pairs(self.m_i))
 
 
 def _require_state(rho: np.ndarray, what: str) -> np.ndarray:

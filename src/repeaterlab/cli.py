@@ -359,17 +359,17 @@ def _write_rank_one(scale: float, omega: np.ndarray, w: np.ndarray,
     out[-1] = newline + "]"
 
 
-def _sweep_columns(grid: int, angle=float) -> list[list]:
+def _sweep_columns(grid: int) -> list[list]:
     """The SWEEP_COLUMNS at every (theta, eta) pair of the grid, row-major in theta.
 
     The whole grid goes through `_rate_table` at once.  The grid angle
     i * step can round an ulp above pi/4; rows carry and are computed with
     the snapped angle, as the scalar functions are.  The theta and eta
-    columns hold angle(a) for the grid's angles a, each computed once.
+    columns hold the repr of the grid's angles, each formatted once.
     """
     angles = np.minimum(np.arange(1, grid + 1) * ((np.pi / 4.0) / grid), np.pi / 4)
     table = _rate_table(np.repeat(angles, grid), np.tile(angles, grid))
-    cells = [angle(a) for a in angles.tolist()]
+    cells = [repr(a) for a in angles.tolist()]
     return [[c for c in cells for _ in range(grid)], cells * grid] + [c.tolist() for c in table]
 
 
@@ -381,7 +381,7 @@ def _rows_text(columns: list[list], head: str, row: str, sep: str, tail: str) ->
 
 def _sweep_csv(grid: int) -> str:
     """The sweep as csv.writer writes its columns: the repr of a float needs no quoting."""
-    return _rows_text(_sweep_columns(grid, repr), ",".join(SWEEP_COLUMNS) + "\n",
+    return _rows_text(_sweep_columns(grid), ",".join(SWEEP_COLUMNS) + "\n",
                       ",".join(_SWEEP_CELLS), "\n", "\n")
 
 
@@ -393,7 +393,7 @@ def _sweep_json(grid: int) -> str:
     """
     item = "{\n    " + ",\n    ".join(
         _quote(k) + ": " + cell for k, cell in zip(SWEEP_COLUMNS, _SWEEP_CELLS)) + "\n  }"
-    return _rows_text(_sweep_columns(grid, repr), "[\n  ", item, ",\n  ", "\n]\n")
+    return _rows_text(_sweep_columns(grid), "[\n  ", item, ",\n  ", "\n]\n")
 
 
 def _criterion_measurement(config: RunConfig):
@@ -440,15 +440,10 @@ def run(config: RunConfig) -> tuple[int, str]:
             meas = _criterion_measurement(config)
             record = is_optimal(meas, config.theta, config.eta, config.tolerance).to_dict()
         elif config.command == "bound":
-            # to_dict's fields, but the arrays go to _report as they are
-            # and the operator is written from its factors.
+            # to_dict's fields, with the operator written from its factors.
             result = achieving_operator(config.schmidt_a, config.schmidt_b)
-            record = {"p_max": result.p_max,
-                      "achieved_p": result.achieved_p,
-                      "post_fidelity": result.post_fidelity,
-                      "optimal_u": result.optimal_u,
-                      "m_i": functools.partial(_write_rank_one, result.scale,
-                                               result.omega, result.w)}
+            record = result.record(functools.partial(_write_rank_one, result.scale,
+                                                     result.omega, result.w))
         elif config.command == "sweep":
             if config.output_format == "csv":
                 return 0, _sweep_csv(config.grid)

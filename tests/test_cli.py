@@ -316,7 +316,8 @@ class TestRun:
 
     @pytest.mark.parametrize("grid", list(range(1, 13)) + [25, 50])
     def test_sweep_reports_are_what_csv_and_json_write(self, grid):
-        rows = list(zip(*cli._sweep_columns(grid)))
+        theta, eta, *rest = cli._sweep_columns(grid)
+        rows = list(zip(map(float, theta), map(float, eta), *rest))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(cli.SWEEP_COLUMNS)
