@@ -22,9 +22,10 @@ import numpy as np
 
 from . import qmath
 from .bounds import achieving_operator
-from .criterion import is_optimal, measurement_from_text
-from .repeater import (_rate_table, bell_kets, build_optimal_basis, compare_with_bell,
-                       computational_kets, run_protocol_analytic, run_protocol_sampled)
+from .criterion import _verdict, measurement_from_text
+from .repeater import (_orthonormal_kets, _rate_table, bell_kets, build_optimal_basis,
+                       compare_with_bell, computational_kets, run_protocol_analytic,
+                       run_protocol_sampled)
 
 SEED_ENV_VAR = "REPEATERLAB_SEED"
 BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
@@ -110,10 +111,16 @@ def _schmidt_list(text: str) -> tuple[float, ...]:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each command's own parser, by command name."""
     parser = _Parser(prog="repeaterlab",
                      description="Entanglement swapping with a tuned middle-station basis")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, _Parser] = {}
+
+    def add_command(name: str, summary: str) -> _Parser:
+        commands[name] = sub.add_parser(name, help=summary)
+        return commands[name]
 
     def add_angles(p: argparse.ArgumentParser) -> None:
         p.add_argument("--theta", type=_finite, required=True,
@@ -136,17 +143,17 @@ def _build_parser() -> _Parser:
         p.add_argument("--output", dest="output_path", default=None,
                        help="write the report to this path instead of stdout")
 
-    p = sub.add_parser("rate", help="exact success rate and per-outcome breakdown")
+    p = add_command("rate", "exact success rate and per-outcome breakdown")
     add_angles(p)
     add_phases(p)
     add_output(p, ("json", "csv"), "json")
 
-    p = sub.add_parser("basis", help="emit Clare's tuned four-ket basis")
+    p = add_command("basis", "emit Clare's tuned four-ket basis")
     add_angles(p)
     add_phases(p)
     add_output(p, ("text", "json"), "text")
 
-    p = sub.add_parser("simulate", help="Monte-Carlo estimate of the success rate")
+    p = add_command("simulate", "Monte-Carlo estimate of the success rate")
     add_angles(p)
     add_phases(p)
     p.add_argument("--n", dest="n_samples", type=int, required=True,
@@ -155,7 +162,7 @@ def _build_parser() -> _Parser:
                    help=f"random seed (falls back to ${SEED_ENV_VAR})")
     add_output(p, ("json", "csv"), "json")
 
-    p = sub.add_parser("criterion", help="test a middle-station measurement for optimality")
+    p = add_command("criterion", "test a middle-station measurement for optimality")
     add_angles(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--measurement", choices=BUILTIN_MEASUREMENTS,
@@ -166,7 +173,7 @@ def _build_parser() -> _Parser:
                    help="tolerance for the optimality flag")
     add_output(p, ("json", "csv"), "json")
 
-    p = sub.add_parser("bound", help="general-dimension success ceiling and reaching operator")
+    p = add_command("bound", "general-dimension success ceiling and reaching operator")
     p.add_argument("--a", dest="schmidt_a", type=_schmidt_list, required=True,
                    help="comma-separated Schmidt coefficients of the first pair "
                         f"(at most {MAX_BOUND_DIM})")
@@ -175,21 +182,36 @@ def _build_parser() -> _Parser:
                         f"(at most {MAX_BOUND_DIM})")
     add_output(p, ("json", "csv"), "json")
 
-    p = sub.add_parser("sweep", help="rate and bounds over an angle grid")
+    p = add_command("sweep", "rate and bounds over an angle grid")
     p.add_argument("--grid", type=int, default=20,
                    help=f"grid points per angle over (0, pi/4], 1 to {MAX_GRID} (default 20)")
     add_output(p, ("csv", "json"), "csv")
 
-    p = sub.add_parser("compare", help="tuned basis versus Bell basis, rates and LOCC cost")
+    p = add_command("compare", "tuned basis versus Bell basis, rates and LOCC cost")
     add_angles(p)
     add_output(p, ("json", "csv"), "json")
 
-    return parser
+    return parser, commands
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    """Validate a command line into a RunConfig; raises UsageError on bad input."""
-    ns = _build_parser().parse_args(argv)
+    """Validate a command line into a RunConfig; raises UsageError on bad input.
+
+    A command line that starts with a command name goes straight to that
+    command's parser, which is what the top-level parser would hand it to;
+    any other goes through the top-level parser.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return _run_config(parser.parse_args(argv))
+    ns = command.parse_args(argv[1:])
+    ns.command = argv[0]
+    return _run_config(ns)
+
+
+def _run_config(ns: argparse.Namespace) -> RunConfig:
+    """The RunConfig of a parsed command line, with the checks argparse cannot make."""
     kwargs = {"command": ns.command,
               "output_format": ns.output_format,
               "output_path": ns.output_path}
@@ -396,13 +418,15 @@ def _sweep_json(grid: int) -> str:
     return _rows_text(_sweep_columns(grid), "[\n  ", item, ",\n  ", "\n]\n")
 
 
-def _criterion_measurement(config: RunConfig):
+def _criterion_measurement(config: RunConfig) -> np.ndarray:
+    """The measurement's kets as the rows of a (4, 4) array, checked to be orthonormal once."""
     if config.measurement == "bell":
-        return bell_kets()
+        return _orthonormal_kets(bell_kets(), qmath.LOOSE_ATOL)
     if config.measurement == "optimal":
-        return build_optimal_basis(config.theta, config.eta).kets
+        # OptimalBasis checks its kets when it is built.
+        return np.asarray(build_optimal_basis(config.theta, config.eta).kets)
     if config.measurement == "computational":
-        return computational_kets()
+        return _orthonormal_kets(computational_kets(), qmath.LOOSE_ATOL)
     with open(config.measurement_file, encoding="utf-8") as fh:
         return measurement_from_text(fh.read())
 
@@ -437,8 +461,8 @@ def run(config: RunConfig) -> tuple[int, str]:
             record = run_protocol_sampled(config.theta, config.eta, config.n_samples,
                                           config.seed, config.beta1, config.beta2).to_dict()
         elif config.command == "criterion":
-            meas = _criterion_measurement(config)
-            record = is_optimal(meas, config.theta, config.eta, config.tolerance).to_dict()
+            phi = _criterion_measurement(config)
+            record = _verdict(phi, config.theta, config.eta, config.tolerance).to_dict()
         elif config.command == "bound":
             # to_dict's fields, with the operator written from its factors.
             result = achieving_operator(config.schmidt_a, config.schmidt_b)

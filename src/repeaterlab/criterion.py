@@ -65,11 +65,11 @@ def _lhs(phi: np.ndarray, theta: float, eta: float) -> float:
     """criterion_lhs of validated kets (the rows of phi) at checked angles."""
     if theta > eta:
         phi, theta, eta = phi[:, _SWAP_PERM], eta, theta
-    t1, t2 = t_operators(theta, eta)
-    d1, d2 = t1.diagonal().real, t2.diagonal().real
-    # The diagonal of t1 (x) t2, at index 2a + b.
-    straight = np.abs(phi) ** 2 @ np.outer(d1, d2).ravel()
-    cross = (phi[:, :2].conj() * phi[:, 2:]) @ d2
+    # The diagonals of t_operators(theta, eta), and of t1 (x) t2 at index 2a + b.
+    c1, s1 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    c2, s2 = np.cos(eta) ** 2, np.sin(eta) ** 2
+    straight = np.abs(phi) ** 2 @ np.array([c1 * c2, c1 * s2, -s1 * c2, -s1 * s2])
+    cross = (phi[:, :2].conj() * phi[:, 2:]) @ np.array([c2, s2])
     return float(np.sum(np.sqrt(straight ** 2 + np.sin(2 * theta) ** 2 * np.abs(cross) ** 2)))
 
 
@@ -96,6 +96,11 @@ def achieved_rate(kets: Sequence[np.ndarray], theta: float, eta: float) -> float
     """
     phi = _orthonormal_kets(kets, qmath.LOOSE_ATOL)
     _, _, f = _checked_amplitudes(theta, eta)
+    return _delivered_rate(phi, f)
+
+
+def _delivered_rate(phi: np.ndarray, f: np.ndarray) -> float:
+    """achieved_rate of validated kets (the rows of phi) and checked amplitudes f."""
     return float(np.sum(_outcomes(f, phi).filter_weight))
 
 
@@ -106,11 +111,18 @@ def is_optimal(kets: Sequence[np.ndarray], theta: float, eta: float,
     Raises ValueError when the two routes disagree: the delivered rate must
     equal 1 - lhs within qmath.LOOSE_ATOL.
     """
+    # The angles are checked before the kets, so a bad angle is the error reported.
     theta, eta = _checked_angles(theta, eta)
-    phi = _orthonormal_kets(kets, qmath.LOOSE_ATOL)
+    return _verdict(_orthonormal_kets(kets, qmath.LOOSE_ATOL), theta, eta, tol)
+
+
+def _verdict(phi: np.ndarray, theta: float, eta: float, tol: float) -> CriterionReport:
+    """is_optimal of validated kets (the rows of phi); checks the angles itself."""
+    theta, eta, f = _checked_amplitudes(theta, eta)
     lhs = _lhs(phi, theta, eta)
     rhs = float(np.cos(2 * min(theta, eta)))
-    p_s = achieved_rate(phi, theta, eta)
+    # Looked up as a module attribute, so a substituted rate is still compared.
+    p_s = _delivered_rate(phi, f)
     gap = abs(p_s - (1.0 - lhs))
     if not gap <= qmath.LOOSE_ATOL:
         raise ValueError(f"delivered rate {p_s!r} and closed form 1 - lhs = {1.0 - lhs!r} "

@@ -78,8 +78,8 @@ def max_entangled(u: np.ndarray, d: int) -> np.ndarray:
     m = qmath.as_matrix(u)
     if m.shape != (d, d):
         raise ValueError(f"unitary must be {d}x{d}, got {m.shape}")
-    defect = float(np.linalg.norm(m @ m.conj().T - np.eye(d), 2))
-    if defect > qmath.LOOSE_ATOL:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+    defect = m @ m.conj().T - np.eye(d)
+    if not qmath.spectral_norm_within(defect, qmath.LOOSE_ATOL):
+        raise ValueError(f"matrix is not unitary (defect {np.linalg.norm(defect, 2):.3e})")
     # Sum_k (u|k>)|k> has amplitude u[i, k] at index i * d + k.
     return m.reshape(-1) / np.sqrt(d)

@@ -33,6 +33,7 @@ from repeaterlab.repeater import (
     projection_bounds,
     run_protocol_analytic,
 )
+from oracles import random_orthonormal_kets
 
 
 class TestParseArgs:
@@ -174,6 +175,93 @@ class TestParseArgs:
     def test_bad_command_lines(self, argv):
         with pytest.raises(UsageError):
             parse_args(argv)
+
+
+def _top_level(argv):
+    """What parse_args gives when the top-level parser reads the whole command line."""
+    parser, _ = cli._build_parser()
+    return cli._run_config(parser.parse_args(argv))
+
+
+def _outcome(parse, argv, capsys):
+    """A RunConfig, or the UsageError message, or the -h exit code with its stdout."""
+    try:
+        return parse(argv)
+    except UsageError as exc:
+        return ("UsageError", str(exc))
+    except SystemExit as exc:
+        return ("SystemExit", exc.code, capsys.readouterr().out)
+
+
+DISPATCH_CASES = [
+    [], ["-h"], ["--help"], ["--he"], ["swap"], ["rat"], ["-x"], ["--theta", "0.3"],
+    ["rate", "--theta", "0.3", "--eta", "0.6"],
+    ["rate", "--the", "0.3", "--et", "0.6", "--deg"],
+    ["rate", "--theta=0.3", "--eta=-0.6", "--beta1", "-1e-3"],
+    ["rate", "--theta", "-0.3", "--eta", "0.6"],
+    ["rate", "--theta", "0.3", "--eta", "0.6", "--", "x"],
+    ["rate", "--", "--theta", "0.3"],
+    ["rate", "--theta", "0.3", "--eta", "0.6", "extra"],
+    ["rate", "--theta", "0.3"],
+    ["rate", "--theta", "nan", "--eta", "0.6"],
+    ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement", "bell",
+     "--measurement-file", "x.txt"],
+    ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement", "ghz"],
+    ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement-file=m.txt", "--tol", "0"],
+    ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "10", "--seed", "-1"],
+    ["sweep", "--grid", "7", "--format", "text"],
+    ["bound", "--a", "0.5,0.5", "--b", "0.7,0.3", "--output", "-"],
+    ["compare", "--theta", "0.3", "--eta", "0.6", "--format", "csv"],
+    ["basis", "--theta", "0.3", "--eta", "0.6", "-h"],
+    ["rate", "--he"],
+] + [[command, "-h"] for command in
+     ("rate", "basis", "simulate", "criterion", "bound", "sweep", "compare")]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", DISPATCH_CASES, ids=" ".join)
+    def test_same_as_the_top_level_parser(self, argv, capsys):
+        assert _outcome(parse_args, argv, capsys) == _outcome(_top_level, argv, capsys)
+
+    def test_every_command_is_dispatched(self):
+        _, commands = cli._build_parser()
+        assert set(commands) == {"rate", "basis", "simulate", "criterion", "bound",
+                                 "sweep", "compare"}
+
+
+def _count_gram_checks(monkeypatch):
+    """Counts calls of qmath.spectral_norm_within; returns the running count."""
+    calls = [0]
+    honest = qmath.spectral_norm_within
+
+    def counted(a, atol):
+        calls[0] += 1
+        return honest(a, atol)
+    monkeypatch.setattr(qmath, "spectral_norm_within", counted)
+    return calls
+
+
+class TestCriterionChecksOnce:
+    """Each criterion command checks its kets' Gram matrix once."""
+
+    @pytest.mark.parametrize("builtin", ["bell", "optimal", "computational"])
+    def test_builtin(self, builtin, monkeypatch):
+        calls = _count_gram_checks(monkeypatch)
+        status, _ = run(parse_args(["criterion", "--theta", "0.6", "--eta", "0.3",
+                                    "--measurement", builtin]))
+        assert (status, calls[0]) == (0, 1)
+
+    @pytest.mark.parametrize("projectors, checks", [(False, 1), (True, 3)])
+    def test_file(self, projectors, checks, tmp_path, monkeypatch):
+        # A projector file also checks Hermiticity and completeness.
+        kets = random_orthonormal_kets(np.random.default_rng(3))
+        blocks = [np.outer(k, k.conj()) if projectors else k for k in kets]
+        path = tmp_path / "meas.txt"
+        path.write_text("".join(qmath.format_matrix_text(b) for b in blocks), encoding="utf-8")
+        calls = _count_gram_checks(monkeypatch)
+        status, _ = run(parse_args(["criterion", "--theta", "0.3", "--eta", "0.6",
+                                    "--measurement-file", str(path)]))
+        assert (status, calls[0]) == (0, checks)
 
 
 class TestRun:
@@ -336,7 +424,7 @@ class TestRun:
         assert max(float(row["theta"]) for row in rows) == np.pi / 4
 
     def test_criterion_routes_that_disagree_exit_one(self, monkeypatch):
-        monkeypatch.setattr(criterion, "achieved_rate", lambda meas, theta, eta: 0.5)
+        monkeypatch.setattr(criterion, "_delivered_rate", lambda phi, f: 0.5)
         status, report = run(parse_args(["criterion", "--theta", "0.3", "--eta", "0.6",
                                          "--measurement", "bell"]))
         assert status == 1

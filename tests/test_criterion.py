@@ -125,6 +125,25 @@ class TestCriterionLhs:
         kets = random_orthonormal_kets(np.random.default_rng(seed))
         assert abs(criterion_lhs(kets, theta, eta) - reference_lhs(kets, theta, eta)) <= 1e-12
 
+    @given(ordered_angles, st.booleans(), st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_reads_the_t_operator_diagonals(self, pair, larger_first, seed):
+        # Bit for bit the sum over the diagonal of t1 (x) t2 as t_operators builds it.
+        theta, eta = pair[::-1] if larger_first else pair
+        kets = np.array(random_orthonormal_kets(np.random.default_rng(seed)))
+        assert criterion_lhs(kets, theta, eta) == self._lhs_from_t_operators(kets, theta, eta)
+
+    @staticmethod
+    def _lhs_from_t_operators(phi, theta, eta):
+        if theta > eta:
+            # With the larger angle first, the lhs swaps Clare's qubits.
+            phi, theta, eta = phi[:, [0, 2, 1, 3]], eta, theta
+        t1, t2 = t_operators(theta, eta)
+        d1, d2 = t1.diagonal().real, t2.diagonal().real
+        straight = np.abs(phi) ** 2 @ np.outer(d1, d2).ravel()
+        cross = (phi[:, :2].conj() * phi[:, 2:]) @ d2
+        return float(np.sum(np.sqrt(straight ** 2 + np.sin(2 * theta) ** 2 * np.abs(cross) ** 2)))
+
     @given(ordered_angles, st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_never_below_target(self, pair, seed):
@@ -181,14 +200,22 @@ class TestIsOptimal:
             report = is_optimal(meas, 0.3, 0.6)
             assert report.p_s == pytest.approx(1.0 - report.lhs, abs=1e-10)
 
+    @given(ordered_angles, st.booleans(), st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_verdict_of_checked_kets(self, pair, larger_first, seed):
+        # The report the CLI builds from kets it has already checked.
+        theta, eta = pair[::-1] if larger_first else pair
+        phi = np.array(random_orthonormal_kets(np.random.default_rng(seed)))
+        assert criterion._verdict(phi, theta, eta, 1e-6) == is_optimal(phi, theta, eta, 1e-6)
+
     def test_routes_that_disagree_raise(self, monkeypatch):
         # A delivered rate forged 2e-10 away from 1 - lhs must not pass.
-        honest = criterion.achieved_rate
-        monkeypatch.setattr(criterion, "achieved_rate",
-                            lambda meas, theta, eta: honest(meas, theta, eta) + 2e-10)
+        honest = criterion._delivered_rate
+        monkeypatch.setattr(criterion, "_delivered_rate",
+                            lambda phi, f: honest(phi, f) + 2e-10)
         with pytest.raises(ValueError, match="disagree"):
             is_optimal(bell_kets(), 0.3, 0.6)
-        monkeypatch.setattr(criterion, "achieved_rate", lambda meas, theta, eta: float("nan"))
+        monkeypatch.setattr(criterion, "_delivered_rate", lambda phi, f: float("nan"))
         with pytest.raises(ValueError, match="disagree"):
             is_optimal(bell_kets(), 0.3, 0.6)
 

@@ -160,3 +160,37 @@ class TestMatrixText:
     def test_malformed_input(self, bad):
         with pytest.raises(ValueError):
             qmath.parse_matrix_blocks(bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        # Block 1 has a non-finite body, block 2 a bad header.
+        ("4 1\nnan 0 0 0 0 0 0 0\n4 x\n1 0 0 0 0 0 0 0", "non-finite entry in matrix body"),
+        # Block 2 has a non-numeric token, block 3 is truncated.
+        ("1 2\n1 0 0 0\n2 1\n1 0 x 0\n2 2\n1 0", "non-numeric token in matrix body"),
+        # A header error ahead of a bad body wins.
+        ("1 1\n1 0\n0 1\n1 0\n1 1\nx 0", "bad matrix shape 0x1"),
+        ("1 1\n1 0\n1 1\n1 inf\n1 1\nx 0", "non-finite entry in matrix body"),
+        ("1 1\nx inf\n1 1\n1 0", "non-numeric token in matrix body"),
+        ("1 1\n1 0\n1 2\n1 0 0", "matrix body needs 4 numbers, found 3"),
+        ("1 1\n1 0\n1", "truncated matrix header"),
+    ])
+    def test_first_malformed_block_wins(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            qmath.parse_matrix_blocks(bad)
+
+    def test_negative_zero_parses_equal(self):
+        text = "2 2\n-0 1 1 -0\n-0 -0 0 -1\n"
+        [parsed] = qmath.parse_matrix_blocks(text)
+        assert np.array_equal(parsed, np.array([[1j, 1], [0, -1j]]))
+
+    def test_round_trip_keeps_signed_zeros(self):
+        m = np.array([[complex(-0.0, 1.0), complex(2.0, -0.0)], [complex(-0.0, -0.0), 0j]])
+        [parsed] = qmath.parse_matrix_blocks(qmath.format_matrix_text(m))
+        assert parsed.tobytes() == m.tobytes()
+
+    def test_blocks_of_mixed_shapes(self):
+        blocks_in = [random_complex(RNG, 2, 3), random_complex(RNG, 1, 1), random_complex(RNG, 4, 2)]
+        text = "".join(qmath.format_matrix_text(b) for b in blocks_in)
+        blocks_out = qmath.parse_matrix_blocks(text)
+        assert [b.shape for b in blocks_out] == [(2, 3), (1, 1), (4, 2)]
+        for got, want in zip(blocks_out, blocks_in):
+            assert np.array_equal(got, want)

@@ -94,6 +94,20 @@ class TestMaxEntangled:
         with pytest.raises(ValueError):
             states.max_entangled(np.diag([1.0, 2.0]), 2)
 
+    def test_judged_by_the_spectral_defect(self):
+        # Defect diag(0.9e-10, 0.9e-10, 0, 0): its Frobenius norm is above the
+        # bound, its spectral norm below it, so the matrix passes.
+        d = 4
+        m = np.diag(np.sqrt([1 + 0.9e-10, 1 + 0.9e-10, 1.0, 1.0]))
+        defect = m @ m.conj().T - np.eye(d)
+        assert np.linalg.norm(defect, 2) <= qmath.LOOSE_ATOL < np.linalg.norm(defect)
+        assert np.array_equal(states.max_entangled(m, d), m.reshape(-1) / np.sqrt(d))
+
+    def test_rejects_a_spectral_defect_above_the_bound(self):
+        m = np.diag(np.sqrt([1 + 1.1e-10, 1.0, 1.0]))
+        with pytest.raises(ValueError, match=r"^matrix is not unitary \(defect 1\.100e-10\)$"):
+            states.max_entangled(m, 3)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             states.max_entangled(np.eye(3), 2)
