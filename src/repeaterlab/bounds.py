@@ -51,44 +51,49 @@ class BoundResult:
         return self.record(qmath.as_real_pairs(self.m_i))
 
 
-def _require_state(rho: np.ndarray, what: str) -> np.ndarray:
-    m = qmath.as_matrix(rho)
-    qmath.require_hermitian(m, qmath.LOOSE_ATOL, what=what)
-    w = np.linalg.eigvalsh(m)
+def _require_state(rho: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho checked as a density matrix, with its eigenvalues (ascending) and eigenvectors."""
+    m = qmath.require_hermitian(rho, qmath.LOOSE_ATOL, what=what)
+    w, v = np.linalg.eigh(m)
     if float(w[0]) < -qmath.LOOSE_ATOL:
         raise ValueError(f"{what} has negative eigenvalue {float(w[0]):.3e}")
     if abs(float(np.trace(m).real) - 1.0) > qmath.LOOSE_ATOL:
         raise ValueError(f"{what} must have unit trace, got {float(np.trace(m).real)!r}")
-    return m
+    return m, w, v
 
 
 def steering_bound(rho: np.ndarray, rho_i: np.ndarray) -> float:
     """Largest weight any ensemble for rho can give the member rho_i.
 
-    Zero (with a warning) when rho_i leaks outside the support of rho,
-    since no decomposition of rho can contain it at all.
+    That is 1 / lambda_max(rho^-1/2 rho_i rho^-1/2) on the support of rho,
+    the eigenvalues above STRICT_ATOL.  Zero (with a warning) when rho_i
+    leaks outside that support, since no decomposition of rho can contain
+    it at all.
     """
-    rho = _require_state(rho, "rho")
-    rho_i = _require_state(rho_i, "rho_i")
+    rho, w, v = _require_state(rho, "rho")
+    rho_i, _, _ = _require_state(rho_i, "rho_i")
     if rho.shape != rho_i.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {rho_i.shape}")
-    kernel = np.eye(rho.shape[0]) - qmath.support_projector(rho)
-    leak = float(np.trace(kernel @ rho_i).real)
+    support = w > qmath.STRICT_ATOL
+    kernel = v[:, ~support]
+    leak = float(np.vdot(kernel, rho_i @ kernel).real)
     if leak > qmath.STRICT_ATOL:
         warnings.warn(
             f"rho_i has weight {leak:.3e} outside the support of rho; bound is 0",
             RuntimeWarning, stacklevel=2)
         return 0.0
-    inv_sqrt = qmath.pinv_sqrt(rho)
-    return float(1.0 / qmath.op_norm_inf(inv_sqrt @ rho_i @ inv_sqrt))
+    vs = v[:, support]
+    inv_sqrt = 1.0 / np.sqrt(w[support])
+    # eigvalsh reads one triangle, so rounding in this product is never
+    # mistaken for a non-Hermitian input.
+    x = (vs.conj().T @ rho_i @ vs) * np.outer(inv_sqrt, inv_sqrt)
+    return float(1.0 / np.linalg.eigvalsh(x)[-1])
 
 
 def trace_rearrangement_lb(a: np.ndarray, b: np.ndarray) -> float:
     """Floor on tr(AB): ascending spectrum of A against descending of B."""
-    a = qmath.as_matrix(a)
-    b = qmath.as_matrix(b)
-    qmath.require_hermitian(a, qmath.LOOSE_ATOL, what="a")
-    qmath.require_hermitian(b, qmath.LOOSE_ATOL, what="b")
+    a = qmath.require_hermitian(a, qmath.LOOSE_ATOL, what="a")
+    b = qmath.require_hermitian(b, qmath.LOOSE_ATOL, what="b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     la = np.linalg.eigvalsh(a)

@@ -21,14 +21,19 @@ def p_e(state: np.ndarray) -> float:
     """Best probability of filtering a two-qubit pure state to a maximal one.
 
     Takes the normalized 4-amplitude ket.  Equals twice the smallest
-    squared Schmidt coefficient, capped at 1.
+    squared Schmidt coefficient, capped at 1: the filter weight of the rate
+    kernel, from the same closed-form 2x2 singular values.
     """
-    ket = qmath.as_ket(state)
+    ket = np.asarray(state, dtype=complex).reshape(-1)
     if ket.size != 4:
         raise ValueError(f"expected a two-qubit state of dimension 4, got {ket.size}")
-    dec = qmath.schmidt(ket, 2, 2)
-    smallest = float(dec.coefficients[-1])
-    return float(min(1.0, 2.0 * smallest * smallest))
+    if not np.isfinite(ket).all():
+        raise ValueError("two-qubit state has non-finite amplitudes")
+    k, _, total, _, s_min = qmath.singular_values_2x2(ket)
+    defect = abs(float(np.ldexp(total, -2 * k)) - 1.0)
+    if defect > qmath.STRICT_ATOL:
+        raise ValueError(f"state is not normalized (|<psi|psi> - 1| = {defect:.3e})")
+    return float(min(1.0, np.ldexp(2.0 * s_min ** 2, -2 * k)))
 
 
 def procrustean(lam: float) -> tuple[np.ndarray, np.ndarray]:

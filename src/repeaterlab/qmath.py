@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,14 +30,6 @@ def as_matrix(a: np.ndarray | Sequence) -> np.ndarray:
     return m
 
 
-def as_ket(v: np.ndarray | Sequence, dim: int | None = None) -> np.ndarray:
-    """Coerce to a 1-D complex amplitude vector."""
-    k = np.asarray(v, dtype=complex).reshape(-1)
-    if dim is not None and k.size != dim:
-        raise ValueError(f"expected a ket of dimension {dim}, got {k.size}")
-    return k
-
-
 def basis_ket(index: int, dim: int) -> np.ndarray:
     """Computational basis vector |index> in dimension dim."""
     if not 0 <= index < dim:
@@ -47,27 +39,17 @@ def basis_ket(index: int, dim: int) -> np.ndarray:
     return k
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def require_hermitian(a: np.ndarray, atol: float = STRICT_ATOL, what: str = "operator") -> np.ndarray:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
-    defect = float(np.linalg.norm(m - m.conj().T, 2))
-    if defect > atol:
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
+    skew = m - m.conj().T
+    if not spectral_norm_within(skew, atol):
+        defect = float(np.linalg.norm(skew, 2))
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > {atol:.1e})")
     return m
-
-
-def require_normalized(psi: np.ndarray, atol: float = STRICT_ATOL, what: str = "state") -> np.ndarray:
-    k = as_ket(psi)
-    defect = abs(float(np.real(np.vdot(k, k))) - 1.0)
-    if defect > atol:
-        raise ValueError(f"{what} is not normalized (|<psi|psi> - 1| = {defect:.3e})")
-    return k
 
 
 def spectral_norm_within(a: np.ndarray, atol: float) -> np.ndarray:
@@ -83,50 +65,34 @@ def spectral_norm_within(a: np.ndarray, atol: float) -> np.ndarray:
     return np.linalg.norm(a, 2, axis=(-2, -1)) <= atol
 
 
-class SchmidtDecomposition(NamedTuple):
-    coefficients: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
+def singular_values_2x2(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Closed-form singular values of 2x2 matrices, given row-major as (..., 4).
 
-
-def schmidt(psi: np.ndarray, dim_a: int, dim_b: int) -> SchmidtDecomposition:
-    """Schmidt decomposition of a normalized bipartite ket.
-
-    Coefficients come back nonincreasing with sum of squares 1; row k of
-    left_vectors / right_vectors holds the k-th local basis vector.
+    Returns (k, scaled, total, s_max, s_min).  Each matrix is first
+    rescaled by 2^k, the power of two that brings its largest entry into
+    [1/2, 1), so no square underflows; the rescale is exact.  `scaled` is
+    the rescaled matrix, `total` its squared Frobenius norm p + r, with
+    p = |m0|^2 + |m1|^2 and r = |m2|^2 + |m3|^2, and s_max, s_min its
+    singular values: with q = m0 conj(m2) + m1 conj(m3),
+    s_max^2 = (p + r)/2 + hypot((p - r)/2, |q|), a sum of nonnegative
+    terms, and s_min = |m0 m3 - m1 m2| / s_max, whose absolute error is
+    about eps s_max, as LAPACK's.  The singular values of m itself are
+    ldexp(s, -k).
     """
-    if dim_a * dim_b <= 0:
-        raise ValueError("subsystem dimensions must be positive")
-    k = as_ket(psi, dim_a * dim_b)
-    require_normalized(k)
-    u, s, vh = np.linalg.svd(k.reshape(dim_a, dim_b))
-    r = min(dim_a, dim_b)
-    return SchmidtDecomposition(s[:r].astype(float), u.T[:r], vh[:r])
-
-
-def pinv_sqrt(rho: np.ndarray, cutoff: float = STRICT_ATOL) -> np.ndarray:
-    """Inverse square root on the support; eigenvalues below cutoff map to 0."""
-    m = require_hermitian(rho, what="pinv_sqrt input")
-    w, v = np.linalg.eigh(m)
-    if w[0] < -LOOSE_ATOL:
-        raise ValueError(f"operator has negative eigenvalue {w[0]:.3e}")
-    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
-    return (v * inv) @ v.conj().T
-
-
-def support_projector(rho: np.ndarray, cutoff: float = STRICT_ATOL) -> np.ndarray:
-    """Orthogonal projector onto the eigenspaces above cutoff."""
-    m = require_hermitian(rho, what="support_projector input")
-    w, v = np.linalg.eigh(m)
-    keep = np.where(w > cutoff, 1.0, 0.0)
-    return (v * keep) @ v.conj().T
-
-
-def op_norm_inf(a: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a Hermitian operator."""
-    m = require_hermitian(a, what="op_norm_inf input")
-    w = np.linalg.eigvalsh(m)
-    return float(np.max(np.abs(w))) if w.size else 0.0
+    _, e = np.frexp(np.abs(m).max(axis=-1))
+    # Capped so that 2^k stays finite.  Scaled, a nonzero matrix has an
+    # entry of at least 2^-51, so s_max >= 2^-51 and p + r >= 2^-102: the
+    # floor below only turns 0/0 into 0 for a zero matrix.
+    k = np.minimum(-e, 1023)
+    scaled = m * np.ldexp(1.0, k)[..., None]
+    m0, m1, m2, m3 = scaled[..., 0], scaled[..., 1], scaled[..., 2], scaled[..., 3]
+    squares = (scaled * scaled.conj()).real
+    p = squares[..., 0] + squares[..., 1]
+    r = squares[..., 2] + squares[..., 3]
+    total = p + r
+    s_max = np.sqrt(0.5 * total + np.hypot(0.5 * (p - r), np.abs(m0 * m2.conj() + m1 * m3.conj())))
+    s_min = np.abs(m0 * m3 - m1 * m2) / np.maximum(s_max, 2.0 ** -64)
+    return k, scaled, total, s_max, s_min
 
 
 def format_matrix_text(m: np.ndarray) -> str:

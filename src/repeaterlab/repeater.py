@@ -284,40 +284,25 @@ def _outcomes(f: np.ndarray, kets) -> _Outcomes:
 
     Projecting Clare onto ket phi leaves Alice and Bob the 2x2 matrix
     M = [[m0, m1], [m2, m3]], m_t = f[t] conj(phi[t]).  The outcome
-    probability is its squared Frobenius norm p + r, with
-    p = |m0|^2 + |m1|^2 and r = |m2|^2 + |m3|^2, and Bob's best filter
+    probability is its squared Frobenius norm, and Bob's best filter
     succeeds with weight 2 s_min^2, twice the smaller squared singular
     value; on the normalized leftover that is 2 c_min^2, also when the
     leftover counts as maximal (both normalized singular values within
     LOOSE_ATOL of 1/sqrt(2)), which only the ledger and the sampler read.
-    An outcome fires unless its probability is exactly 0.
-
-    With q = m0 conj(m2) + m1 conj(m3), s_max^2 = (p + r)/2 + hypot((p - r)/2, |q|),
-    a sum of nonnegative terms, and s_min = |m0 m3 - m1 m2| / s_max, whose
-    absolute error is about eps s_max, as LAPACK's.  Each leftover is first
-    rescaled by the power of two that brings its largest entry into
-    [1/2, 1), so no square underflows; the rescale is exact.
+    An outcome fires unless its probability is exactly 0.  The singular
+    values come from qmath.singular_values_2x2, on each leftover rescaled
+    by an exact power of two.
 
     Amplitudes f of shape (..., 4) and kets of shape (..., K, 4) broadcast
     over their leading axes; every field has shape (..., K), `scaled`
     (..., K, 4).
     """
     m = np.asarray(f)[..., None, :] * np.asarray(kets, dtype=complex).conj()
-    _, e = np.frexp(np.abs(m).max(axis=-1))
-    # Capped so that 2^k stays finite.  Scaled, a nonzero leftover has an
-    # entry of at least 2^-51, so s_max >= 2^-51 and p + r >= 2^-102: the
-    # floors below only turn 0/0 into 0 for a zero leftover.
-    k = np.minimum(-e, 1023)
-    scaled = m * np.ldexp(1.0, k)[..., None]
-    m0, m1, m2, m3 = scaled[..., 0], scaled[..., 1], scaled[..., 2], scaled[..., 3]
-    squares = (scaled * scaled.conj()).real
-    p = squares[..., 0] + squares[..., 1]
-    r = squares[..., 2] + squares[..., 3]
-    total = p + r
-    s_max = np.sqrt(0.5 * total + np.hypot(0.5 * (p - r), np.abs(m0 * m2.conj() + m1 * m3.conj())))
-    s_min = np.abs(m0 * m3 - m1 * m2) / np.maximum(s_max, 2.0 ** -64)
+    k, scaled, total, s_max, s_min = qmath.singular_values_2x2(m)
     prob = np.ldexp(total, -2 * k)
     live = prob > 0.0
+    # A nonzero rescaled leftover has total >= 2^-102: the floor only turns
+    # 0/0 into 0 for a zero leftover.
     norm = np.sqrt(np.maximum(total, 2.0 ** -128))
     c_min = s_min / norm
     maximal = (live & (np.abs(s_max / norm - np.sqrt(0.5)) <= qmath.LOOSE_ATOL)

@@ -1,4 +1,4 @@
-"""Public surface: the exported names and the one tolerance table."""
+"""Public surface: the exported names, qmath's helpers and the one tolerance table."""
 
 import ast
 from pathlib import Path
@@ -40,6 +40,39 @@ def test_all_is_pinned():
     assert set(repeaterlab.__all__) == EXPECTED_ALL
     for name in repeaterlab.__all__:
         assert hasattr(repeaterlab, name)
+
+
+QMATH_FUNCTIONS = {
+    "as_matrix", "as_real_pairs", "basis_ket", "format_matrix_text",
+    "parse_matrix_blocks", "require_hermitian", "singular_values_2x2",
+    "spectral_norm_within",
+}
+
+
+def qmath_names_used(path: Path) -> set[str]:
+    """Names a module takes from qmath: `qmath.x` lookups and `from .qmath import x`."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "qmath"):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "qmath":
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_qmath_helpers_are_the_ones_the_package_calls():
+    tree = ast.parse((SRC / "qmath.py").read_text(encoding="utf-8"))
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    assert public == QMATH_FUNCTIONS
+    # qmath's own function bodies count as package callers too.
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for path in SRC.glob("*.py"):
+        if path.name != "qmath.py":
+            used |= qmath_names_used(path)
+    assert public - used == set()
 
 
 def test_tolerances_live_only_in_qmath():

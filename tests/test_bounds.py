@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,70 @@ class TestSteeringBound:
             steering_bound(np.array([[0.5, 1.0], [0.0, 0.5]]), good)  # not Hermitian
 
 
+    @pytest.mark.parametrize("eps, rel", [(1e-4, 1e-9), (1e-5, 1e-9), (1e-6, 1e-9),
+                                          # Rounding in rho's entries is about
+                                          # 1e-16, over 1e-8 relative to eps.
+                                          (1e-8, 1e-6)])
+    def test_pure_member_near_a_singular_state(self, eps, rel):
+        # Spectrum (1, 0.5, 0.3, eps) in a random eigenbasis, against the
+        # closed form 1 / <psi|rho^-1|psi> from the known eigensystem.
+        rng = np.random.default_rng(int(-np.log10(eps)))
+        w = np.array([1.0, 0.5, 0.3, eps]) / (1.8 + eps)
+        for _ in range(20):
+            q = random_unitary(rng, 4)
+            rho = (q * w) @ q.conj().T
+            c = rng.normal(size=4) + 1j * rng.normal(size=4)
+            c /= np.linalg.norm(c)
+            psi = q @ c
+            expected = 1.0 / float(np.sum(np.abs(c) ** 2 / w))
+            assert steering_bound(rho, np.outer(psi, psi.conj())) == pytest.approx(expected, rel=rel)
+
+    def test_ginibre_states_always_return(self):
+        # Full-rank Ginibre states, against lambda_max(rho^-1 rho_i) from a
+        # general eigensolver.
+        rng = np.random.default_rng(2000)
+        for _ in range(2000):
+            d = int(rng.integers(2, 7))
+            rho = random_density(rng, d)
+            rho_i = random_density(rng, d, int(rng.integers(1, d + 1)))
+            top = float(np.max(np.linalg.eigvals(np.linalg.solve(rho, rho_i)).real))
+            assert steering_bound(rho, rho_i) == pytest.approx(1.0 / top, rel=1e-9)
+
+    def test_rank_deficient_state_with_member_in_its_support(self):
+        # The kernel of rho is left out: only the support's eigenvalues count.
+        rng = np.random.default_rng(5)
+        q = random_unitary(rng, 5)
+        w = np.array([2.3, 1.1, 0.4]) / 3.8
+        rho = (q[:, :3] * w) @ q[:, :3].conj().T
+        c = rng.normal(size=3) + 1j * rng.normal(size=3)
+        c /= np.linalg.norm(c)
+        psi = q[:, :3] @ c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = steering_bound(rho, np.outer(psi, psi.conj()))
+        assert got == pytest.approx(1.0 / float(np.sum(np.abs(c) ** 2 / w)), rel=1e-12)
+
+    def test_decomposes_each_matrix_once(self, monkeypatch):
+        # One eigensolver call for rho, one for rho_i, one for the sandwich.
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda m, solver=solver: calls.append(m) or solver(m))
+        rho = random_density(np.random.default_rng(6), 4)
+        assert steering_bound(rho, rho) == pytest.approx(1.0, abs=1e-10)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_named(self, bad):
+        good = np.eye(2) / 2
+        broken = np.array([[0.5, bad], [bad, 0.5]])
+        with pytest.raises(ValueError, match="rho has non-finite entries"):
+            steering_bound(broken, good)
+        with pytest.raises(ValueError, match="rho_i has non-finite entries"):
+            steering_bound(good, broken)
+
+
 class TestTraceRearrangement:
     def test_identity_factor_is_tight(self):
         b = random_hermitian(RNG, 3)
@@ -113,6 +178,14 @@ class TestTraceRearrangement:
             trace_rearrangement_lb(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
         with pytest.raises(ValueError):
             trace_rearrangement_lb(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_named(self, bad):
+        broken = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError, match="a has non-finite entries"):
+            trace_rearrangement_lb(broken, np.eye(2))
+        with pytest.raises(ValueError, match="b has non-finite entries"):
+            trace_rearrangement_lb(np.eye(2), broken)
 
 
 class TestPMax:
@@ -195,7 +268,7 @@ class TestAchievingOperator:
             result = achieving_operator(random_schmidt(RNG, d), random_schmidt(RNG, d))
             assert result.achieved_p <= result.p_max + 1e-10
             assert result.achieved_p == pytest.approx(result.p_max, abs=1e-10)
-            gram = qmath.dagger(result.m_i) @ result.m_i
+            gram = result.m_i.conj().T @ result.m_i
             assert float(np.linalg.eigvalsh(gram)[-1]) <= 1.0 + 1e-10
 
     def test_unequal_dims_cap_at_rank_ratio(self):

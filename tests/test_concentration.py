@@ -61,6 +61,22 @@ class TestConcentrationRate:
         with pytest.raises(ValueError):
             p_e(np.ones(8) / np.sqrt(8))
 
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            p_e(np.array([1.0, 0, 0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="non-finite amplitudes"):
+            p_e(np.array([bad, 0, 0, 1]))
+
+    def test_matches_lapack_on_random_kets(self):
+        kets = RNG.normal(size=(500, 4)) + 1j * RNG.normal(size=(500, 4))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        smallest = np.linalg.svd(kets.reshape(-1, 2, 2), compute_uv=False)[:, 1]
+        rates = np.array([p_e(k) for k in kets])
+        assert np.abs(rates - np.minimum(1.0, 2.0 * smallest ** 2)).max() <= 1e-14
+
     def test_local_unitary_invariance(self):
         psi = pair_ket(0.4)
         rot = np.kron(random_unitary(RNG, 2), random_unitary(RNG, 2))

@@ -1,10 +1,9 @@
-"""Linear-algebra core: decompositions, operator functions, text I/O."""
+"""Linear-algebra core: closed-form 2x2 singular values, input gates, text I/O."""
 
 import numpy as np
 import pytest
 
 from repeaterlab import qmath
-from oracles import power_norm
 
 RNG = np.random.default_rng(20240811)
 
@@ -13,89 +12,46 @@ def random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def schmidt_2x2(ket):
+    """Schmidt coefficients of a two-qubit ket, largest first, from the closed form."""
+    k, _, _, s_max, s_min = qmath.singular_values_2x2(np.asarray(ket, dtype=complex))
+    return np.ldexp(np.array([s_max, s_min]), -k)
+
+
 class TestSchmidt:
+    """Two-qubit Schmidt coefficients through the closed-form 2x2 singular values."""
+
     def test_balanced_state(self):
         ket = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        dec = qmath.schmidt(ket, 2, 2)
-        assert np.allclose(dec.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-15)
+        assert np.allclose(schmidt_2x2(ket), [1 / np.sqrt(2)] * 2, atol=1e-15)
 
     def test_product_state_keeps_zero(self):
-        dec = qmath.schmidt(qmath.basis_ket(0, 4), 2, 2)
-        assert np.allclose(dec.coefficients, [1.0, 0.0], atol=0)
+        assert np.allclose(schmidt_2x2(qmath.basis_ket(0, 4)), [1.0, 0.0], atol=0)
 
     def test_two_qubit_angles(self):
         ket = np.array([np.cos(np.pi / 6), 0, 0, np.sin(np.pi / 6)])
-        dec = qmath.schmidt(ket, 2, 2)
-        assert np.allclose(dec.coefficients, [np.sqrt(3) / 2, 0.5], atol=1e-15)
-
-    def test_reconstruction_up_to_nothing(self):
-        psi = random_complex(RNG, 12)
-        psi /= np.linalg.norm(psi)
-        dec = qmath.schmidt(psi, 3, 4)
-        rebuilt = sum(c * np.kron(u, v) for c, u, v in
-                      zip(dec.coefficients, dec.left_vectors, dec.right_vectors))
-        assert np.allclose(rebuilt, psi, atol=1e-10)
-        assert dec.coefficients[0] >= dec.coefficients[-1] >= 0.0
-        assert abs(np.sum(np.square(dec.coefficients)) - 1.0) < 1e-12
+        assert np.allclose(schmidt_2x2(ket), [np.sqrt(3) / 2, 0.5], atol=1e-15)
 
     def test_local_unitary_invariance(self):
-        psi = random_complex(RNG, 6)
+        psi = random_complex(RNG, 4)
         psi /= np.linalg.norm(psi)
-        base = qmath.schmidt(psi, 2, 3).coefficients
+        base = schmidt_2x2(psi)
         for _ in range(5):
             qa, _ = np.linalg.qr(random_complex(RNG, 2, 2))
-            qb, _ = np.linalg.qr(random_complex(RNG, 3, 3))
-            rotated = np.kron(qa, qb) @ psi
-            coeffs = qmath.schmidt(rotated, 2, 3).coefficients
-            assert np.allclose(coeffs, base, atol=1e-10)
+            qb, _ = np.linalg.qr(random_complex(RNG, 2, 2))
+            assert np.allclose(schmidt_2x2(np.kron(qa, qb) @ psi), base, atol=1e-10)
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            qmath.schmidt(np.array([1.0, 0, 0, 1.0]), 2, 2)
-
-
-class TestPinvSqrt:
-    def test_diagonal(self):
-        assert np.allclose(qmath.pinv_sqrt(np.diag([4.0, 1.0])),
-                           np.diag([0.5, 1.0]), atol=1e-15)
-
-    def test_kernel_maps_to_zero(self):
-        assert np.allclose(qmath.pinv_sqrt(np.diag([1.0, 0.0])),
-                           np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_sandwich_gives_support_projector(self):
-        # known eigensystem: rank-3 PSD in dim 5
-        q, _ = np.linalg.qr(random_complex(RNG, 5, 5))
-        w = np.array([2.3, 1.1, 0.4, 0.0, 0.0])
-        rho = q @ np.diag(w) @ q.conj().T
-        inv_sqrt = qmath.pinv_sqrt(rho)
-        sandwich = inv_sqrt @ rho @ inv_sqrt
-        support = q @ np.diag([1.0, 1.0, 1.0, 0.0, 0.0]) @ q.conj().T
-        assert np.allclose(sandwich, support, atol=1e-10)
-        assert np.allclose(qmath.support_projector(rho), support, atol=1e-10)
-
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
-            qmath.pinv_sqrt(np.diag([1.0, -1e-6]))
-
-
-class TestOpNorm:
-    def test_identity(self):
-        assert qmath.op_norm_inf(np.eye(4)) == pytest.approx(1.0, abs=1e-15)
-
-    def test_most_negative_counts(self):
-        assert qmath.op_norm_inf(np.diag([3.0, -5.0])) == pytest.approx(5.0, abs=1e-15)
-
-    def test_rank_one_matches_power_iteration(self):
-        v = random_complex(RNG, 6)
-        a = np.outer(v, v.conj())
-        expected = float(np.vdot(v, v).real)
-        assert qmath.op_norm_inf(a) == pytest.approx(expected, abs=1e-10)
-        assert power_norm(a) == pytest.approx(expected, abs=1e-8)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            qmath.op_norm_inf(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e150, 1e300])
+    def test_matches_lapack_at_any_scale(self, scale):
+        m = random_complex(RNG, 50, 4) * scale
+        k, scaled, total, s_max, s_min = qmath.singular_values_2x2(m)
+        lapack = np.linalg.svd(m.reshape(-1, 2, 2), compute_uv=False)
+        assert np.allclose(np.ldexp(s_max, -k), lapack[:, 0], rtol=1e-14, atol=0)
+        # s_min's absolute error is about eps s_max, as LAPACK's.
+        assert np.all(np.abs(np.ldexp(s_min, -k) - lapack[:, 1]) <= 1e-14 * lapack[:, 0])
+        assert np.array_equal(scaled, m * np.ldexp(1.0, k)[:, None])
+        assert np.all((np.abs(scaled).max(axis=1) >= 0.5) & (np.abs(scaled).max(axis=1) < 1.0))
+        assert np.allclose(total, s_max ** 2 + s_min ** 2, rtol=1e-14)
 
 
 class TestHelpers:
@@ -104,19 +60,21 @@ class TestHelpers:
         with pytest.raises(ValueError):
             qmath.basis_ket(4, 4)
 
-    def test_dagger(self):
-        a = np.array([[1.0, 2j], [0.0, 1.0]])
-        assert np.array_equal(qmath.dagger(a), a.conj().T)
-
     def test_hermitian_gate(self):
         assert np.array_equal(qmath.require_hermitian(np.eye(3)), np.eye(3))
         with pytest.raises(ValueError):
             qmath.require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_normalization_gate(self):
-        qmath.require_normalized(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            qmath.require_normalized(np.array([1.0, 1.0]))
+    def test_hermitian_gate_names_non_finite_input(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="gate input has non-finite entries"):
+                qmath.require_hermitian(np.array([[1.0, bad], [0.0, 1.0]]), what="gate input")
+
+    def test_hermitian_gate_reports_the_defect(self):
+        with pytest.raises(ValueError, match=r"defect 1\.000e-06 > 1\.0e-12"):
+            qmath.require_hermitian(np.array([[1.0, 1e-6], [0.0, 1.0]]))
+        # Within the bound, the Frobenius norm alone passes it.
+        qmath.require_hermitian(np.array([[1.0, 5e-13], [0.0, 1.0]]))
 
     def test_as_real_pairs_shapes(self):
         v = np.array([1 + 2j, 3.0])
