@@ -23,9 +23,9 @@ import numpy as np
 from . import qmath
 from .bounds import achieving_operator
 from .criterion import _verdict, measurement_from_text
-from .repeater import (_orthonormal_kets, _rate_table, bell_kets, build_optimal_basis,
-                       compare_with_bell, computational_kets, run_protocol_analytic,
-                       run_protocol_sampled)
+from .repeater import (_fields, _orthonormal_kets, _rate_table, _tuned_outcomes, bell_kets,
+                       build_optimal_basis, compare_with_bell, computational_kets,
+                       run_protocol_analytic, run_protocol_sampled)
 
 SEED_ENV_VAR = "REPEATERLAB_SEED"
 BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
@@ -43,7 +43,9 @@ MAX_GRID = 500
 # write it grow as d^4 (the library keeps the operator as rank-one factors):
 # at 32 coefficients a fresh process on a 2-core host takes ~0.35 s, peaks
 # near 116 MB RSS and writes a 44 MB report.  Forming the dense operator, as
-# the library once did, took ~0.38 s and 140 MB on the same host.
+# the library once did, took ~0.38 s and 140 MB on the same host.  At 24
+# coefficients (a 14 MB report) a command between others takes ~11-12 ms,
+# with ~3.4k minor page faults: the report string is new memory each time.
 MAX_BOUND_DIM = 32
 # The sampler's multinomial draw takes a 64-bit count.
 MAX_SAMPLES = 2 ** 63 - 1
@@ -249,6 +251,25 @@ def _csv(fieldnames, rows) -> str:
     return buf.getvalue()
 
 
+def _is_scalar(value) -> bool:
+    return isinstance(value, (int, float, bool, str)) or value is None
+
+
+def _csv_row(record: dict) -> str:
+    """A report as a one-row table of its scalars, in report order.
+
+    The scalars of a nested dict become dotted columns ("ledger.bob_action_prob");
+    lists stay out.
+    """
+    flat = {}
+    for k, v in record.items():
+        if isinstance(v, dict):
+            flat.update((f"{k}.{inner}", x) for inner, x in v.items() if _is_scalar(x))
+        elif _is_scalar(v):
+            flat[k] = v
+    return _csv(flat, [flat.values()])
+
+
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -418,6 +439,56 @@ def _sweep_json(grid: int) -> str:
     return _rows_text(_sweep_columns(grid), "[\n  ", item, ",\n  ", "\n]\n")
 
 
+def _put(text: str, newline: str, out: list[str]) -> None:
+    """A leaf that `_write` writes as the text itself."""
+    out.append(text)
+
+
+_FLOAT_CELL = functools.partial(_put, "%r")
+_FLAG_CELL = functools.partial(_put, "%s")
+
+
+@functools.cache
+def _rate_template(outcomes: int) -> str:
+    """The rate report of AnalyticResult.to_dict with its leaves left as `%` fields.
+
+    `_report` writes a skeleton of to_dict's layout whose floats are %r and
+    whose flags are %s; the outcome numbers and the bit count are fixed.
+    `_rate_json` lists the values in the same order.
+    """
+    per_outcome = [{"outcome": index,
+                    "clare_prob": _FLOAT_CELL,
+                    "maximal": _FLAG_CELL,
+                    "bob_success_prob": _FLOAT_CELL,
+                    "success_prob": _FLOAT_CELL,
+                    "post_state": [[_FLOAT_CELL, _FLOAT_CELL]] * 4}
+                   for index in range(1, outcomes + 1)]
+    return _report({"theta": _FLOAT_CELL,
+                    "eta": _FLOAT_CELL,
+                    "p_ms": _FLOAT_CELL,
+                    "per_outcome": per_outcome,
+                    "ledger": {"classical_bits_sent": 2,
+                               "local_measurements_expected": _FLOAT_CELL,
+                               "bob_action_prob": _FLOAT_CELL}})
+
+
+def _rate_json(config: RunConfig) -> str:
+    """_report(run_protocol_analytic(...).to_dict()), filled from the kernel's arrays.
+
+    Every cell is finite for checked angles, and %r writes a finite float
+    as json does.  A post state's (re, im) pairs are its interleaved view.
+    """
+    theta, eta, out = _tuned_outcomes(config.theta, config.eta, config.beta1, config.beta2)
+    fields = _fields(out)
+    cells = [theta, eta, fields.p_ms]
+    for p, maximal, q, success, post in zip(fields.clare_prob, fields.maximal,
+                                            fields.bob_success_prob, fields.success_prob,
+                                            out.post_state.view(np.float64).tolist()):
+        cells += (p, "true" if maximal else "false", q, success, *post)
+    cells += (1.0 + fields.bob_action_prob, fields.bob_action_prob)
+    return _rate_template(len(fields.clare_prob)) % tuple(cells)
+
+
 def _criterion_measurement(config: RunConfig) -> np.ndarray:
     """The measurement's kets as the rows of a (4, 4) array, checked to be orthonormal once."""
     if config.measurement == "bell":
@@ -451,6 +522,8 @@ def run(config: RunConfig) -> tuple[int, str]:
     """Execute one config; returns (exit status, serialized report)."""
     try:
         if config.command == "rate":
+            if config.output_format == "json":
+                return 0, _rate_json(config)
             record = run_protocol_analytic(config.theta, config.eta,
                                            config.beta1, config.beta2).to_dict()
         elif config.command == "basis":
@@ -481,10 +554,7 @@ def run(config: RunConfig) -> tuple[int, str]:
                            "command": config.command}}
         return 1, json.dumps(error) + "\n"
     if config.output_format == "csv":
-        # Scalar fields only, as a one-row table.
-        flat = {k: v for k, v in record.items()
-                if isinstance(v, (int, float, bool, str)) or v is None}
-        return 0, _csv(flat, [flat.values()])
+        return 0, _csv_row(record)
     return 0, _report(record)
 
 

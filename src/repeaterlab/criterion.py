@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qmath
-from .repeater import _orthonormal_kets, _outcomes
+from .repeater import _IDENTITY, _orthonormal_kets, _outcomes
 from .states import _checked_amplitudes, _checked_angles
 
 # Exchanging the roles of the two source pairs swaps Clare's qubits.
@@ -70,7 +70,8 @@ def _lhs(phi: np.ndarray, theta: float, eta: float) -> float:
     c2, s2 = np.cos(eta) ** 2, np.sin(eta) ** 2
     straight = np.abs(phi) ** 2 @ np.array([c1 * c2, c1 * s2, -s1 * c2, -s1 * s2])
     cross = (phi[:, :2].conj() * phi[:, 2:]) @ np.array([c2, s2])
-    return float(np.sum(np.sqrt(straight ** 2 + np.sin(2 * theta) ** 2 * np.abs(cross) ** 2)))
+    return float(np.add.reduce(np.sqrt(straight ** 2
+                                       + np.sin(2 * theta) ** 2 * np.abs(cross) ** 2)))
 
 
 def criterion_lhs(kets: Sequence[np.ndarray], theta: float, eta: float) -> float:
@@ -101,7 +102,7 @@ def achieved_rate(kets: Sequence[np.ndarray], theta: float, eta: float) -> float
 
 def _delivered_rate(phi: np.ndarray, f: np.ndarray) -> float:
     """achieved_rate of validated kets (the rows of phi) and checked amplitudes f."""
-    return float(np.sum(_outcomes(f, phi).filter_weight))
+    return float(np.add.reduce(_outcomes(f, phi).filter_weight))
 
 
 def is_optimal(kets: Sequence[np.ndarray], theta: float, eta: float,
@@ -152,7 +153,7 @@ def _projector_kets(p: np.ndarray) -> np.ndarray:
         raise ValueError(f"projector {np.argmin(ok)} is not idempotent")
     # Completeness comes before the rank check, so a set padded with a zero
     # block fails as incomplete rather than as rank deficient.
-    if not qmath.spectral_norm_within(p.sum(axis=0) - np.eye(4), qmath.LOOSE_ATOL):
+    if not qmath.spectral_norm_within(p.sum(axis=0) - _IDENTITY, qmath.LOOSE_ATOL):
         raise ValueError("projectors are not orthogonal and complete: "
                          "they do not sum to the identity")
     trace = np.trace(p, axis1=-2, axis2=-1).real

@@ -59,7 +59,8 @@ def spectral_norm_within(a: np.ndarray, atol: float) -> np.ndarray:
     values are computed only when that bound exceeds atol.  Entries must
     be finite.
     """
-    within = np.linalg.norm(a, axis=(-2, -1)) <= atol
+    # np.linalg.norm's own Frobenius branch, without its Python-level dispatch.
+    within = np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1))) <= atol
     if within.all():
         return within
     return np.linalg.norm(a, 2, axis=(-2, -1)) <= atol
@@ -79,7 +80,7 @@ def singular_values_2x2(m: np.ndarray) -> tuple[np.ndarray, ...]:
     about eps s_max, as LAPACK's.  The singular values of m itself are
     ldexp(s, -k).
     """
-    _, e = np.frexp(np.abs(m).max(axis=-1))
+    _, e = np.frexp(np.maximum.reduce(np.abs(m), axis=-1))
     # Capped so that 2^k stays finite.  Scaled, a nonzero matrix has an
     # entry of at least 2^-51, so s_max >= 2^-51 and p + r >= 2^-102: the
     # floor below only turns 0/0 into 0 for a zero matrix.

@@ -197,14 +197,17 @@ def _tuned_kets(f: np.ndarray, beta1: float = 0.0, beta2: float = 0.0) -> np.nda
     h = np.hypot(x, y)
     c, s = x / h, y / h
     c12, c03, s12, s03 = c[..., 0], c[..., 1], s[..., 0], s[..., 1]
-    e1 = np.exp(1j * beta1)
-    e2 = np.exp(1j * beta2)
+    e1, e2 = np.exp([1j * beta1, 1j * beta2])
     kets = np.zeros(f.shape[:-1] + (4, 4), dtype=complex)
     kets[..., 0, 1], kets[..., 0, 2] = c12, e1 * s12
     kets[..., 1, 0], kets[..., 1, 3] = c03, e2 * s03
     kets[..., 2, 1], kets[..., 2, 2] = s12, -e1 * c12
     kets[..., 3, 0], kets[..., 3, 3] = s03, -e2 * c03
     return kets
+
+
+_IDENTITY = np.eye(4)
+_IDENTITY.flags.writeable = False
 
 
 def _orthonormal_kets(kets: Sequence[np.ndarray], atol: float = qmath.STRICT_ATOL) -> np.ndarray:
@@ -218,7 +221,7 @@ def _orthonormal_kets(kets: Sequence[np.ndarray], atol: float = qmath.STRICT_ATO
         raise ValueError(f"expected four dim-4 kets, got an array of shape {phi.shape}")
     if not np.isfinite(phi).all():
         raise ValueError("basis kets have non-finite entries")
-    defect = phi.conj() @ phi.T - np.eye(4)
+    defect = phi.conj() @ phi.T - _IDENTITY
     if not qmath.spectral_norm_within(defect, atol):
         raise ValueError(f"basis kets are not orthonormal (Gram defect "
                          f"{np.linalg.norm(defect, 2):.3e} > {atol:.1e})")
@@ -246,6 +249,11 @@ def bell_kets() -> tuple[np.ndarray, ...]:
         np.array([0, r, r, 0], dtype=complex),
         np.array([0, r, -r, 0], dtype=complex),
     )
+
+
+# bell_kets() as the rows of one array, for kernel calls.
+_BELL = np.array(bell_kets())
+_BELL.flags.writeable = False
 
 
 def computational_kets() -> tuple[np.ndarray, ...]:
@@ -279,6 +287,9 @@ class _Outcomes(NamedTuple):
                         self.scaled / self.norm[..., None], 0.0)
 
 
+_SQRT_HALF = np.sqrt(0.5)
+
+
 def _outcomes(f: np.ndarray, kets) -> _Outcomes:
     """Every Clare outcome at once, from closed-form 2x2 singular values.
 
@@ -299,14 +310,15 @@ def _outcomes(f: np.ndarray, kets) -> _Outcomes:
     """
     m = np.asarray(f)[..., None, :] * np.asarray(kets, dtype=complex).conj()
     k, scaled, total, s_max, s_min = qmath.singular_values_2x2(m)
-    prob = np.ldexp(total, -2 * k)
+    shift = -2 * k
+    prob = np.ldexp(total, shift)
     live = prob > 0.0
     # A nonzero rescaled leftover has total >= 2^-102: the floor only turns
     # 0/0 into 0 for a zero leftover.
     norm = np.sqrt(np.maximum(total, 2.0 ** -128))
     c_min = s_min / norm
-    maximal = (live & (np.abs(s_max / norm - np.sqrt(0.5)) <= qmath.LOOSE_ATOL)
-               & (np.abs(c_min - np.sqrt(0.5)) <= qmath.LOOSE_ATOL))
+    maximal = (live & (np.abs(s_max / norm - _SQRT_HALF) <= qmath.LOOSE_ATOL)
+               & (np.abs(c_min - _SQRT_HALF) <= qmath.LOOSE_ATOL))
     # Within 8 eps (2^-49) of 1, 2 c_min^2 is read as 1: that is its
     # rounding error at an exactly maximal leftover.
     weight = 2.0 * c_min ** 2
@@ -316,7 +328,7 @@ def _outcomes(f: np.ndarray, kets) -> _Outcomes:
                      norm=norm,
                      maximal=maximal,
                      bob_success_prob=np.where(live, bob, 0.0),
-                     filter_weight=np.ldexp(2.0 * s_min ** 2, -2 * k))
+                     filter_weight=np.ldexp(2.0 * s_min ** 2, shift))
 
 
 def _success(out: _Outcomes) -> np.ndarray:
@@ -326,7 +338,7 @@ def _success(out: _Outcomes) -> np.ndarray:
 
 def _rate(out: _Outcomes) -> np.ndarray:
     """Success rate: the per-outcome successes summed in outcome order."""
-    return np.sum(_success(out), axis=-1)
+    return np.add.reduce(_success(out), axis=-1)
 
 
 # Grid points per kernel call in _rate_table.  The kernel's temporaries are
@@ -350,19 +362,44 @@ def _rate_table(theta: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, ...]:
     return rate, direct, lower, upper
 
 
-def _analysis(theta: float, eta: float, f: np.ndarray, kets) -> AnalyticResult:
-    """Per-outcome breakdown at checked angles with amplitudes f."""
-    out = _outcomes(f, kets)
+class _Fields(NamedTuple):
+    """An AnalyticResult's scalar fields as Python floats and lists, one entry per outcome."""
+
+    p_ms: float
+    clare_prob: list
+    maximal: list
+    bob_success_prob: list
+    success_prob: list
+    bob_action_prob: float
+
+
+def _fields(out: _Outcomes) -> _Fields:
+    """The scalar fields of the analysis of one configuration's outcomes."""
+    probs, maximal = out.clare_prob.tolist(), out.maximal.tolist()
+    # Summed in outcome order, one float at a time.
+    bob_action = float(sum(p for p, m in zip(probs, maximal) if not m))
+    return _Fields(float(_rate(out)), probs, maximal, out.bob_success_prob.tolist(),
+                   _success(out).tolist(), bob_action)
+
+
+def _analysis(theta: float, eta: float, out: _Outcomes) -> AnalyticResult:
+    """Per-outcome breakdown at checked angles."""
+    fields = _fields(out)
     records = tuple(
-        OutcomeRecord(outcome=index, clare_prob=float(p), post_state=post,
-                      maximal=bool(maximal), bob_success_prob=float(q),
-                      success_prob=float(success))
+        OutcomeRecord(outcome=index, clare_prob=p, post_state=post, maximal=maximal,
+                      bob_success_prob=q, success_prob=success)
         for index, (p, post, maximal, q, success) in enumerate(
-            zip(out.clare_prob, out.post_state, out.maximal, out.bob_success_prob,
-                _success(out)), start=1))
-    bob_action = float(sum(r.clare_prob for r in records if not r.maximal))
-    return AnalyticResult(theta=theta, eta=eta, p_ms=float(_rate(out)),
-                          per_outcome=records, bob_action_prob=bob_action)
+            zip(fields.clare_prob, out.post_state, fields.maximal, fields.bob_success_prob,
+                fields.success_prob), start=1))
+    return AnalyticResult(theta=theta, eta=eta, p_ms=fields.p_ms, per_outcome=records,
+                          bob_action_prob=fields.bob_action_prob)
+
+
+def _tuned_outcomes(theta: float, eta: float,
+                    beta1: float = 0.0, beta2: float = 0.0) -> tuple[float, float, _Outcomes]:
+    """Checked angles and every outcome of Clare's tuned basis."""
+    basis = build_optimal_basis(theta, eta, beta1, beta2)
+    return basis.theta, basis.eta, _outcomes(basis.f, basis.kets)
 
 
 def run_protocol_with_kets(theta: float, eta: float,
@@ -372,7 +409,7 @@ def run_protocol_with_kets(theta: float, eta: float,
     Raises ValueError unless the kets are four orthonormal dim-4 vectors.
     """
     theta, eta, f = _checked_amplitudes(theta, eta)
-    return _analysis(theta, eta, f, _orthonormal_kets(kets))
+    return _analysis(theta, eta, _outcomes(f, _orthonormal_kets(kets)))
 
 
 def run_protocol_analytic(theta: float, eta: float,
@@ -382,8 +419,7 @@ def run_protocol_analytic(theta: float, eta: float,
     The rate always comes out as min(2 sin^2 theta, 2 sin^2 eta), the best
     any strategy can do with these resources.
     """
-    basis = build_optimal_basis(theta, eta, beta1, beta2)
-    return _analysis(basis.theta, basis.eta, basis.f, basis.kets)
+    return _analysis(*_tuned_outcomes(theta, eta, beta1, beta2))
 
 
 def direct_success_prob(theta: float, eta: float) -> float:
@@ -405,23 +441,22 @@ def run_protocol_sampled(theta: float, eta: float, n: int,
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     rng = np.random.default_rng(seed)
-    basis = build_optimal_basis(theta, eta, beta1, beta2)
-    out = _outcomes(basis.f, basis.kets)
-    counts = rng.multinomial(n, out.clare_prob / out.clare_prob.sum())
+    theta, eta, out = _tuned_outcomes(theta, eta, beta1, beta2)
+    counts = rng.multinomial(n, out.clare_prob / np.add.reduce(out.clare_prob))
     successes = 0
     for hits, maximal, bob_p in zip(counts, out.maximal, out.bob_success_prob):
         successes += int(hits) if maximal else int(rng.binomial(hits, bob_p))
 
     estimate = successes / n
     stderr = float(np.sqrt(max(estimate * (1.0 - estimate), 0.0) / n))
-    bob_freq = int(counts[~out.maximal].sum()) / n
+    bob_freq = int(np.add.reduce(counts[~out.maximal])) / n
     ledger_stats = {
         "classical_bits_mean": 2.0,
         "local_measurements_mean": 1.0 + bob_freq,
         "bob_acted_freq": bob_freq,
         "outcome_counts": [int(c) for c in counts],
     }
-    return SampledResult(theta=basis.theta, eta=basis.eta, n=int(n), seed=seed,
+    return SampledResult(theta=theta, eta=eta, n=int(n), seed=seed,
                          estimate=float(estimate), stderr=stderr,
                          ledger_stats=ledger_stats)
 
@@ -434,9 +469,11 @@ def compare_with_bell(theta: float, eta: float) -> ComparisonRecord:
     bases go through one kernel call.
     """
     basis = build_optimal_basis(theta, eta)
-    out = _outcomes(basis.f, np.stack((basis.kets, bell_kets())))
+    kets = np.empty((2, 4, 4), dtype=complex)
+    kets[0], kets[1] = basis.kets, _BELL
+    out = _outcomes(basis.f, kets)
     p_ms = _rate(out).tolist()
-    bob_action = np.sum(np.where(out.maximal, 0.0, out.clare_prob), axis=-1).tolist()
+    bob_action = np.add.reduce(np.where(out.maximal, 0.0, out.clare_prob), axis=-1).tolist()
     optimal, bell = (BranchSummary(p_ms=p, bob_action_prob=b, expected_local_measurements=1.0 + b)
                      for p, b in zip(p_ms, bob_action))
     return ComparisonRecord(

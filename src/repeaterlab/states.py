@@ -64,7 +64,10 @@ def _amplitudes(theta, eta) -> np.ndarray:
     """
     ct, st = np.cos(theta), np.sin(theta)
     ce, se = np.cos(eta), np.sin(eta)
-    return np.stack([ct * ce, ct * se, st * ce, st * se], axis=-1)
+    f00 = ct * ce
+    f = np.empty(f00.shape + (4,))
+    f[..., 0], f[..., 1], f[..., 2], f[..., 3] = f00, ct * se, st * ce, st * se
+    return f
 
 
 def _checked_amplitudes(theta: float, eta: float) -> tuple[float, float, np.ndarray]:

@@ -1,9 +1,13 @@
-"""Public surface: the exported names, qmath's helpers and the one tolerance table."""
+"""Public surface: the exported names, qmath's helpers, the one tolerance table and the
+numpy calls on the per-point path."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import repeaterlab
+from repeaterlab import cli
 
 SRC = Path(repeaterlab.__file__).resolve().parent
 TOLERANCE_SUFFIXES = ("_ATOL", "_TOL", "_FLOOR", "_CUTOFF", "_SLACK")
@@ -84,3 +88,25 @@ def test_tolerances_live_only_in_qmath():
     table = sorted(n for n in module_level_names(SRC / "qmath.py")
                    if n.endswith(TOLERANCE_SUFFIXES))
     assert 1 <= len(table) <= 6
+
+
+# numpy functions that are Python wrappers over one C-level call; the
+# per-point chain makes that call itself.
+WRAPPERS = {np: ("stack", "eye", "sum"), np.linalg: ("norm",)}
+
+
+def test_per_point_commands_call_no_numpy_wrappers(monkeypatch):
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called on the per-point path")
+        return call
+
+    for module, names in WRAPPERS.items():
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden(f"{module.__name__}.{name}"))
+    for argv in (["rate", "--theta", "0.3", "--eta", "0.6", "--beta1", "0.5"],
+                 ["compare", "--theta", "0.3", "--eta", "0.6"],
+                 ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "1000", "--seed", "1"],
+                 ["criterion", "--theta", "0.6", "--eta", "0.3", "--measurement", "bell"],
+                 ["sweep", "--grid", "3"]):
+        assert cli.run(cli.parse_args(argv))[0] == 0, argv

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from repeaterlab.cli import (
 )
 from repeaterlab.repeater import (
     bell_kets,
+    compare_with_bell,
     direct_success_prob,
     projection_bounds,
     run_protocol_analytic,
@@ -438,6 +440,38 @@ class TestRun:
         assert payload["optimal"]["expected_local_measurements"] <= \
             payload["bell"]["expected_local_measurements"]
 
+    def test_compare_csv_flattens_both_branches(self):
+        status, report = run(parse_args(["compare", "--theta", "0.3", "--eta", "0.6",
+                                         "--format", "csv"]))
+        assert status == 0
+        header, row = csv.reader(io.StringIO(report))
+        fields = ("p_ms", "bob_action_prob", "expected_local_measurements",
+                  "classical_bits_sent")
+        assert header == ["theta", "eta", *(f"{branch}.{name}" for branch in ("optimal", "bell")
+                                            for name in fields), "rates_equal"]
+        want = compare_with_bell(0.3, 0.6).to_dict()
+        cells = dict(zip(header, row))
+        for branch in ("optimal", "bell"):
+            for name in fields:
+                assert cells[f"{branch}.{name}"] == repr(want[branch][name])
+        assert (cells["theta"], cells["eta"], cells["rates_equal"]) == ("0.3", "0.6", "true")
+
+    @pytest.mark.parametrize("argv, nested, dropped", [
+        (["rate"], "ledger", "per_outcome"),
+        (["simulate", "--n", "1000", "--seed", "1"], "ledger_stats", "ledger_stats.outcome_counts"),
+    ])
+    def test_csv_flattens_nested_scalars_and_drops_lists(self, argv, nested, dropped):
+        status, report = run(parse_args([*argv, "--theta", "0.3", "--eta", "0.6",
+                                         "--format", "csv"]))
+        assert status == 0
+        header, row = csv.reader(io.StringIO(report))
+        _, json_report = run(parse_args([*argv, "--theta", "0.3", "--eta", "0.6"]))
+        want = {f"{nested}.{k}": v for k, v in json.loads(json_report)[nested].items()
+                if not isinstance(v, list)}
+        assert header[-len(want):] == list(want)
+        assert row[-len(want):] == [cli._csv_cell(v) for v in want.values()]
+        assert dropped not in header
+
     def test_snapped_angle_is_echoed(self):
         status, report = run(parse_args(["rate", "--theta", "0.7854", "--eta", "0.3"]))
         assert status == 0
@@ -586,6 +620,44 @@ def schmidt_texts(da, db):
     """Two seeded, unsorted coefficient lists of the given lengths, as --a and --b take them."""
     rng = np.random.default_rng(100 * da + db)
     return [",".join(map(repr, rng.dirichlet(np.ones(d)).tolist())) for d in (da, db)]
+
+
+QUARTER_PI = math.pi / 4
+# Log-uniform from 1e-300 to pi/4, subnormal angles, and inputs that snap to pi/4.
+protocol_angles = (st.floats(math.log(1e-300), math.log(QUARTER_PI)).map(math.exp)
+                   | st.sampled_from([5e-324, 1e-320, 2.2250738585072014e-308, QUARTER_PI])
+                   | st.floats(QUARTER_PI, QUARTER_PI + qmath.BOUNDARY_SLACK, exclude_min=True))
+phases = st.floats(-100.0, 100.0) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def rate_inputs(draw):
+    """theta, eta, beta1, beta2: equal angles half the time, random phases half the time."""
+    theta = draw(protocol_angles)
+    eta = theta if draw(st.booleans()) else draw(protocol_angles)
+    beta1, beta2 = (draw(phases), draw(phases)) if draw(st.booleans()) else (0.0, 0.0)
+    return theta, eta, beta1, beta2
+
+
+class TestRateReport:
+    """The rate report, filled from the kernel's arrays, against the writer on to_dict."""
+
+    @given(rate_inputs())
+    @example((5e-324, 5e-324, 0.0, 0.0))
+    @example((5e-324, QUARTER_PI + qmath.BOUNDARY_SLACK, 1.0, -2.0))
+    @example((1e-300, 0.3, -0.0, 3.0))
+    @example((0.3, 0.3, 0.0, 0.0))
+    @example((QUARTER_PI, QUARTER_PI, 0.5, 0.5))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_writer_on_to_dict(self, inputs):
+        theta, eta, beta1, beta2 = inputs
+        # "--beta1=-1e-5": argparse takes a separate "-1e-5" for an option.
+        status, report = run(parse_args(["rate", "--theta", repr(theta), "--eta", repr(eta),
+                                         f"--beta1={beta1!r}", f"--beta2={beta2!r}"]))
+        assert status == 0
+        # _report writes a non-finite float as json does (NaN, Infinity), %r does
+        # not: equal reports also show that every cell is finite.
+        assert report == cli._report(run_protocol_analytic(theta, eta, beta1, beta2).to_dict())
 
 
 class TestDumps:

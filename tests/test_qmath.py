@@ -85,6 +85,52 @@ class TestHelpers:
             qmath.as_real_pairs(np.zeros((2, 2, 2)))
 
 
+class TestSpectralNormWithin:
+    """The Frobenius pre-check against np.linalg.norm's, and the SVD behind it."""
+
+    @staticmethod
+    def defects(rng, atol):
+        """Real and complex 4x4 defects with Frobenius norms at and around atol."""
+        stack = [np.zeros((4, 4)), np.diag([atol, 0.0, 0.0, 0.0]), np.diag([0, 0, 0, -atol])]
+        for factor in (0.25, 0.5, 1.0 - 2e-16, 1.0, 1.0 + 2e-16, 1.5, 2.0, 8.0):
+            for m in (rng.normal(size=(4, 4)), random_complex(rng, 4, 4)):
+                stack.append(m * (factor * atol / np.linalg.norm(m)))
+        return [np.asarray(m, dtype=complex) for m in stack] + [m.real for m in stack]
+
+    @pytest.mark.parametrize("atol", [qmath.STRICT_ATOL, qmath.LOOSE_ATOL, 1.0, 5e-324])
+    def test_pre_check_is_numpys_frobenius_verdict(self, atol, monkeypatch):
+        # A single matrix goes on to the SVD exactly when the pre-check fails it.
+        honest = np.linalg.norm
+        svd_calls = []
+
+        def spectral(a, ord=None, axis=None):
+            svd_calls.append(ord)
+            return honest(a, ord, axis)
+
+        monkeypatch.setattr(np.linalg, "norm", spectral)
+        for m in self.defects(np.random.default_rng(7), atol):
+            frobenius_ok = honest(m, axis=(-2, -1)) <= atol
+            svd_calls.clear()
+            verdict = qmath.spectral_norm_within(m, atol)
+            assert svd_calls == ([] if frobenius_ok else [2])
+            assert verdict == (frobenius_ok or honest(m, 2) <= atol)
+
+    def test_defect_equal_to_atol_passes(self):
+        atol = qmath.STRICT_ATOL
+        m = np.diag([atol, 0.0, 0.0, 0.0]).astype(complex)
+        assert np.linalg.norm(m) == atol
+        assert qmath.spectral_norm_within(m, atol)
+
+    def test_stack_verdicts(self):
+        atol = qmath.LOOSE_ATOL
+        for stack in (np.array(self.defects(np.random.default_rng(8), atol)),
+                      np.array(self.defects(np.random.default_rng(9), atol)[:4])):
+            want = np.linalg.norm(stack, axis=(-2, -1)) <= atol
+            if not want.all():
+                want = np.linalg.norm(stack, 2, axis=(-2, -1)) <= atol
+            assert np.array_equal(qmath.spectral_norm_within(stack, atol), want)
+
+
 class TestMatrixText:
     def test_round_trip_matrix(self):
         m = random_complex(RNG, 3, 5)
