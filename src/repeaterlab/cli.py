@@ -2,7 +2,9 @@
 
 Every command prints one serialized report (JSON by default; the sweep
 prints CSV, the basis command matrix text) and exits 0, or prints a
-machine-readable error object to stderr and exits nonzero.
+machine-readable error object to stderr and exits nonzero.  A JSON report
+is json.dumps(..., indent=2) output, or a template built from it and filled
+with one `%` where a report carries many floats.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qmath
-from .bounds import achieving_operator
+from .bounds import BoundResult, achieving_operator
 from .criterion import _verdict, measurement_from_text
 from .repeater import (_fields, _orthonormal_kets, _rate_table, _tuned_outcomes, bell_kets,
                        build_optimal_basis, compare_with_bell, computational_kets,
@@ -42,15 +45,15 @@ MAX_GRID = 500
 # A bound report writes a d^2 x d^2 operator, so its size and the time to
 # write it grow as d^4 (the library keeps the operator as rank-one factors):
 # at 32 coefficients a fresh process on a 2-core host takes ~0.35 s, peaks
-# near 116 MB RSS and writes a 44 MB report.  Forming the dense operator, as
-# the library once did, took ~0.38 s and 140 MB on the same host.  At 24
-# coefficients (a 14 MB report) a command between others takes ~11-12 ms,
-# with ~3.4k minor page faults: the report string is new memory each time.
+# near 116 MB RSS and writes a 44 MB report.  At 24 coefficients (a 14 MB
+# report) a command between others takes ~11-12 ms, with ~3.4k minor page
+# faults: the report string is new memory each time.
 MAX_BOUND_DIM = 32
 # The sampler's multinomial draw takes a 64-bit count.
 MAX_SAMPLES = 2 ** 63 - 1
-# How json quotes strings and keys by default (ensure_ascii).
-_quote = json.encoder.encode_basestring_ascii
+# argparse's pattern for a negative number, plus an exponent: without it
+# "--beta1 -1e-5" reads -1e-5 as an option (repr writes small phases so).
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
 
 
 class UsageError(ValueError):
@@ -79,6 +82,11 @@ class RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # Command parsers are made with this class too.
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message: str) -> None:
         raise UsageError(message)
 
@@ -280,126 +288,82 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _dumps(value, newline: str = "\n") -> str:
-    """Exactly json.dumps(value, indent=2), with float blocks written in bulk.
+def _template(skeleton) -> str:
+    """json.dumps(skeleton, indent=2) and a newline, its "%r" and "%s" leaves made `%` fields.
 
-    An indent puts json on its pure-Python encoder, at about a microsecond
-    per float, which made a bound report's d^2 x d^2 operator cost seconds.
-    The pieces `_write` collects are joined once, so a report of tens of MB
-    is copied once rather than once per level of nesting.  `newline`
-    carries the current indentation.
+    Any other % in the text is escaped, so one `template % values` writes
+    the values in the order json lists their leaves.
     """
-    out: list[str] = []
-    _write(value, newline, out)
-    return "".join(out)
+    text = json.dumps(skeleton, indent=2).replace("%", "%%") + "\n"
+    return text.replace('"%%r"', "%r").replace('"%%s"', "%s")
 
 
-def _report(value) -> str:
-    """A JSON report: _dumps(value) and a final newline, in one join."""
-    out: list[str] = []
-    _write(value, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(value, newline: str, out: list[str]) -> None:
-    """Append the text of _dumps(value, newline) to out, in pieces.
-
-    Dicts and lists are walked here so a block (see `_block`) is found at
-    any depth.  A numpy array is written as its `qmath.as_real_pairs`
-    lists, and a callable writes its own text (see `_write_rank_one`).
-    Common scalars are written as json writes them (repr for finite floats
-    and ints, ASCII-escaped strings); anything else goes to json.dumps.
-    """
-    kind = type(value)
-    if kind is str:
-        out.append(_quote(value))
-    elif kind is int or (kind is float and math.isfinite(value)):
-        out.append(repr(value))
-    elif kind is bool:
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, dict) and value and all(type(k) is str for k in value):
-        inner = newline + "  "
-        opening = "{"
-        for k, v in value.items():
-            out.append(opening + inner + _quote(k) + ": ")
-            _write(v, inner, out)
-            opening = ","
-        out.append(newline + "}")
-    elif isinstance(value, list) and value:
-        block = _block(value, newline)
-        if block is not None:
-            out.append(block)
-            return
-        inner = newline + "  "
-        opening = "["
-        for v in value:
-            out.append(opening + inner)
-            _write(v, inner, out)
-            opening = ","
-        out.append(newline + "]")
-    elif isinstance(value, np.ndarray):
-        _write(qmath.as_real_pairs(value), newline, out)
-    elif callable(value):
-        value(newline, out)
-    elif isinstance(value, (dict, list, tuple)):
-        # Empty, a tuple, or keyed by non-strings.  JSON strings hold no raw
-        # newline, so re-indenting the lines is exact.
-        out.append(json.dumps(value, indent=2).replace("\n", newline))
-    else:
-        out.append(json.dumps(value))
-
-
-def _block(value: list, newline: str) -> str | None:
-    """A nonempty list as json.dumps(value, indent=2) writes it, or None if not a block.
-
-    A block is a rectangular nested list of finite floats.  It is written
-    by filling a template built from its shape with one `template % leaves`
-    (%r is float.__repr__, which json writes too).
-    """
-    shape = [len(value)]
-    level = value
-    while type(level[0]) is list:
-        if set(map(type, level)) != {list} or set(map(len, level)) != {len(level[0])}:
-            return None
-        shape.append(len(level[0]))
-        level = list(itertools.chain.from_iterable(level))
-        if not level:
-            return None
-    leaves = tuple(level)
-    if set(map(type, leaves)) != {float}:
-        return None
-    if not math.isfinite(sum(leaves)) and not all(map(math.isfinite, leaves)):
-        return None
+@functools.cache
+def _pairs_template(shape: tuple[int, ...], newline: str) -> str:
+    """_pairs_text's template for an array of this shape: nested lists of %r fields."""
     item = "%r"
-    for depth in reversed(range(len(shape))):
+    for depth, length in reversed(list(enumerate(shape + (2,)))):
         outer = newline + "  " * depth
         inner = outer + "  "
-        item = "[" + inner + ("," + inner).join([item] * shape[depth]) + outer + "]"
-    return item % leaves
+        item = "[" + inner + ("," + inner).join([item] * length) + outer + "]"
+    return item
 
 
-def _write_rank_one(scale: float, omega: np.ndarray, w: np.ndarray,
-                    newline: str, out: list[str]) -> None:
-    """_write(qmath.as_real_pairs(scale * np.outer(omega, w)), newline, out), without the matrix.
+def _pairs_text(a: np.ndarray, newline: str = "\n") -> str:
+    """json.dumps(qmath.as_real_pairs(a), indent=2), at the indentation `newline` carries.
+
+    An indent puts json on its pure-Python encoder, at about a microsecond
+    per float, so a template built from a's shape is filled with one `%`
+    from the interleaved (re, im) floats (%r is float.__repr__, which json
+    writes too).  An empty array, or one with a non-finite part (json
+    writes NaN and Infinity, %r nan and inf), goes to json.dumps.
+    """
+    a = np.ascontiguousarray(a, dtype=complex)
+    leaves = a.view(np.float64).ravel().tolist()
+    if not leaves or not math.isfinite(sum(leaves)):
+        return json.dumps(qmath.as_real_pairs(a), indent=2).replace("\n", newline)
+    return _pairs_template(a.shape, newline) % tuple(leaves)
+
+
+def _rank_one_pieces(scale: float, omega: np.ndarray, w: np.ndarray,
+                     newline: str) -> list[str]:
+    """The text of _pairs_text(scale * np.outer(omega, w), newline) in pieces, without the matrix.
 
     Row i is scale * (omega[i] * w), computed as the outer product computes
     it, so rows whose omega[i] have equal bytes are equal and each is
     formatted once: a bound operator's omega holds two distinct entries.
-    Keying by bytes, not values, keeps 0.0 and -0.0 apart.
+    Keying by bytes, not values, keeps 0.0 and -0.0 apart.  The caller
+    joins the pieces once, with the rest of its report.
     """
     inner = newline + "  "
     distinct, index = np.unique(omega.view(f"V{omega.itemsize}"), return_inverse=True)
-    rows = [_dumps(qmath.as_real_pairs(scale * (x * w)), inner)
-            for x in distinct.view(omega.dtype)]
+    rows = [_pairs_text(scale * (x * w), inner) for x in distinct.view(omega.dtype)]
     sep = "," + inner
-    out.append("[" + inner)
+    pieces = ["[" + inner]
     for i in index.tolist():
-        out.append(rows[i])
-        out.append(sep)
-    out[-1] = newline + "]"
+        pieces += (rows[i], sep)
+    pieces[-1] = newline + "]"
+    return pieces
+
+
+# The bound report's scalars, in BoundResult.to_dict order: the whole CSV
+# report, and the head of the JSON one.
+_BOUND_SCALARS = ("p_max", "achieved_p", "post_fidelity")
+_BOUND_HEAD, _BOUND_TAIL = _template({**dict.fromkeys(_BOUND_SCALARS, "%r"),
+                                      "optimal_u": "%s", "m_i": "%s"}).rsplit("%s", 1)
+
+
+def _bound_json(result: BoundResult) -> str:
+    """json.dumps(result.to_dict(), indent=2) and a newline, the operator written from its factors.
+
+    The scalars are finite (a ceiling of d over a positive sum, and closed
+    forms of finite vectors), and %r writes a finite float as json does.
+    The report is joined once, so its tens of MB are copied once.
+    """
+    head = _BOUND_HEAD % (*(getattr(result, k) for k in _BOUND_SCALARS),
+                          _pairs_text(result.optimal_u, "\n  "))
+    return "".join([head, *_rank_one_pieces(result.scale, result.omega, result.w, "\n  "),
+                    _BOUND_TAIL])
 
 
 def _sweep_columns(grid: int) -> list[list]:
@@ -428,52 +392,45 @@ def _sweep_csv(grid: int) -> str:
                       ",".join(_SWEEP_CELLS), "\n", "\n")
 
 
+# A sweep row at the depth of json.dumps(rows, indent=2), its cells as `%` fields.
+_SWEEP_ITEM = _template(dict(zip(SWEEP_COLUMNS, _SWEEP_CELLS)))[:-1].replace("\n", "\n  ")
+
+
 def _sweep_json(grid: int) -> str:
-    """The sweep as _report writes a list of one dict per row.
+    """The sweep as json.dumps(rows, indent=2) writes a list of one dict per row.
 
     Every cell is finite for angles in (0, pi/4], and repr writes a finite
     float as json does.
     """
-    item = "{\n    " + ",\n    ".join(
-        _quote(k) + ": " + cell for k, cell in zip(SWEEP_COLUMNS, _SWEEP_CELLS)) + "\n  }"
-    return _rows_text(_sweep_columns(grid), "[\n  ", item, ",\n  ", "\n]\n")
-
-
-def _put(text: str, newline: str, out: list[str]) -> None:
-    """A leaf that `_write` writes as the text itself."""
-    out.append(text)
-
-
-_FLOAT_CELL = functools.partial(_put, "%r")
-_FLAG_CELL = functools.partial(_put, "%s")
+    return _rows_text(_sweep_columns(grid), "[\n  ", _SWEEP_ITEM, ",\n  ", "\n]\n")
 
 
 @functools.cache
 def _rate_template(outcomes: int) -> str:
     """The rate report of AnalyticResult.to_dict with its leaves left as `%` fields.
 
-    `_report` writes a skeleton of to_dict's layout whose floats are %r and
-    whose flags are %s; the outcome numbers and the bit count are fixed.
-    `_rate_json` lists the values in the same order.
+    The skeleton has to_dict's layout with "%r" for floats and "%s" for
+    flags; the outcome numbers and the bit count are fixed.  `_rate_json`
+    lists the values in the same order.
     """
     per_outcome = [{"outcome": index,
-                    "clare_prob": _FLOAT_CELL,
-                    "maximal": _FLAG_CELL,
-                    "bob_success_prob": _FLOAT_CELL,
-                    "success_prob": _FLOAT_CELL,
-                    "post_state": [[_FLOAT_CELL, _FLOAT_CELL]] * 4}
+                    "clare_prob": "%r",
+                    "maximal": "%s",
+                    "bob_success_prob": "%r",
+                    "success_prob": "%r",
+                    "post_state": [["%r", "%r"]] * 4}
                    for index in range(1, outcomes + 1)]
-    return _report({"theta": _FLOAT_CELL,
-                    "eta": _FLOAT_CELL,
-                    "p_ms": _FLOAT_CELL,
-                    "per_outcome": per_outcome,
-                    "ledger": {"classical_bits_sent": 2,
-                               "local_measurements_expected": _FLOAT_CELL,
-                               "bob_action_prob": _FLOAT_CELL}})
+    return _template({"theta": "%r",
+                      "eta": "%r",
+                      "p_ms": "%r",
+                      "per_outcome": per_outcome,
+                      "ledger": {"classical_bits_sent": 2,
+                                 "local_measurements_expected": "%r",
+                                 "bob_action_prob": "%r"}})
 
 
 def _rate_json(config: RunConfig) -> str:
-    """_report(run_protocol_analytic(...).to_dict()), filled from the kernel's arrays.
+    """The rate report as json.dumps writes to_dict(), filled from the kernel's arrays.
 
     Every cell is finite for checked angles, and %r writes a finite float
     as json does.  A post state's (re, im) pairs are its interleaved view.
@@ -502,20 +459,17 @@ def _criterion_measurement(config: RunConfig) -> np.ndarray:
         return measurement_from_text(fh.read())
 
 
-def _basis_text(config: RunConfig) -> str:
-    basis = build_optimal_basis(config.theta, config.eta, config.beta1, config.beta2)
-    return "\n".join(qmath.format_matrix_text(k) for k in basis.kets) + "\n"
+_BASIS_TEMPLATE = _template({"theta": "%r", "eta": "%r", "beta1": "%r", "beta2": "%r",
+                             "kets": "%s"})
 
 
-def _basis_json(config: RunConfig) -> dict:
+def _basis_report(config: RunConfig) -> str:
+    """The kets as matrix text, or as json.dumps writes the angles, phases and [re, im] pairs."""
     basis = build_optimal_basis(config.theta, config.eta, config.beta1, config.beta2)
-    return {
-        "theta": basis.theta,
-        "eta": basis.eta,
-        "beta1": basis.beta1,
-        "beta2": basis.beta2,
-        "kets": [qmath.as_real_pairs(k) for k in basis.kets],
-    }
+    if config.output_format == "text":
+        return "\n".join(qmath.format_matrix_text(k) for k in basis.kets) + "\n"
+    return _BASIS_TEMPLATE % (basis.theta, basis.eta, basis.beta1, basis.beta2,
+                              _pairs_text(np.asarray(basis.kets), "\n  "))
 
 
 def run(config: RunConfig) -> tuple[int, str]:
@@ -527,9 +481,7 @@ def run(config: RunConfig) -> tuple[int, str]:
             record = run_protocol_analytic(config.theta, config.eta,
                                            config.beta1, config.beta2).to_dict()
         elif config.command == "basis":
-            if config.output_format == "text":
-                return 0, _basis_text(config)
-            record = _basis_json(config)
+            return 0, _basis_report(config)
         elif config.command == "simulate":
             record = run_protocol_sampled(config.theta, config.eta, config.n_samples,
                                           config.seed, config.beta1, config.beta2).to_dict()
@@ -537,10 +489,10 @@ def run(config: RunConfig) -> tuple[int, str]:
             phi = _criterion_measurement(config)
             record = _verdict(phi, config.theta, config.eta, config.tolerance).to_dict()
         elif config.command == "bound":
-            # to_dict's fields, with the operator written from its factors.
             result = achieving_operator(config.schmidt_a, config.schmidt_b)
-            record = result.record(functools.partial(_write_rank_one, result.scale,
-                                                     result.omega, result.w))
+            if config.output_format == "json":
+                return 0, _bound_json(result)
+            return 0, _csv(_BOUND_SCALARS, [[getattr(result, k) for k in _BOUND_SCALARS]])
         elif config.command == "sweep":
             if config.output_format == "csv":
                 return 0, _sweep_csv(config.grid)
@@ -555,7 +507,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 1, json.dumps(error) + "\n"
     if config.output_format == "csv":
         return 0, _csv_row(record)
-    return 0, _report(record)
+    return 0, json.dumps(record, indent=2) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

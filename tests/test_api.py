@@ -1,5 +1,5 @@
-"""Public surface: the exported names, qmath's helpers, the one tolerance table and the
-numpy calls on the per-point path."""
+"""Public surface: the exported names, qmath's helpers, the one tolerance table, the
+numpy calls on the per-point path, and no module-level name that nothing uses."""
 
 import ast
 from pathlib import Path
@@ -88,6 +88,42 @@ def test_tolerances_live_only_in_qmath():
     table = sorted(n for n in module_level_names(SRC / "qmath.py")
                    if n.endswith(TOLERANCE_SUFFIXES))
     assert 1 <= len(table) <= 6
+
+
+def module_level_definitions(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level: functions, classes, constants and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                not (isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return names - {"__all__"}
+
+
+def test_every_module_level_name_is_used():
+    """Each one is loaded in its own module, looked up as an attribute (qmath.x),
+    imported by a sibling module, or exported."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    attributes, imported = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update((node.module, alias.name) for alias in node.names)
+    unused = {}
+    for module, tree in trees.items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        names = module_level_definitions(tree) - loaded - attributes - set(repeaterlab.__all__)
+        unused[module] = sorted(n for n in names if (module, n) not in imported)
+    assert {k: v for k, v in unused.items() if v} == {}
 
 
 # numpy functions that are Python wrappers over one C-level call; the

@@ -173,10 +173,27 @@ class TestParseArgs:
         ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", str(MAX_SAMPLES + 1)],
         ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "99999999999999999999"],
         ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "10", "--seed", "-1"],
+        ["rate", "--theta", "0.3", "--eta", "0.6", "--beta1", "-inf"],
     ])
     def test_bad_command_lines(self, argv):
         with pytest.raises(UsageError):
             parse_args(argv)
+
+    @pytest.mark.parametrize("token", ["-1e-5", "-7.8e-191", "-1E+2", "-.5e3"])
+    def test_negative_exponent_is_a_number(self, token):
+        angles = ["rate", "--theta", "0.3", "--eta", "0.6"]
+        for option in ("--beta1", "--beta2"):
+            spaced = parse_args([*angles, option, token])
+            assert spaced == parse_args([*angles, f"{option}={token}"])
+            assert getattr(spaced, option[2:]) == float(token)
+        assert run(parse_args([*angles, "--beta1", token])) == \
+            run(parse_args([*angles, f"--beta1={token}"]))
+
+    def test_negative_exponent_angle_is_a_domain_error(self, capsys):
+        assert main(["rate", "--theta", "-1e-5", "--eta", "0.3"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err)["error"]["type"] == "ValueError"
 
 
 def _top_level(argv):
@@ -200,6 +217,7 @@ DISPATCH_CASES = [
     ["rate", "--theta", "0.3", "--eta", "0.6"],
     ["rate", "--the", "0.3", "--et", "0.6", "--deg"],
     ["rate", "--theta=0.3", "--eta=-0.6", "--beta1", "-1e-3"],
+    ["rate", "--theta", "0.3", "--eta", "0.6", "--beta1", "-1e-5", "--beta2", "-1E+2"],
     ["rate", "--theta", "-0.3", "--eta", "0.6"],
     ["rate", "--theta", "0.3", "--eta", "0.6", "--", "x"],
     ["rate", "--", "--theta", "0.3"],
@@ -569,37 +587,6 @@ class TestMain:
 
 
 any_float = st.floats() | st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, 1e-300])
-# Mostly finite leaves, so that most blocks take the bulk route.
-leaf = st.one_of(st.floats(allow_nan=False, allow_infinity=False), any_float)
-
-
-@st.composite
-def float_blocks(draw):
-    """A rectangular nested list of floats, 1-D to 3-D."""
-    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-
-    def build(dims):
-        return draw(leaf) if not dims else [build(dims[1:]) for _ in range(dims[0])]
-    return build(shape)
-
-
-@st.composite
-def float_rows(draw):
-    """Dicts that share one key order and hold floats, like the sweep rows."""
-    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
-    return [{k: draw(leaf) for k in keys} for _ in range(draw(st.integers(1, 4)))]
-
-
-scalars = (any_float | st.integers() | st.booleans() | st.none() | st.text(max_size=6)
-           | st.floats(allow_nan=False).map(np.float64))
-documents = st.recursive(
-    scalars | float_blocks() | float_rows(),
-    lambda children: (st.lists(children, max_size=4)
-                      | st.dictionaries(st.text(max_size=4) | st.integers(), children,
-                                        max_size=4)),
-    max_leaves=24)
-
-
 part = any_float | st.sampled_from([float("nan"), float("inf"), -float("inf")])
 finite_part = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 0.0])
 
@@ -640,7 +627,7 @@ def rate_inputs(draw):
 
 
 class TestRateReport:
-    """The rate report, filled from the kernel's arrays, against the writer on to_dict."""
+    """The rate report, filled from the kernel's arrays, against json.dumps of to_dict."""
 
     @given(rate_inputs())
     @example((5e-324, 5e-324, 0.0, 0.0))
@@ -651,28 +638,17 @@ class TestRateReport:
     @settings(max_examples=300, deadline=None)
     def test_equals_the_writer_on_to_dict(self, inputs):
         theta, eta, beta1, beta2 = inputs
-        # "--beta1=-1e-5": argparse takes a separate "-1e-5" for an option.
         status, report = run(parse_args(["rate", "--theta", repr(theta), "--eta", repr(eta),
-                                         f"--beta1={beta1!r}", f"--beta2={beta2!r}"]))
+                                         "--beta1", repr(beta1), "--beta2", repr(beta2)]))
         assert status == 0
-        # _report writes a non-finite float as json does (NaN, Infinity), %r does
-        # not: equal reports also show that every cell is finite.
-        assert report == cli._report(run_protocol_analytic(theta, eta, beta1, beta2).to_dict())
+        # json writes a non-finite float as NaN or Infinity, %r does not: equal
+        # reports also show that every cell is finite.
+        want = run_protocol_analytic(theta, eta, beta1, beta2).to_dict()
+        assert report == json.dumps(want, indent=2) + "\n"
 
 
 class TestDumps:
-    """The report writer against json.dumps(value, indent=2)."""
-
-    @given(documents)
-    @example([[1.0, -0.0], [float("nan"), 2.5]])
-    @example([[1.0, 2.0], [3.0]])
-    @example([{"a%r": 1.0}, {"a%r": 2.0}])
-    @example([{"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}])
-    @example([[[]], [[]]])
-    @example({"rows": [{"x": 1e308, "y": 1e308}], "block": [[1e308, 1e308]]})
-    @settings(max_examples=200, deadline=None)
-    def test_matches_json_dumps_with_indent(self, value):
-        assert cli._dumps(value) == json.dumps(value, indent=2)
+    """Reports and the bulk-array helpers against json.dumps(value, indent=2)."""
 
     @pytest.mark.parametrize("argv", [
         ["rate", "--theta", "0.3", "--eta", "0.6"],
@@ -682,10 +658,20 @@ class TestDumps:
         ["basis", "--theta", "0.3", "--eta", "0.6", "--format", "json"],
         ["bound", "--a", "0.5,0.3,0.2", "--b", "0.6,0.4"],
         ["sweep", "--grid", "4", "--format", "json"],
+        ["bound", "--a", "1", "--b", "1"],
+        ["bound", "--a", "1,1e-320", "--b", "0.5,0.5"],
+        ["basis", "--theta", "0.3", "--eta", "0.6", "--beta1", "0.5", "--beta2", "-1.25",
+         "--format", "json"],
+        ["rate", "--theta", "0.3", "--eta", "0.6", "--beta1", "-0.0", "--beta2", "2.5"],
     ])
     def test_reports_match_json_dumps_with_indent(self, argv):
         _, report = run(parse_args(argv))
         assert report == json.dumps(json.loads(report), indent=2) + "\n"
+
+    def test_template_fills_only_its_placeholders(self):
+        template = cli._template({"a%r": "%r", "b%%s": ["%s", 2, "%d"]})
+        want = json.dumps({"a%r": -0.0, "b%%s": [True, 2, "%d"]}, indent=2) + "\n"
+        assert template % (-0.0, "true") == want
 
     @given(complex_arrays())
     @example(np.array([[np.nan, 1]], dtype=complex))
@@ -695,8 +681,9 @@ class TestDumps:
     @settings(max_examples=200, deadline=None)
     def test_arrays_match_json_dumps_of_real_pairs(self, a):
         pairs = qmath.as_real_pairs(a)
-        assert cli._dumps(a) == json.dumps(pairs, indent=2)
-        assert cli._dumps({"a": a}) == json.dumps({"a": pairs}, indent=2)
+        assert cli._pairs_text(a) == json.dumps(pairs, indent=2)
+        nested = '{\n  "a": ' + cli._pairs_text(a, "\n  ") + "\n}"
+        assert nested == json.dumps({"a": pairs}, indent=2)
 
     @given(st.floats(0.0, 1.0),
            st.lists(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0.5 + 0j,
@@ -705,10 +692,9 @@ class TestDumps:
     @settings(max_examples=200, deadline=None)
     def test_rank_one_matches_json_dumps_of_real_pairs(self, scale, omega, w):
         omega, w = np.array(omega, dtype=complex), np.array(w, dtype=complex)
-        out = []
-        cli._write_rank_one(scale, omega, w, "\n", out)
+        pieces = cli._rank_one_pieces(scale, omega, w, "\n")
         pairs = qmath.as_real_pairs(scale * np.outer(omega, w))
-        assert "".join(out) == json.dumps(pairs, indent=2)
+        assert "".join(pieces) == json.dumps(pairs, indent=2)
 
     @pytest.mark.parametrize("swapped", [False, True])
     @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 3), (3, 5), (1, 4),
