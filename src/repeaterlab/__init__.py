@@ -8,18 +8,15 @@ an arbitrary projective measurement is optimal, and bounds what a single
 outcome can achieve in any finite dimension.
 """
 
-from .bounds import (BoundResult, achieving_operator, optimal_u, p_max,
-                     steering_bound, trace_rearrangement_lb)
-from .concentration import NotEntangledError, p_e, procrustean
+from .bounds import (BoundResult, SchmidtState, achieving_operator, max_entangled,
+                     optimal_u, p_max, steering_bound, trace_rearrangement_lb)
 from .criterion import (CriterionReport, RankOneRequiredError, achieved_rate,
-                        criterion_lhs, is_optimal, measurement_from_text,
-                        t_operators)
+                        criterion_lhs, is_optimal, measurement_from_text)
 from .repeater import (AnalyticResult, ComparisonRecord, OptimalBasis, SampledResult,
                        bell_kets, build_optimal_basis, compare_with_bell,
                        computational_kets, direct_success_prob, projection_bounds,
                        run_protocol_analytic, run_protocol_sampled,
                        run_protocol_with_kets)
-from .states import SchmidtState, max_entangled
 
 __version__ = "0.1.0"
 
@@ -28,7 +25,6 @@ __all__ = [
     "BoundResult",
     "ComparisonRecord",
     "CriterionReport",
-    "NotEntangledError",
     "OptimalBasis",
     "RankOneRequiredError",
     "SampledResult",
@@ -45,15 +41,12 @@ __all__ = [
     "max_entangled",
     "measurement_from_text",
     "optimal_u",
-    "p_e",
     "p_max",
-    "procrustean",
     "projection_bounds",
     "run_protocol_analytic",
     "run_protocol_sampled",
     "run_protocol_with_kets",
     "steering_bound",
-    "t_operators",
     "trace_rearrangement_lb",
     "__version__",
 ]

@@ -1,10 +1,11 @@
 """Success-probability limits for swapping in arbitrary finite dimension.
 
-Three layers: a steering bound on how much weight any ensemble member of
-a state can carry, a rearrangement inequality for traces of Hermitian
-products, and the resulting closed-form ceiling on the probability that
-a single measurement outcome at the middle station leaves the end nodes
-maximally entangled, together with the operator that reaches it.
+Each pair is given by its squared Schmidt coefficients.  Three layers: a
+steering bound on how much weight any ensemble member of a state can
+carry, a rearrangement inequality for traces of Hermitian products, and
+the resulting closed-form ceiling on the probability that a single
+measurement outcome at the middle station leaves the end nodes maximally
+entangled, together with the operator that reaches it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,45 @@ from typing import Sequence
 import numpy as np
 
 from . import qmath
-from .states import SchmidtState, max_entangled
+
+
+@dataclass(frozen=True)
+class SchmidtState:
+    """Bipartite pure state given by its squared Schmidt coefficients.
+
+    Coefficients are probabilities: strictly positive, nonincreasing and
+    summing to 1.
+    """
+
+    coefficients: tuple[float, ...]
+
+    def __init__(self, coefficients: Sequence[float]) -> None:
+        coeffs = tuple(float(c) for c in coefficients)
+        if not coeffs:
+            raise ValueError("at least one Schmidt coefficient required")
+        if any(c <= 0.0 for c in coeffs):
+            raise ValueError(f"Schmidt coefficients must be strictly positive, got {coeffs}")
+        if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
+            raise ValueError(f"Schmidt coefficients must be nonincreasing, got {coeffs}")
+        if abs(sum(coeffs) - 1.0) > qmath.STRICT_ATOL:
+            raise ValueError(f"Schmidt coefficients must sum to 1, got sum {sum(coeffs)}")
+        object.__setattr__(self, "coefficients", coeffs)
+
+    @property
+    def dim(self) -> int:
+        return len(self.coefficients)
+
+
+def max_entangled(u: np.ndarray, d: int) -> np.ndarray:
+    """Maximally entangled ket (u x I) (1/sqrt(d)) sum_k |k>|k>."""
+    m = qmath.as_matrix(u)
+    if m.shape != (d, d):
+        raise ValueError(f"unitary must be {d}x{d}, got {m.shape}")
+    defect = m @ m.conj().T - np.eye(d)
+    if not qmath.spectral_norm_within(defect, qmath.LOOSE_ATOL):
+        raise ValueError(f"matrix is not unitary (defect {np.linalg.norm(defect, 2):.3e})")
+    # Sum_k (u|k>)|k> has amplitude u[i, k] at index i * d + k.
+    return m.reshape(-1) / np.sqrt(d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,9 +51,10 @@ MAX_GRID = 500
 MAX_BOUND_DIM = 32
 # The sampler's multinomial draw takes a 64-bit count.
 MAX_SAMPLES = 2 ** 63 - 1
-# argparse's pattern for a negative number, plus an exponent: without it
-# "--beta1 -1e-5" reads -1e-5 as an option (repr writes small phases so).
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+# argparse's pattern for a negative number, plus an exponent and a trailing
+# dot: without them "--beta1 -1e-5" reads -1e-5 as an option (repr writes
+# small phases so), and "--beta1 -5." as well, though float() takes both.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 class UsageError(ValueError):

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from . import qmath
-from .repeater import _IDENTITY, _orthonormal_kets, _outcomes
-from .states import _checked_amplitudes, _checked_angles
+from .repeater import (_IDENTITY, _checked_amplitudes, _checked_angles,
+                       _orthonormal_kets, _outcomes)
 
 # Exchanging the roles of the two source pairs swaps Clare's qubits.
 _SWAP_PERM = (0, 2, 1, 3)
@@ -47,25 +47,11 @@ class CriterionReport:
         }
 
 
-def t_operators(theta: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-qubit operators carrying the pair amplitudes into the test.
-
-    The first has trace cos(2 theta); the second is a state (unit trace).
-    Requires theta <= eta.
-    """
-    theta, eta = _checked_angles(theta, eta)
-    if theta > eta:
-        raise ValueError(f"expected theta <= eta, got theta={theta} > eta={eta}")
-    t1 = np.diag([np.cos(theta) ** 2, -np.sin(theta) ** 2]).astype(complex)
-    t2 = np.diag([np.cos(eta) ** 2, np.sin(eta) ** 2]).astype(complex)
-    return t1, t2
-
-
 def _lhs(phi: np.ndarray, theta: float, eta: float) -> float:
     """criterion_lhs of validated kets (the rows of phi) at checked angles."""
     if theta > eta:
         phi, theta, eta = phi[:, _SWAP_PERM], eta, theta
-    # The diagonals of t_operators(theta, eta), and of t1 (x) t2 at index 2a + b.
+    # The diagonals of t1 and t2, and of t1 (x) t2 at index 2a + b.
     c1, s1 = np.cos(theta) ** 2, np.sin(theta) ** 2
     c2, s2 = np.cos(eta) ** 2, np.sin(eta) ** 2
     straight = np.abs(phi) ** 2 @ np.array([c1 * c2, c1 * s2, -s1 * c2, -s1 * s2])
@@ -77,8 +63,11 @@ def _lhs(phi: np.ndarray, theta: float, eta: float) -> float:
 def criterion_lhs(kets: Sequence[np.ndarray], theta: float, eta: float) -> float:
     """Closed-form sum over four kets; equals cos(2 min angle) iff optimal.
 
-    With the smaller angle first and d the diagonal of t1 (x) t2, ket phi
-    contributes sqrt(straight^2 + sin^2(2 theta) |cross|^2), where
+    The pair amplitudes enter through two single-qubit operators, with the
+    smaller angle first (theta <= eta): t1 = diag(cos^2 theta, -sin^2 theta),
+    whose trace is cos(2 theta), and the state t2 = diag(cos^2 eta, sin^2 eta).
+    With d the diagonal of t1 (x) t2, ket phi contributes
+    sqrt(straight^2 + sin^2(2 theta) |cross|^2), where
     straight = sum_t d_t |phi_t|^2 and cross = sum_b t2_bb conj(phi_b) phi_2+b.
     Never smaller than the target, so the gap measures how far the
     measurement falls short.

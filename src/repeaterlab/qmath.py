@@ -12,8 +12,6 @@ import numpy as np
 STRICT_ATOL = 1e-12
 # Checks after an eigensolver, a file read or two routes: PSD, projectors, unitarity, rates.
 LOOSE_ATOL = 1e-10
-# A filter ratio within it of 1 is 1.
-PROB_FLOOR = 1e-15
 # Angles up to pi/4 plus this (decimal-rounded pi/4, as in 0.7854) snap down to pi/4.
 BOUNDARY_SLACK = 1e-4
 # Default tolerance of the criterion's optimality flag, |lhs - rhs|.
@@ -28,15 +26,6 @@ def as_matrix(a: np.ndarray | Sequence) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of rank {m.ndim}")
     return m
-
-
-def basis_ket(index: int, dim: int) -> np.ndarray:
-    """Computational basis vector |index> in dimension dim."""
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dimension {dim}")
-    k = np.zeros(dim, dtype=complex)
-    k[index] = 1.0
-    return k
 
 
 def require_hermitian(a: np.ndarray, atol: float = STRICT_ATOL, what: str = "operator") -> np.ndarray:

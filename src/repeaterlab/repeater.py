@@ -1,7 +1,8 @@
 """Entanglement swapping through a middle station.
 
 Alice and Clare share cos(theta)|00> + sin(theta)|11>, Clare and Bob share
-cos(eta)|00> + sin(eta)|11>.  Clare measures her two qubits in a basis
+cos(eta)|00> + sin(eta)|11>; each pair is fixed by its Schmidt angle,
+checked and snapped to (0, pi/4].  Clare measures her two qubits in a basis
 tuned to the pair amplitudes; two of the four outcomes hand Alice and Bob
 a maximally entangled state outright, and the other two leave a partially
 entangled state that Bob can still filter locally.  The module computes
@@ -18,7 +19,40 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import qmath
-from .states import _amplitudes, _checked_amplitudes, _checked_angles
+
+
+def _check_protocol_angle(value: float, name: str) -> float:
+    value = float(value)
+    # Decimal-rounded boundary inputs (0.7854 for pi/4) snap down.
+    if not 0.0 < value <= np.pi / 4 + qmath.BOUNDARY_SLACK:
+        raise ValueError(f"{name} must lie in (0, pi/4], got {value}")
+    return min(value, np.pi / 4)
+
+
+def _checked_angles(theta: float, eta: float) -> tuple[float, float]:
+    """Both pair angles checked and snapped, theta first."""
+    return _check_protocol_angle(theta, "theta"), _check_protocol_angle(eta, "eta")
+
+
+def _amplitudes(theta, eta) -> np.ndarray:
+    """Product amplitudes f[2s+t] = amp_theta[s] amp_eta[t], shape (..., 4).
+
+    Index t of f addresses both the Alice/Bob pair basis |a b> (t = 2a + b)
+    and Clare's pair basis |c1 c2> (t = 2c1 + c2).  Broadcasts over angle
+    arrays; the angles must already be checked.
+    """
+    ct, st = np.cos(theta), np.sin(theta)
+    ce, se = np.cos(eta), np.sin(eta)
+    f00 = ct * ce
+    f = np.empty(f00.shape + (4,))
+    f[..., 0], f[..., 1], f[..., 2], f[..., 3] = f00, ct * se, st * ce, st * se
+    return f
+
+
+def _checked_amplitudes(theta: float, eta: float) -> tuple[float, float, np.ndarray]:
+    """Checked (snapped) angles and their product amplitudes."""
+    theta, eta = _checked_angles(theta, eta)
+    return theta, eta, _amplitudes(theta, eta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +292,7 @@ _BELL.flags.writeable = False
 
 def computational_kets() -> tuple[np.ndarray, ...]:
     """Clare's separable two-qubit basis |00>, |01>, |10>, |11>."""
-    return tuple(qmath.basis_ket(t, 4) for t in range(4))
+    return tuple(_IDENTITY.astype(complex))
 
 
 class _Outcomes(NamedTuple):
@@ -297,9 +331,14 @@ def _outcomes(f: np.ndarray, kets) -> _Outcomes:
     M = [[m0, m1], [m2, m3]], m_t = f[t] conj(phi[t]).  The outcome
     probability is its squared Frobenius norm, and Bob's best filter
     succeeds with weight 2 s_min^2, twice the smaller squared singular
-    value; on the normalized leftover that is 2 c_min^2, also when the
-    leftover counts as maximal (both normalized singular values within
-    LOOSE_ATOL of 1/sqrt(2)), which only the ledger and the sampler read.
+    value.  That filter is the single-pair Procrustean step of Bennett,
+    Bernstein, Popescu and Schumacher (PRA 53, 2046, 1996): on a pair
+    cos(l)|00> + sin(l)|11> it damps the larger Schmidt amplitude down to
+    the smaller one and succeeds with min(2cos^2 l, 2sin^2 l) = 2 s_min^2,
+    the best any local filter can do.  On the normalized leftover the
+    weight is 2 c_min^2, also when the leftover counts as maximal (both
+    normalized singular values within LOOSE_ATOL of 1/sqrt(2)), which only
+    the ledger and the sampler read.
     An outcome fires unless its probability is exactly 0.  The singular
     values come from qmath.singular_values_2x2, on each leftover rescaled
     by an exact power of two.

@@ -14,14 +14,13 @@ TOLERANCE_SUFFIXES = ("_ATOL", "_TOL", "_FLOOR", "_CUTOFF", "_SLACK")
 
 EXPECTED_ALL = {
     "AnalyticResult", "BoundResult", "ComparisonRecord", "CriterionReport",
-    "NotEntangledError", "OptimalBasis", "RankOneRequiredError",
-    "SampledResult", "SchmidtState",
+    "OptimalBasis", "RankOneRequiredError", "SampledResult", "SchmidtState",
     "achieved_rate", "achieving_operator", "bell_kets", "build_optimal_basis",
     "compare_with_bell", "computational_kets", "criterion_lhs",
     "direct_success_prob", "is_optimal",
-    "max_entangled", "measurement_from_text", "optimal_u", "p_e", "p_max",
-    "procrustean", "projection_bounds", "run_protocol_analytic", "run_protocol_sampled",
-    "run_protocol_with_kets", "steering_bound", "t_operators",
+    "max_entangled", "measurement_from_text", "optimal_u", "p_max",
+    "projection_bounds", "run_protocol_analytic", "run_protocol_sampled",
+    "run_protocol_with_kets", "steering_bound",
     "trace_rearrangement_lb", "__version__",
 }
 
@@ -40,14 +39,14 @@ def module_level_names(path: Path) -> set[str]:
 
 
 def test_all_is_pinned():
-    assert len(repeaterlab.__all__) == 32
+    assert len(repeaterlab.__all__) == 28
     assert set(repeaterlab.__all__) == EXPECTED_ALL
     for name in repeaterlab.__all__:
         assert hasattr(repeaterlab, name)
 
 
 QMATH_FUNCTIONS = {
-    "as_matrix", "as_real_pairs", "basis_ket", "format_matrix_text",
+    "as_matrix", "as_real_pairs", "format_matrix_text",
     "parse_matrix_blocks", "require_hermitian", "singular_values_2x2",
     "spectral_norm_within",
 }
@@ -87,7 +86,7 @@ def test_tolerances_live_only_in_qmath():
     assert {k: v for k, v in strays.items() if v} == {}
     table = sorted(n for n in module_level_names(SRC / "qmath.py")
                    if n.endswith(TOLERANCE_SUFFIXES))
-    assert 1 <= len(table) <= 6
+    assert len(table) == 5
 
 
 def module_level_definitions(tree: ast.Module) -> set[str]:

@@ -1,4 +1,5 @@
-"""General-dimension ceiling: steering, trace rearrangement, reaching operator."""
+"""General-dimension ceiling: Schmidt lists, maximally entangled kets, steering, trace
+rearrangement, reaching operator."""
 
 import json
 import tracemalloc
@@ -11,14 +12,15 @@ from hypothesis import given, settings, strategies as st
 from repeaterlab import bounds, qmath
 from repeaterlab.bounds import (
     BoundResult,
+    SchmidtState,
     achieving_operator,
+    max_entangled,
     optimal_u,
     p_max,
     steering_bound,
     trace_rearrangement_lb,
 )
 from repeaterlab.repeater import projection_bounds
-from repeaterlab.states import SchmidtState, max_entangled
 from oracles import dense_bound, random_density, random_hermitian
 
 RNG = np.random.default_rng(20240815)
@@ -368,3 +370,69 @@ class TestCeilingIsASteeringBound:
             omega = max_entangled(v, d)
             bound = steering_bound(rho, np.outer(omega, omega.conj()))
             assert bound <= p_max(sa, sb) + 1e-10
+
+
+class TestSchmidtState:
+    def test_basic(self):
+        s = bounds.SchmidtState([0.7, 0.3])
+        assert s.dim == 2
+        assert s.coefficients == (0.7, 0.3)
+
+    @pytest.mark.parametrize("coeffs", [
+        [],
+        [0.5, 0.5, 0.0],
+        [-0.2, 1.2],
+        [0.3, 0.7],      # increasing
+        [0.6, 0.3],      # sums to 0.9
+    ])
+    def test_invalid_coefficients(self, coeffs):
+        with pytest.raises(ValueError):
+            bounds.SchmidtState(coeffs)
+
+
+class TestMaxEntangled:
+    def test_identity_gives_uniform_pair(self):
+        k = bounds.max_entangled(np.eye(2), 2)
+        assert np.allclose(k, np.array([1, 0, 0, 1]) / np.sqrt(2))
+
+    def test_bit_flip_rotates_left_factor(self):
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        k = bounds.max_entangled(x, 2)
+        assert np.allclose(k, np.array([0, 1, 1, 0]) / np.sqrt(2))
+
+    def test_reduced_state_is_uniform(self):
+        u = random_unitary(RNG, 3)
+        k = bounds.max_entangled(u, 3)
+        # Alice's reduced state: trace Bob's factor out of |k><k|.
+        m = k.reshape(3, 3)
+        left = m @ m.conj().T
+        assert np.allclose(left, np.eye(3) / 3, atol=1e-12)
+        assert np.allclose(np.linalg.svd(m, compute_uv=False), 1 / np.sqrt(3), atol=1e-10)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_equals_the_kron_loop(self, d):
+        for u in (random_unitary(RNG, d), np.eye(d)[::-1].astype(complex)):
+            loop = sum(np.kron(u[:, k], np.eye(d)[k]) for k in range(d)) / np.sqrt(d)
+            assert np.array_equal(bounds.max_entangled(u, d), loop)
+
+    def test_rejects_non_unitary(self):
+        with pytest.raises(ValueError):
+            bounds.max_entangled(np.diag([1.0, 2.0]), 2)
+
+    def test_judged_by_the_spectral_defect(self):
+        # Defect diag(0.9e-10, 0.9e-10, 0, 0): its Frobenius norm is above the
+        # bound, its spectral norm below it, so the matrix passes.
+        d = 4
+        m = np.diag(np.sqrt([1 + 0.9e-10, 1 + 0.9e-10, 1.0, 1.0]))
+        defect = m @ m.conj().T - np.eye(d)
+        assert np.linalg.norm(defect, 2) <= qmath.LOOSE_ATOL < np.linalg.norm(defect)
+        assert np.array_equal(bounds.max_entangled(m, d), m.reshape(-1) / np.sqrt(d))
+
+    def test_rejects_a_spectral_defect_above_the_bound(self):
+        m = np.diag(np.sqrt([1 + 1.1e-10, 1.0, 1.0]))
+        with pytest.raises(ValueError, match=r"^matrix is not unitary \(defect 1\.100e-10\)$"):
+            bounds.max_entangled(m, 3)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError):
+            bounds.max_entangled(np.eye(3), 2)

@@ -179,7 +179,7 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(argv)
 
-    @pytest.mark.parametrize("token", ["-1e-5", "-7.8e-191", "-1E+2", "-.5e3"])
+    @pytest.mark.parametrize("token", ["-1e-5", "-7.8e-191", "-1E+2", "-.5e3", "-5.", "-1.e-5"])
     def test_negative_exponent_is_a_number(self, token):
         angles = ["rate", "--theta", "0.3", "--eta", "0.6"]
         for option in ("--beta1", "--beta2"):
@@ -218,6 +218,7 @@ DISPATCH_CASES = [
     ["rate", "--the", "0.3", "--et", "0.6", "--deg"],
     ["rate", "--theta=0.3", "--eta=-0.6", "--beta1", "-1e-3"],
     ["rate", "--theta", "0.3", "--eta", "0.6", "--beta1", "-1e-5", "--beta2", "-1E+2"],
+    ["rate", "--theta", "0.3", "--eta", "0.6", "--beta1", "-5.", "--beta2", "-1.e-5"],
     ["rate", "--theta", "-0.3", "--eta", "0.6"],
     ["rate", "--theta", "0.3", "--eta", "0.6", "--", "x"],
     ["rate", "--", "--theta", "0.3"],

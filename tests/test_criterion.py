@@ -14,7 +14,6 @@ from repeaterlab.criterion import (
     criterion_lhs,
     is_optimal,
     measurement_from_text,
-    t_operators,
 )
 from repeaterlab.repeater import (
     bell_kets,
@@ -49,7 +48,8 @@ def reference_lhs(kets, theta, eta):
         perm = (0, 2, 1, 3)
         projectors = [p[np.ix_(perm, perm)] for p in projectors]
         theta, eta = eta, theta
-    t1, t2 = t_operators(theta, eta)
+    t1 = np.diag([np.cos(theta) ** 2, -np.sin(theta) ** 2])
+    t2 = np.diag([np.cos(eta) ** 2, np.sin(eta) ** 2])
     diag_op = np.kron(t1, t2)
     flip_op = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), t2)
     total = 0.0
@@ -58,29 +58,6 @@ def reference_lhs(kets, theta, eta):
         cross = np.trace(flip_op @ p)
         total += np.sqrt(straight ** 2 + np.sin(2 * theta) ** 2 * abs(cross) ** 2)
     return total
-
-
-class TestTOperators:
-    def test_values(self):
-        t1, t2 = t_operators(np.pi / 6, np.pi / 4)
-        assert np.allclose(t1, np.diag([0.75, -0.25]), atol=1e-15)
-        assert np.allclose(t2, np.diag([0.5, 0.5]), atol=1e-15)
-
-    @given(ordered_angles)
-    @settings(max_examples=60, deadline=None)
-    def test_traces(self, pair):
-        theta, eta = pair
-        t1, t2 = t_operators(theta, eta)
-        assert np.trace(t1).real == pytest.approx(np.cos(2 * theta), abs=1e-12)
-        assert np.trace(t2).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_misordered_angles(self):
-        with pytest.raises(ValueError):
-            t_operators(0.6, 0.3)
-
-    def test_boundary_input_snaps(self):
-        t1, _ = t_operators(0.7854, 0.7854)
-        assert np.trace(t1).real == pytest.approx(0.0, abs=1e-15)
 
 
 class TestCriterionLhs:
@@ -128,7 +105,7 @@ class TestCriterionLhs:
     @given(ordered_angles, st.booleans(), st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_reads_the_t_operator_diagonals(self, pair, larger_first, seed):
-        # Bit for bit the sum over the diagonal of t1 (x) t2 as t_operators builds it.
+        # Bit for bit the sum over the diagonal of t1 (x) t2, built from t1 and t2.
         theta, eta = pair[::-1] if larger_first else pair
         kets = np.array(random_orthonormal_kets(np.random.default_rng(seed)))
         assert criterion_lhs(kets, theta, eta) == self._lhs_from_t_operators(kets, theta, eta)
@@ -138,8 +115,8 @@ class TestCriterionLhs:
         if theta > eta:
             # With the larger angle first, the lhs swaps Clare's qubits.
             phi, theta, eta = phi[:, [0, 2, 1, 3]], eta, theta
-        t1, t2 = t_operators(theta, eta)
-        d1, d2 = t1.diagonal().real, t2.diagonal().real
+        d1 = np.array([np.cos(theta) ** 2, -np.sin(theta) ** 2])
+        d2 = np.array([np.cos(eta) ** 2, np.sin(eta) ** 2])
         straight = np.abs(phi) ** 2 @ np.outer(d1, d2).ravel()
         cross = (phi[:, :2].conj() * phi[:, 2:]) @ d2
         return float(np.sum(np.sqrt(straight ** 2 + np.sin(2 * theta) ** 2 * np.abs(cross) ** 2)))

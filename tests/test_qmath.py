@@ -26,7 +26,7 @@ class TestSchmidt:
         assert np.allclose(schmidt_2x2(ket), [1 / np.sqrt(2)] * 2, atol=1e-15)
 
     def test_product_state_keeps_zero(self):
-        assert np.allclose(schmidt_2x2(qmath.basis_ket(0, 4)), [1.0, 0.0], atol=0)
+        assert np.allclose(schmidt_2x2(np.eye(4)[0]), [1.0, 0.0], atol=0)
 
     def test_two_qubit_angles(self):
         ket = np.array([np.cos(np.pi / 6), 0, 0, np.sin(np.pi / 6)])
@@ -55,11 +55,6 @@ class TestSchmidt:
 
 
 class TestHelpers:
-    def test_basis_ket(self):
-        assert np.array_equal(qmath.basis_ket(2, 4), np.array([0, 0, 1, 0], dtype=complex))
-        with pytest.raises(ValueError):
-            qmath.basis_ket(4, 4)
-
     def test_hermitian_gate(self):
         assert np.array_equal(qmath.require_hermitian(np.eye(3)), np.eye(3))
         with pytest.raises(ValueError):

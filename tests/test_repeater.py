@@ -1,4 +1,4 @@
-"""Swap protocol: tuned basis, rates, sampling, cost comparison."""
+"""Swap protocol: checked angles, tuned basis, rates, sampling, cost comparison."""
 
 import json
 import tracemalloc
@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repeaterlab import qmath, repeater, states
-from repeaterlab.concentration import p_e
+from repeaterlab import qmath, repeater
 from repeaterlab.criterion import achieved_rate, measurement_from_text
 from repeaterlab.repeater import (
     AnalyticResult,
@@ -23,6 +22,7 @@ from repeaterlab.repeater import (
     run_protocol_with_kets,
 )
 from oracles import (
+    best_filter_grid,
     eig2_min,
     joint_ket_loop,
     project_clare_loop,
@@ -43,6 +43,7 @@ EPS = np.finfo(float).eps
 # The smallest subnormal, the rounding step of a square that underflows.
 SUBNORMAL = 5e-324
 phases = st.floats(min_value=-np.pi, max_value=np.pi)
+angles_strict = st.floats(min_value=1e-3, max_value=np.pi / 4)
 
 
 def family_grid(theta, eta, n_alpha=41, n_phase=9):
@@ -354,8 +355,24 @@ class TestBobFilter:
     """Bob's filter weight from the kernel, against an explicit filter on the leftover."""
 
     def test_matches_concentration_rate(self):
-        record = run_protocol_analytic(0.3, 0.6).per_outcome[2]
-        assert record.bob_success_prob == pytest.approx(p_e(record.post_state), abs=1e-12)
+        # Bob's weight is the concentration rate 2 c1^2 of the leftover pair,
+        # read from its LAPACK Schmidt coefficients.
+        filtered = [r for r in run_protocol_analytic(0.3, 0.6).per_outcome if not r.maximal]
+        assert len(filtered) == 2
+        for record in filtered:
+            _, c1 = np.linalg.svd(record.post_state.reshape(2, 2), compute_uv=False)
+            assert record.bob_success_prob == pytest.approx(2 * c1**2, abs=1e-12)
+
+    def test_matches_exhaustive_filter_search(self):
+        # Best diagonal filter over a dense grid, on the leftover's LAPACK
+        # Schmidt coefficients, must attain and never exceed Bob's weight.
+        filtered = [r for r in run_protocol_analytic(0.3, 0.6).per_outcome if not r.maximal]
+        assert len(filtered) == 2
+        for record in filtered:
+            c0, c1 = np.linalg.svd(record.post_state.reshape(2, 2), compute_uv=False)
+            best = best_filter_grid(c0, c1, 4000)
+            assert best <= record.bob_success_prob + 1e-12
+            assert best == pytest.approx(record.bob_success_prob, abs=1e-6)
 
     def test_success_branch_is_maximal(self):
         # Damp Bob's larger Schmidt component down to the smaller one.
@@ -602,7 +619,7 @@ class TestBatchedKernel:
            st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
     def test_stack_equals_separate_calls(self, cases, n_kets):
-        f = np.array([states._amplitudes(theta, eta) for theta, eta, _, _ in cases])
+        f = np.array([repeater._amplitudes(theta, eta) for theta, eta, _, _ in cases])
         kets = np.array([np.asarray(kets_of(kind, theta, eta, seed), dtype=complex)[:n_kets]
                          for theta, eta, kind, seed in cases])
         stacked = repeater._outcomes(f, kets)
@@ -652,7 +669,7 @@ class TestBatchedKernel:
 
     def test_slices_equal_one_kernel_call(self):
         theta, eta = np.random.default_rng(7).uniform(1e-3, np.pi / 4, size=(2, 10_000))
-        f = states._amplitudes(theta, eta)
+        f = repeater._amplitudes(theta, eta)
         whole = repeater._rate(repeater._outcomes(f, repeater._tuned_kets(f)))
         assert np.array_equal(repeater._rate_table(theta, eta)[0], whole)
 
@@ -673,7 +690,7 @@ class TestClosedFormKernel:
         Bob's weight min(1, 2 c_min^2) of the normalized values c, and the
         maximal flags.
         """
-        f = np.ldexp(states._amplitudes(theta, eta), -shift)
+        f = np.ldexp(repeater._amplitudes(theta, eta), -shift)
         kets = np.asarray(kets_of(kind, theta, eta, seed), dtype=complex)
         out = repeater._outcomes(f, kets)
         leftover = f * kets.conj()
@@ -695,3 +712,33 @@ class TestClosedFormKernel:
             # angle within about 1e-10 of it) a fourth.
             assert out.maximal.sum() >= 3
             assert out.maximal.all() or theta != np.pi / 4
+
+
+class TestCheckedAmplitudes:
+    def test_balanced_amplitudes(self):
+        _, _, f = repeater._checked_amplitudes(np.pi / 4, np.pi / 4)
+        assert np.allclose(f, [0.5, 0.5, 0.5, 0.5], atol=1e-15)
+
+    def test_mixed_angle_amplitudes(self):
+        _, _, f = repeater._checked_amplitudes(np.pi / 6, np.pi / 4)
+        expected = [np.sqrt(6) / 4, np.sqrt(6) / 4, np.sqrt(2) / 4, np.sqrt(2) / 4]
+        assert np.allclose(f, expected, atol=1e-15)
+
+    def test_boundary_input_snaps(self):
+        # 0.7854 is the four-decimal rounding of pi/4 and must be accepted.
+        theta, eta, snapped = repeater._checked_amplitudes(0.7854, 0.7854)
+        assert theta == np.pi / 4
+        assert eta == np.pi / 4
+        assert np.array_equal(snapped, repeater._checked_amplitudes(np.pi / 4, np.pi / 4)[2])
+
+    def test_strict_range(self):
+        with pytest.raises(ValueError):
+            repeater._checked_amplitudes(1.2, 0.3)
+        with pytest.raises(ValueError):
+            repeater._checked_amplitudes(0.3, 0.0)
+
+    @given(angles_strict, angles_strict)
+    @settings(max_examples=60, deadline=None)
+    def test_amplitudes_normalized(self, theta, eta):
+        _, _, f = repeater._checked_amplitudes(theta, eta)
+        assert np.sum(f ** 2) == pytest.approx(1.0, abs=1e-12)
