@@ -19,7 +19,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,27 +58,6 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 class UsageError(ValueError):
     """Bad command line; carries the parser's complaint."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation."""
-
-    command: str
-    theta: float | None = None
-    eta: float | None = None
-    n_samples: int | None = None
-    seed: int | None = None
-    beta1: float = 0.0
-    beta2: float = 0.0
-    output_format: str = "json"
-    output_path: str | None = None
-    schmidt_a: tuple[float, ...] = field(default=())
-    schmidt_b: tuple[float, ...] = field(default=())
-    measurement: str | None = None
-    measurement_file: str | None = None
-    tolerance: float = qmath.FLAG_TOL
-    grid: int = 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,7 +144,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = add_command("simulate", "Monte-Carlo estimate of the success rate")
     add_angles(p)
-    add_phases(p)
     p.add_argument("--n", dest="n_samples", type=int, required=True,
                    help=f"number of protocol runs to sample, 1 to {MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=None,
@@ -205,50 +182,46 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, commands
 
 
-def parse_args(argv: list[str]) -> RunConfig:
-    """Validate a command line into a RunConfig; raises UsageError on bad input.
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Validate a command line into argparse's namespace; raises UsageError on bad input.
 
-    A command line that starts with a command name goes straight to that
+    The namespace holds each option under its dest, angles in radians.  A
+    command line that starts with a command name goes straight to that
     command's parser, which is what the top-level parser would hand it to;
     any other goes through the top-level parser.
     """
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
     if command is None:
-        return _run_config(parser.parse_args(argv))
+        return _checked(parser.parse_args(argv))
     ns = command.parse_args(argv[1:])
     ns.command = argv[0]
-    return _run_config(ns)
+    return _checked(ns)
 
 
-def _run_config(ns: argparse.Namespace) -> RunConfig:
-    """The RunConfig of a parsed command line, with the checks argparse cannot make."""
-    kwargs = {"command": ns.command,
-              "output_format": ns.output_format,
-              "output_path": ns.output_path}
-    if hasattr(ns, "theta"):
-        scale = np.pi / 180.0 if ns.degrees else 1.0
-        kwargs["theta"] = ns.theta * scale
-        kwargs["eta"] = ns.eta * scale
-    for name in ("beta1", "beta2", "n_samples", "seed", "schmidt_a", "schmidt_b",
-                 "measurement", "measurement_file", "tolerance", "grid"):
-        if hasattr(ns, name):
-            kwargs[name] = getattr(ns, name)
+def _checked(ns: argparse.Namespace) -> argparse.Namespace:
+    """A parsed command line after the checks argparse cannot make.
+
+    --degrees is taken off the namespace, its angles scaled to radians.
+    """
+    if vars(ns).pop("degrees", False):
+        ns.theta *= np.pi / 180.0
+        ns.eta *= np.pi / 180.0
     if ns.command == "simulate":
-        if not 1 <= kwargs["n_samples"] <= MAX_SAMPLES:
-            raise UsageError(f"--n must lie in [1, {MAX_SAMPLES}], got {kwargs['n_samples']}")
-        if kwargs["seed"] is None:
+        if not 1 <= ns.n_samples <= MAX_SAMPLES:
+            raise UsageError(f"--n must lie in [1, {MAX_SAMPLES}], got {ns.n_samples}")
+        if ns.seed is None:
             env = os.environ.get(SEED_ENV_VAR)
             if env is not None:
                 try:
-                    kwargs["seed"] = int(env)
+                    ns.seed = int(env)
                 except ValueError:
                     raise UsageError(f"${SEED_ENV_VAR} must be an integer, got {env!r}")
-        if kwargs["seed"] is not None and kwargs["seed"] < 0:
-            raise UsageError(f"the seed must be nonnegative, got {kwargs['seed']}")
-    if ns.command == "sweep" and not 1 <= kwargs["grid"] <= MAX_GRID:
-        raise UsageError(f"--grid must lie in [1, {MAX_GRID}], got {kwargs['grid']}")
-    return RunConfig(**kwargs)
+        if ns.seed is not None and ns.seed < 0:
+            raise UsageError(f"the seed must be nonnegative, got {ns.seed}")
+    if ns.command == "sweep" and not 1 <= ns.grid <= MAX_GRID:
+        raise UsageError(f"--grid must lie in [1, {MAX_GRID}], got {ns.grid}")
+    return ns
 
 
 def _csv(fieldnames, rows) -> str:
@@ -301,13 +274,8 @@ def _template(skeleton) -> str:
 
 @functools.cache
 def _pairs_template(shape: tuple[int, ...], newline: str) -> str:
-    """_pairs_text's template for an array of this shape: nested lists of %r fields."""
-    item = "%r"
-    for depth, length in reversed(list(enumerate(shape + (2,)))):
-        outer = newline + "  " * depth
-        inner = outer + "  "
-        item = "[" + inner + ("," + inner).join([item] * length) + outer + "]"
-    return item
+    """_pairs_text's template for an array of this shape: json's layout of its %r fields."""
+    return _template(np.full(shape + (2,), "%r").tolist())[:-1].replace("\n", newline)
 
 
 def _pairs_text(a: np.ndarray, newline: str = "\n") -> str:
@@ -430,7 +398,7 @@ def _rate_template(outcomes: int) -> str:
                                  "bob_action_prob": "%r"}})
 
 
-def _rate_json(config: RunConfig) -> str:
+def _rate_json(config: argparse.Namespace) -> str:
     """The rate report as json.dumps writes to_dict(), filled from the kernel's arrays.
 
     Every cell is finite for checked angles, and %r writes a finite float
@@ -447,7 +415,7 @@ def _rate_json(config: RunConfig) -> str:
     return _rate_template(len(fields.clare_prob)) % tuple(cells)
 
 
-def _criterion_measurement(config: RunConfig) -> np.ndarray:
+def _criterion_measurement(config: argparse.Namespace) -> np.ndarray:
     """The measurement's kets as the rows of a (4, 4) array, checked to be orthonormal once."""
     if config.measurement == "bell":
         return _orthonormal_kets(bell_kets(), qmath.LOOSE_ATOL)
@@ -464,7 +432,7 @@ _BASIS_TEMPLATE = _template({"theta": "%r", "eta": "%r", "beta1": "%r", "beta2":
                              "kets": "%s"})
 
 
-def _basis_report(config: RunConfig) -> str:
+def _basis_report(config: argparse.Namespace) -> str:
     """The kets as matrix text, or as json.dumps writes the angles, phases and [re, im] pairs."""
     basis = build_optimal_basis(config.theta, config.eta, config.beta1, config.beta2)
     if config.output_format == "text":
@@ -473,8 +441,8 @@ def _basis_report(config: RunConfig) -> str:
                               _pairs_text(np.asarray(basis.kets), "\n  "))
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute one config; returns (exit status, serialized report)."""
+def run(config: argparse.Namespace) -> tuple[int, str]:
+    """Execute one parse_args namespace; returns (exit status, serialized report)."""
     try:
         if config.command == "rate":
             if config.output_format == "json":
@@ -485,7 +453,7 @@ def run(config: RunConfig) -> tuple[int, str]:
             return 0, _basis_report(config)
         elif config.command == "simulate":
             record = run_protocol_sampled(config.theta, config.eta, config.n_samples,
-                                          config.seed, config.beta1, config.beta2).to_dict()
+                                          config.seed).to_dict()
         elif config.command == "criterion":
             phi = _criterion_measurement(config)
             record = _verdict(phi, config.theta, config.eta, config.tolerance).to_dict()
@@ -498,10 +466,8 @@ def run(config: RunConfig) -> tuple[int, str]:
             if config.output_format == "csv":
                 return 0, _sweep_csv(config.grid)
             return 0, _sweep_json(config.grid)
-        elif config.command == "compare":
+        else:  # compare
             record = compare_with_bell(config.theta, config.eta).to_dict()
-        else:
-            raise UsageError(f"unknown command {config.command!r}")
     except (ValueError, OSError, MemoryError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc),
                            "command": config.command}}

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qmath
-from .repeater import (_IDENTITY, _checked_amplitudes, _checked_angles,
+from .repeater import (_IDENTITY, _Record, _checked_amplitudes, _checked_angles,
                        _orthonormal_kets, _outcomes)
 
 # Exchanging the roles of the two source pairs swaps Clare's qubits.
@@ -28,7 +28,7 @@ class RankOneRequiredError(ValueError):
 
 
 @dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(_Record):
     """Both faces of the optimality test for one measurement."""
 
     lhs: float
@@ -36,15 +36,6 @@ class CriterionReport:
     p_s: float
     optimal: bool
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "p_s": self.p_s,
-            "optimal": self.optimal,
-            "tolerance": self.tolerance,
-        }
 
 
 def _lhs(phi: np.ndarray, theta: float, eta: float) -> float:

@@ -101,69 +101,37 @@ def format_matrix_text(m: np.ndarray) -> str:
 def parse_matrix_blocks(text: str) -> list[np.ndarray]:
     """Parse a whitespace-separated stream of matrix blocks.
 
-    The headers are read first; then all body tokens go through one float()
-    list, one array and one finiteness check, and each block is a view of
-    the (re, im) pairs.  An error names the first malformed block in stream
-    order, whether its header or its body is at fault: only then are the
-    bodies read again, block by block, to find it.
+    Each block is a "rows cols" header and then its rows * cols entries,
+    row-major, each as a "re im" pair.  An error names the first malformed
+    block in stream order, whether its header or its body is at fault.
     """
     tokens = text.split()
-    headers, header_error = _block_headers(tokens)
-    bodies = [tokens[start:start + 2 * rows * cols] for rows, cols, start in headers]
-    try:
-        values = np.array([float(t) for body in bodies for t in body])
-        finite = np.isfinite(values).all()
-    except ValueError:
-        finite = False
-    if not finite:
-        for body in bodies:
-            _check_body(body)
-    if header_error is not None:
-        raise header_error
-    if not headers:
-        raise ValueError("no matrix data found")
-    pairs = values.view(complex)
     blocks: list[np.ndarray] = []
     pos = 0
-    for rows, cols, _ in headers:
-        blocks.append(pairs[pos:pos + rows * cols].reshape(rows, cols))
-        pos += rows * cols
+    while pos < len(tokens):
+        if pos + 2 > len(tokens):
+            raise ValueError("truncated matrix header")
+        try:
+            rows, cols = int(tokens[pos]), int(tokens[pos + 1])
+        except ValueError as exc:
+            raise ValueError(f"bad matrix header {tokens[pos:pos + 2]!r}") from exc
+        if rows <= 0 or cols <= 0:
+            raise ValueError(f"bad matrix shape {rows}x{cols}")
+        pos += 2
+        need = 2 * rows * cols
+        if pos + need > len(tokens):
+            raise ValueError(f"matrix body needs {need} numbers, found {len(tokens) - pos}")
+        try:
+            body = np.array([float(t) for t in tokens[pos:pos + need]])
+        except ValueError as exc:
+            raise ValueError("non-numeric token in matrix body") from exc
+        if not np.isfinite(body).all():
+            raise ValueError("non-finite entry in matrix body")
+        blocks.append(body.view(complex).reshape(rows, cols))
+        pos += need
+    if not blocks:
+        raise ValueError("no matrix data found")
     return blocks
-
-
-def _block_headers(tokens: list[str]) -> tuple[list[tuple[int, int, int]], ValueError | None]:
-    """(rows, cols, body start) of each block before the first bad header, and its error."""
-    headers: list[tuple[int, int, int]] = []
-    pos = 0
-    try:
-        while pos < len(tokens):
-            if pos + 2 > len(tokens):
-                raise ValueError("truncated matrix header")
-            try:
-                rows, cols = int(tokens[pos]), int(tokens[pos + 1])
-            except ValueError as exc:
-                raise ValueError(f"bad matrix header {tokens[pos:pos + 2]!r}") from exc
-            if rows <= 0 or cols <= 0:
-                raise ValueError(f"bad matrix shape {rows}x{cols}")
-            pos += 2
-            need = 2 * rows * cols
-            if pos + need > len(tokens):
-                raise ValueError(f"matrix body needs {need} numbers, found {len(tokens) - pos}")
-            headers.append((rows, cols, pos))
-            pos += need
-    except ValueError as exc:
-        return headers, exc
-    return headers, None
-
-
-def _check_body(body: list[str]) -> None:
-    """Raise if a token of one block body is not a number or not finite."""
-    try:
-        flat = np.array([float(t) for t in body])
-    except ValueError as exc:
-        raise ValueError("non-numeric token in matrix body") from exc
-    if not np.isfinite(flat).all():
-        raise ValueError("non-finite entry in matrix body")
 
 
 def as_real_pairs(a: np.ndarray) -> list:

@@ -13,7 +13,7 @@ Bell-basis strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -74,26 +74,34 @@ class OptimalBasis:
         _orthonormal_kets(self.kets)
 
 
+class _Record:
+    """Base of a dataclass whose report, to_dict, lists its fields in declaration order.
+
+    A nested record becomes its own report, and an array nested [re, im] lists.
+    """
+
+    def to_dict(self) -> dict:
+        report = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, _Record):
+                value = value.to_dict()
+            elif isinstance(value, np.ndarray):
+                value = qmath.as_real_pairs(value)
+            report[f.name] = value
+        return report
+
+
 @dataclass(frozen=True, eq=False)
-class OutcomeRecord:
+class OutcomeRecord(_Record):
     """Analytic data for one of Clare's outcomes."""
 
     outcome: int
     clare_prob: float
-    post_state: np.ndarray
     maximal: bool
     bob_success_prob: float
     success_prob: float
-
-    def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "clare_prob": self.clare_prob,
-            "maximal": self.maximal,
-            "bob_success_prob": self.bob_success_prob,
-            "success_prob": self.success_prob,
-            "post_state": qmath.as_real_pairs(self.post_state),
-        }
+    post_state: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +132,7 @@ class AnalyticResult:
 
 
 @dataclass(frozen=True, eq=False)
-class SampledResult:
+class SampledResult(_Record):
     """Monte-Carlo estimate of the protocol success rate."""
 
     theta: float
@@ -135,20 +143,9 @@ class SampledResult:
     stderr: float
     ledger_stats: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "eta": self.eta,
-            "n": self.n,
-            "seed": self.seed,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "ledger_stats": dict(self.ledger_stats),
-        }
-
 
 @dataclass(frozen=True)
-class BranchSummary:
+class BranchSummary(_Record):
     """Rate and expected LOCC cost of one strategy."""
 
     p_ms: float
@@ -156,17 +153,9 @@ class BranchSummary:
     expected_local_measurements: float
     classical_bits_sent: int = 2
 
-    def to_dict(self) -> dict:
-        return {
-            "p_ms": self.p_ms,
-            "bob_action_prob": self.bob_action_prob,
-            "expected_local_measurements": self.expected_local_measurements,
-            "classical_bits_sent": self.classical_bits_sent,
-        }
-
 
 @dataclass(frozen=True, eq=False)
-class ComparisonRecord:
+class ComparisonRecord(_Record):
     """Tuned basis versus Bell basis on the same pair of resources."""
 
     theta: float
@@ -174,15 +163,6 @@ class ComparisonRecord:
     optimal: BranchSummary
     bell: BranchSummary
     rates_equal: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "eta": self.eta,
-            "optimal": self.optimal.to_dict(),
-            "bell": self.bell.to_dict(),
-            "rates_equal": self.rates_equal,
-        }
 
 
 def _direct_forms(theta, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -320,6 +300,11 @@ class _Outcomes(NamedTuple):
         return np.where(self.clare_prob[..., None] > 0.0,
                         self.scaled / self.norm[..., None], 0.0)
 
+    @property
+    def bob_action_prob(self) -> np.ndarray:
+        """Probability that Bob has to act: the non-maximal outcomes summed in outcome order."""
+        return np.add.reduce(np.where(self.maximal, 0.0, self.clare_prob), axis=-1)
+
 
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -414,11 +399,9 @@ class _Fields(NamedTuple):
 
 def _fields(out: _Outcomes) -> _Fields:
     """The scalar fields of the analysis of one configuration's outcomes."""
-    probs, maximal = out.clare_prob.tolist(), out.maximal.tolist()
-    # Summed in outcome order, one float at a time.
-    bob_action = float(sum(p for p, m in zip(probs, maximal) if not m))
-    return _Fields(float(_rate(out)), probs, maximal, out.bob_success_prob.tolist(),
-                   _success(out).tolist(), bob_action)
+    return _Fields(float(_rate(out)), out.clare_prob.tolist(), out.maximal.tolist(),
+                   out.bob_success_prob.tolist(), _success(out).tolist(),
+                   float(out.bob_action_prob))
 
 
 def _analysis(theta: float, eta: float, out: _Outcomes) -> AnalyticResult:
@@ -468,8 +451,7 @@ def direct_success_prob(theta: float, eta: float) -> float:
 
 
 def run_protocol_sampled(theta: float, eta: float, n: int,
-                         seed: int | None = None,
-                         beta1: float = 0.0, beta2: float = 0.0) -> SampledResult:
+                         seed: int | None = None) -> SampledResult:
     """Monte-Carlo estimate of the success rate over n independent passes.
 
     Clare's outcome counts are one multinomial draw from the exact Born
@@ -480,7 +462,7 @@ def run_protocol_sampled(theta: float, eta: float, n: int,
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     rng = np.random.default_rng(seed)
-    theta, eta, out = _tuned_outcomes(theta, eta, beta1, beta2)
+    theta, eta, out = _tuned_outcomes(theta, eta)
     counts = rng.multinomial(n, out.clare_prob / np.add.reduce(out.clare_prob))
     successes = 0
     for hits, maximal, bob_p in zip(counts, out.maximal, out.bob_success_prob):
@@ -512,9 +494,8 @@ def compare_with_bell(theta: float, eta: float) -> ComparisonRecord:
     kets[0], kets[1] = basis.kets, _BELL
     out = _outcomes(basis.f, kets)
     p_ms = _rate(out).tolist()
-    bob_action = np.add.reduce(np.where(out.maximal, 0.0, out.clare_prob), axis=-1).tolist()
     optimal, bell = (BranchSummary(p_ms=p, bob_action_prob=b, expected_local_measurements=1.0 + b)
-                     for p, b in zip(p_ms, bob_action))
+                     for p, b in zip(p_ms, out.bob_action_prob.tolist()))
     return ComparisonRecord(
         theta=basis.theta, eta=basis.eta, optimal=optimal, bell=bell,
         rates_equal=abs(p_ms[0] - p_ms[1]) <= qmath.LOOSE_ATOL,

@@ -22,7 +22,6 @@ from repeaterlab.cli import (
     MAX_GRID,
     MAX_SAMPLES,
     SEED_ENV_VAR,
-    RunConfig,
     UsageError,
     main,
     parse_args,
@@ -199,11 +198,11 @@ class TestParseArgs:
 def _top_level(argv):
     """What parse_args gives when the top-level parser reads the whole command line."""
     parser, _ = cli._build_parser()
-    return cli._run_config(parser.parse_args(argv))
+    return cli._checked(parser.parse_args(argv))
 
 
 def _outcome(parse, argv, capsys):
-    """A RunConfig, or the UsageError message, or the -h exit code with its stdout."""
+    """A parsed namespace, or the UsageError message, or the -h exit code with its stdout."""
     try:
         return parse(argv)
     except UsageError as exc:
@@ -491,6 +490,27 @@ class TestRun:
         assert row[-len(want):] == [cli._csv_cell(v) for v in want.values()]
         assert dropped not in header
 
+    @pytest.mark.parametrize("argv, path, keys", [
+        (["simulate", "--n", "1000", "--seed", "1"], (),
+         ["theta", "eta", "n", "seed", "estimate", "stderr", "ledger_stats"]),
+        (["criterion", "--measurement", "bell"], (),
+         ["lhs", "rhs", "p_s", "optimal", "tolerance"]),
+        (["compare"], (), ["theta", "eta", "optimal", "bell", "rates_equal"]),
+        (["compare"], ("optimal",),
+         ["p_ms", "bob_action_prob", "expected_local_measurements", "classical_bits_sent"]),
+        (["compare"], ("bell",),
+         ["p_ms", "bob_action_prob", "expected_local_measurements", "classical_bits_sent"]),
+        (["rate"], ("per_outcome", 0),
+         ["outcome", "clare_prob", "maximal", "bob_success_prob", "success_prob", "post_state"]),
+    ])
+    def test_record_reports_list_their_keys_in_order(self, argv, path, keys):
+        status, report = run(parse_args([*argv, "--theta", "0.3", "--eta", "0.6"]))
+        assert status == 0
+        node = json.loads(report)
+        for step in path:
+            node = node[step]
+        assert list(node) == keys
+
     def test_snapped_angle_is_echoed(self):
         status, report = run(parse_args(["rate", "--theta", "0.7854", "--eta", "0.3"]))
         assert status == 0
@@ -527,7 +547,7 @@ class TestMain:
         ["rate", "--theta=nan", "--eta", "0.6"],
         ["rate", "--theta", "0.3", "--eta=inf"],
         ["rate", "--theta", "0.3", "--eta", "0.6", "--beta1=-inf"],
-        ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "10", "--beta2=nan"],
+        ["simulate", "--theta=nan", "--eta", "0.6", "--n", "10"],
         ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement", "optimal", "--tol=nan"],
         ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement", "optimal", "--tol=inf"],
         ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement", "optimal", "--tol=-1e-9"],
