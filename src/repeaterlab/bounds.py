@@ -88,7 +88,7 @@ class BoundResult:
 
 def _require_state(rho: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """rho checked as a density matrix, with its eigenvalues (ascending) and eigenvectors."""
-    m = qmath.require_hermitian(rho, qmath.LOOSE_ATOL, what=what)
+    m = qmath.require_hermitian(rho, what=what)
     w, v = np.linalg.eigh(m)
     if float(w[0]) < -qmath.LOOSE_ATOL:
         raise ValueError(f"{what} has negative eigenvalue {float(w[0]):.3e}")
@@ -127,8 +127,8 @@ def steering_bound(rho: np.ndarray, rho_i: np.ndarray) -> float:
 
 def trace_rearrangement_lb(a: np.ndarray, b: np.ndarray) -> float:
     """Floor on tr(AB): ascending spectrum of A against descending of B."""
-    a = qmath.require_hermitian(a, qmath.LOOSE_ATOL, what="a")
-    b = qmath.require_hermitian(b, qmath.LOOSE_ATOL, what="b")
+    a = qmath.require_hermitian(a, what="a")
+    b = qmath.require_hermitian(b, what="b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     la = np.linalg.eigvalsh(a)

@@ -224,42 +224,23 @@ def _checked(ns: argparse.Namespace) -> argparse.Namespace:
     return ns
 
 
-def _csv(fieldnames, rows) -> str:
-    """A CSV table: the header, then one line per row of values."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    writer.writerows(map(_csv_cell, row) for row in rows)
-    return buf.getvalue()
-
-
-def _is_scalar(value) -> bool:
-    return isinstance(value, (int, float, bool, str)) or value is None
-
-
 def _csv_row(record: dict) -> str:
-    """A report as a one-row table of its scalars, in report order.
+    """A report as a one-row table of its scalars, in report order, written by csv.writer.
 
     The scalars of a nested dict become dotted columns ("ledger.bob_action_prob");
-    lists stay out.
+    lists stay out.  Flags are written true or false, floats (by csv.writer)
+    as their repr, and None as an empty cell.
     """
     flat = {}
     for k, v in record.items():
         if isinstance(v, dict):
-            flat.update((f"{k}.{inner}", x) for inner, x in v.items() if _is_scalar(x))
-        elif _is_scalar(v):
+            flat.update((f"{k}.{inner}", x) for inner, x in v.items() if not isinstance(x, list))
+        elif not isinstance(v, list):
             flat[k] = v
-    return _csv(flat, [flat.values()])
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [flat, [("true" if v else "false") if isinstance(v, bool) else v for v in flat.values()]])
+    return buf.getvalue()
 
 
 def _template(skeleton) -> str:
@@ -274,29 +255,18 @@ def _template(skeleton) -> str:
 
 @functools.cache
 def _pairs_template(shape: tuple[int, ...], newline: str) -> str:
-    """_pairs_text's template for an array of this shape: json's layout of its %r fields."""
-    return _template(np.full(shape + (2,), "%r").tolist())[:-1].replace("\n", newline)
+    """json's layout of an array of this shape as [re, im] pairs of %r fields, indented by newline.
 
-
-def _pairs_text(a: np.ndarray, newline: str = "\n") -> str:
-    """json.dumps(qmath.as_real_pairs(a), indent=2), at the indentation `newline` carries.
-
-    An indent puts json on its pure-Python encoder, at about a microsecond
-    per float, so a template built from a's shape is filled with one `%`
-    from the interleaved (re, im) floats (%r is float.__repr__, which json
-    writes too).  An empty array, or one with a non-finite part (json
-    writes NaN and Infinity, %r nan and inf), goes to json.dumps.
+    Filled with one `%` from the array's interleaved (re, im) floats, it
+    gives json.dumps(qmath.as_real_pairs(a), indent=2) for a finite array
+    (%r is float.__repr__, which json writes too).
     """
-    a = np.ascontiguousarray(a, dtype=complex)
-    leaves = a.view(np.float64).ravel().tolist()
-    if not leaves or not math.isfinite(sum(leaves)):
-        return json.dumps(qmath.as_real_pairs(a), indent=2).replace("\n", newline)
-    return _pairs_template(a.shape, newline) % tuple(leaves)
+    return _template(np.full(shape + (2,), "%r").tolist())[:-1].replace("\n", newline)
 
 
 def _rank_one_pieces(scale: float, omega: np.ndarray, w: np.ndarray,
                      newline: str) -> list[str]:
-    """The text of _pairs_text(scale * np.outer(omega, w), newline) in pieces, without the matrix.
+    """_pairs_template's text of scale * np.outer(omega, w) in pieces, without the matrix.
 
     Row i is scale * (omega[i] * w), computed as the outer product computes
     it, so rows whose omega[i] have equal bytes are equal and each is
@@ -306,7 +276,9 @@ def _rank_one_pieces(scale: float, omega: np.ndarray, w: np.ndarray,
     """
     inner = newline + "  "
     distinct, index = np.unique(omega.view(f"V{omega.itemsize}"), return_inverse=True)
-    rows = [_pairs_text(scale * (x * w), inner) for x in distinct.view(omega.dtype)]
+    template = _pairs_template(w.shape, inner)
+    rows = [template % tuple((scale * (x * w)).view(np.float64).tolist())
+            for x in distinct.view(omega.dtype)]
     sep = "," + inner
     pieces = ["[" + inner]
     for i in index.tolist():
@@ -318,21 +290,29 @@ def _rank_one_pieces(scale: float, omega: np.ndarray, w: np.ndarray,
 # The bound report's scalars, in BoundResult.to_dict order: the whole CSV
 # report, and the head of the JSON one.
 _BOUND_SCALARS = ("p_max", "achieved_p", "post_fidelity")
-_BOUND_HEAD, _BOUND_TAIL = _template({**dict.fromkeys(_BOUND_SCALARS, "%r"),
-                                      "optimal_u": "%s", "m_i": "%s"}).rsplit("%s", 1)
+
+
+@functools.cache
+def _bound_template(d: int) -> list[str]:
+    """The bound report at a d x d optimal_u, split where m_i's text goes: head and tail."""
+    return _template({**dict.fromkeys(_BOUND_SCALARS, "%r"),
+                      "optimal_u": np.full((d, d, 2), "%r").tolist(),
+                      "m_i": "%s"}).rsplit("%s", 1)
 
 
 def _bound_json(result: BoundResult) -> str:
     """json.dumps(result.to_dict(), indent=2) and a newline, the operator written from its factors.
 
     The scalars are finite (a ceiling of d over a positive sum, and closed
-    forms of finite vectors), and %r writes a finite float as json does.
-    The report is joined once, so its tens of MB are copied once.
+    forms of finite vectors), and so is optimal_u, a permutation; %r writes
+    a finite float as json does.  The report is joined once, so its tens of
+    MB are copied once.
     """
-    head = _BOUND_HEAD % (*(getattr(result, k) for k in _BOUND_SCALARS),
-                          _pairs_text(result.optimal_u, "\n  "))
-    return "".join([head, *_rank_one_pieces(result.scale, result.omega, result.w, "\n  "),
-                    _BOUND_TAIL])
+    head, tail = _bound_template(len(result.optimal_u))
+    cells = (*(getattr(result, k) for k in _BOUND_SCALARS),
+             *result.optimal_u.view(np.float64).ravel().tolist())
+    return "".join([head % cells,
+                    *_rank_one_pieces(result.scale, result.omega, result.w, "\n  "), tail])
 
 
 def _sweep_columns(grid: int) -> list[list]:
@@ -429,7 +409,7 @@ def _criterion_measurement(config: argparse.Namespace) -> np.ndarray:
 
 
 _BASIS_TEMPLATE = _template({"theta": "%r", "eta": "%r", "beta1": "%r", "beta2": "%r",
-                             "kets": "%s"})
+                             "kets": np.full((4, 4, 2), "%r").tolist()})
 
 
 def _basis_report(config: argparse.Namespace) -> str:
@@ -438,7 +418,12 @@ def _basis_report(config: argparse.Namespace) -> str:
     if config.output_format == "text":
         return "\n".join(qmath.format_matrix_text(k) for k in basis.kets) + "\n"
     return _BASIS_TEMPLATE % (basis.theta, basis.eta, basis.beta1, basis.beta2,
-                              _pairs_text(np.asarray(basis.kets), "\n  "))
+                              *np.asarray(basis.kets).view(np.float64).ravel().tolist())
+
+
+def _error(exc: Exception, **context) -> str:
+    """The JSON error object of exc, a line: its type, its message, then the context keys."""
+    return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc), **context}}) + "\n"
 
 
 def run(config: argparse.Namespace) -> tuple[int, str]:
@@ -461,7 +446,7 @@ def run(config: argparse.Namespace) -> tuple[int, str]:
             result = achieving_operator(config.schmidt_a, config.schmidt_b)
             if config.output_format == "json":
                 return 0, _bound_json(result)
-            return 0, _csv(_BOUND_SCALARS, [[getattr(result, k) for k in _BOUND_SCALARS]])
+            return 0, _csv_row({k: getattr(result, k) for k in _BOUND_SCALARS})
         elif config.command == "sweep":
             if config.output_format == "csv":
                 return 0, _sweep_csv(config.grid)
@@ -469,9 +454,7 @@ def run(config: argparse.Namespace) -> tuple[int, str]:
         else:  # compare
             record = compare_with_bell(config.theta, config.eta).to_dict()
     except (ValueError, OSError, MemoryError) as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc),
-                           "command": config.command}}
-        return 1, json.dumps(error) + "\n"
+        return 1, _error(exc, command=config.command)
     if config.output_format == "csv":
         return 0, _csv_row(record)
     return 0, json.dumps(record, indent=2) + "\n"
@@ -484,8 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_args(argv)
     except UsageError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"type": "UsageError", "message": str(exc)}}) + "\n")
+        sys.stderr.write(_error(exc))
         return 2
     status, report = run(config)
     if status != 0:
@@ -496,8 +478,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(config.output_path, "w", encoding="utf-8") as fh:
                 fh.write(report)
         except OSError as exc:
-            sys.stderr.write(json.dumps(
-                {"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")
+            sys.stderr.write(_error(exc))
             return 1
     else:
         sys.stdout.write(report)

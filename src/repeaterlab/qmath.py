@@ -8,9 +8,9 @@ import numpy as np
 
 # Every threshold in the package, one name per value and meaning.  A defect
 # equal to its bound passes.
-# Rounding at unit scale: norms, Hermiticity, ket Gram, Schmidt sums, eigenvalue support.
+# Rounding at unit scale: norms, ket Gram, Schmidt sums, eigenvalue support.
 STRICT_ATOL = 1e-12
-# Checks after an eigensolver, a file read or two routes: PSD, projectors, unitarity, rates.
+# After an eigensolver, a file read or two routes: Hermiticity, PSD, projectors, unitarity, rates.
 LOOSE_ATOL = 1e-10
 # Angles up to pi/4 plus this (decimal-rounded pi/4, as in 0.7854) snap down to pi/4.
 BOUNDARY_SLACK = 1e-4
@@ -28,16 +28,16 @@ def as_matrix(a: np.ndarray | Sequence) -> np.ndarray:
     return m
 
 
-def require_hermitian(a: np.ndarray, atol: float = STRICT_ATOL, what: str = "operator") -> np.ndarray:
+def require_hermitian(a: np.ndarray, what: str = "operator") -> np.ndarray:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries")
     skew = m - m.conj().T
-    if not spectral_norm_within(skew, atol):
+    if not spectral_norm_within(skew, LOOSE_ATOL):
         defect = float(np.linalg.norm(skew, 2))
-        raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > {atol:.1e})")
+        raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > {LOOSE_ATOL:.1e})")
     return m
 
 

@@ -125,6 +125,27 @@ def test_every_module_level_name_is_used():
     assert {k: v for k, v in unused.items() if v} == {}
 
 
+# The library's private names that cli imports, and why each stays.
+CLI_PRIVATE_IMPORTS = {
+    # rate's JSON report is filled from the kernel's arrays: building it from
+    # the public run_protocol_analytic result took ~15 us more per command.
+    "_tuned_outcomes", "_fields",
+    # criterion checks a basis' kets once per command: where the file is read,
+    # when the tuned basis is built, or, for a built-in, right before the verdict.
+    "_orthonormal_kets", "_verdict",
+    # sweep takes its whole angle grid through the batched kernel at once.
+    "_rate_table",
+}
+
+
+def test_cli_imports_only_the_pinned_library_privates():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names if alias.name.startswith("_")}
+    assert imported == CLI_PRIVATE_IMPORTS
+
+
 # numpy functions that are Python wrappers over one C-level call; the
 # per-point chain makes that call itself.
 WRAPPERS = {np: ("stack", "eye", "sum"), np.linalg: ("norm",)}

@@ -66,10 +66,13 @@ class TestHelpers:
                 qmath.require_hermitian(np.array([[1.0, bad], [0.0, 1.0]]), what="gate input")
 
     def test_hermitian_gate_reports_the_defect(self):
-        with pytest.raises(ValueError, match=r"defect 1\.000e-06 > 1\.0e-12"):
+        with pytest.raises(ValueError, match=r"defect 1\.000e-06 > 1\.0e-10"):
             qmath.require_hermitian(np.array([[1.0, 1e-6], [0.0, 1.0]]))
         # Within the bound, the Frobenius norm alone passes it.
         qmath.require_hermitian(np.array([[1.0, 5e-13], [0.0, 1.0]]))
+        # The bound is LOOSE_ATOL: a skew between it and STRICT_ATOL passes.
+        assert qmath.STRICT_ATOL < 5e-11 < qmath.LOOSE_ATOL
+        qmath.require_hermitian(np.array([[1.0, 5e-11], [0.0, 1.0]]))
 
     def test_as_real_pairs_shapes(self):
         v = np.array([1 + 2j, 3.0])
