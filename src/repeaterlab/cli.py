@@ -398,12 +398,12 @@ def _rate_json(config: argparse.Namespace) -> str:
 def _criterion_measurement(config: argparse.Namespace) -> np.ndarray:
     """The measurement's kets as the rows of a (4, 4) array, checked to be orthonormal once."""
     if config.measurement == "bell":
-        return _orthonormal_kets(bell_kets(), qmath.LOOSE_ATOL)
+        return _orthonormal_kets(bell_kets())
     if config.measurement == "optimal":
         # OptimalBasis checks its kets when it is built.
-        return np.asarray(build_optimal_basis(config.theta, config.eta).kets)
+        return build_optimal_basis(config.theta, config.eta).kets
     if config.measurement == "computational":
-        return _orthonormal_kets(computational_kets(), qmath.LOOSE_ATOL)
+        return _orthonormal_kets(computational_kets())
     with open(config.measurement_file, encoding="utf-8") as fh:
         return measurement_from_text(fh.read())
 
@@ -418,7 +418,7 @@ def _basis_report(config: argparse.Namespace) -> str:
     if config.output_format == "text":
         return "\n".join(qmath.format_matrix_text(k) for k in basis.kets) + "\n"
     return _BASIS_TEMPLATE % (basis.theta, basis.eta, basis.beta1, basis.beta2,
-                              *np.asarray(basis.kets).view(np.float64).ravel().tolist())
+                              *basis.kets.view(np.float64).ravel().tolist())
 
 
 def _error(exc: Exception, **context) -> str:

@@ -4,8 +4,9 @@ A measurement is given by its four rank-one kets, as the rows of one
 (4, 4) array checked for orthonormality; projector files are converted to
 kets where they are read.  A closed-form sum over the kets decides whether
 Clare's measurement achieves the best possible concentration rate, without
-simulating the protocol; the module also computes that rate directly so
-the two routes can vouch for each other.
+simulating the protocol; the module also takes that rate from the swap
+kernel, as every rate report does, so the two routes can vouch for each
+other.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import qmath
 from .repeater import (_IDENTITY, _Record, _checked_amplitudes, _checked_angles,
-                       _orthonormal_kets, _outcomes)
+                       _orthonormal_kets, _outcomes, _rate, run_protocol_with_kets)
 
 # Exchanging the roles of the two source pairs swaps Clare's qubits.
 _SWAP_PERM = (0, 2, 1, 3)
@@ -63,7 +64,7 @@ def criterion_lhs(kets: Sequence[np.ndarray], theta: float, eta: float) -> float
     Never smaller than the target, so the gap measures how far the
     measurement falls short.
     """
-    phi = _orthonormal_kets(kets, qmath.LOOSE_ATOL)
+    phi = _orthonormal_kets(kets)
     theta, eta = _checked_angles(theta, eta)
     return _lhs(phi, theta, eta)
 
@@ -71,18 +72,11 @@ def criterion_lhs(kets: Sequence[np.ndarray], theta: float, eta: float) -> float
 def achieved_rate(kets: Sequence[np.ndarray], theta: float, eta: float) -> float:
     """Concentration rate the measurement with these four kets actually delivers.
 
-    Runs the swap outcome by outcome: sums each post-state's optimal
-    local-filter success weight, twice the smaller squared singular value
-    of the leftover.  Independent of the closed-form route.
+    The p_ms of run_protocol_with_kets: the swap run outcome by outcome,
+    each outcome's Born weight times Bob's best local-filter weight.
+    Independent of the closed-form route.
     """
-    phi = _orthonormal_kets(kets, qmath.LOOSE_ATOL)
-    _, _, f = _checked_amplitudes(theta, eta)
-    return _delivered_rate(phi, f)
-
-
-def _delivered_rate(phi: np.ndarray, f: np.ndarray) -> float:
-    """achieved_rate of validated kets (the rows of phi) and checked amplitudes f."""
-    return float(np.add.reduce(_outcomes(f, phi).filter_weight))
+    return run_protocol_with_kets(theta, eta, kets).p_ms
 
 
 def is_optimal(kets: Sequence[np.ndarray], theta: float, eta: float,
@@ -94,7 +88,7 @@ def is_optimal(kets: Sequence[np.ndarray], theta: float, eta: float,
     """
     # The angles are checked before the kets, so a bad angle is the error reported.
     theta, eta = _checked_angles(theta, eta)
-    return _verdict(_orthonormal_kets(kets, qmath.LOOSE_ATOL), theta, eta, tol)
+    return _verdict(_orthonormal_kets(kets), theta, eta, tol)
 
 
 def _verdict(phi: np.ndarray, theta: float, eta: float, tol: float) -> CriterionReport:
@@ -103,7 +97,7 @@ def _verdict(phi: np.ndarray, theta: float, eta: float, tol: float) -> Criterion
     lhs = _lhs(phi, theta, eta)
     rhs = float(np.cos(2 * min(theta, eta)))
     # Looked up as a module attribute, so a substituted rate is still compared.
-    p_s = _delivered_rate(phi, f)
+    p_s = float(_rate(_outcomes(f, phi)))
     gap = abs(p_s - (1.0 - lhs))
     if not gap <= qmath.LOOSE_ATOL:
         raise ValueError(f"delivered rate {p_s!r} and closed form 1 - lhs = {1.0 - lhs!r} "
@@ -162,4 +156,4 @@ def measurement_from_text(text: str) -> np.ndarray:
         kets = _projector_kets(np.array(blocks))
     else:
         raise ValueError(f"blocks must be dim-4 kets or 4x4 projectors, got shapes {sorted(shapes)}")
-    return _orthonormal_kets(kets, qmath.LOOSE_ATOL)
+    return _orthonormal_kets(kets)

@@ -68,7 +68,7 @@ class OptimalBasis:
     beta1: float
     beta2: float
     f: np.ndarray
-    kets: tuple[np.ndarray, ...]
+    kets: np.ndarray
 
     def __post_init__(self) -> None:
         _orthonormal_kets(self.kets)
@@ -138,7 +138,7 @@ class SampledResult(_Record):
     theta: float
     eta: float
     n: int
-    seed: int | None
+    seed: int
     estimate: float
     stderr: float
     ledger_stats: dict
@@ -224,11 +224,11 @@ _IDENTITY = np.eye(4)
 _IDENTITY.flags.writeable = False
 
 
-def _orthonormal_kets(kets: Sequence[np.ndarray], atol: float = qmath.STRICT_ATOL) -> np.ndarray:
+def _orthonormal_kets(kets: Sequence[np.ndarray]) -> np.ndarray:
     """Four kets as the rows of a (4, 4) array; raises unless they are an orthonormal basis.
 
     The check is one Gram product: the spectral norm of Gram - I must not
-    exceed atol.
+    exceed qmath.LOOSE_ATOL, the bound of every check of four kets.
     """
     phi = np.asarray(kets, dtype=complex)
     if phi.shape != (4, 4):
@@ -236,9 +236,9 @@ def _orthonormal_kets(kets: Sequence[np.ndarray], atol: float = qmath.STRICT_ATO
     if not np.isfinite(phi).all():
         raise ValueError("basis kets have non-finite entries")
     defect = phi.conj() @ phi.T - _IDENTITY
-    if not qmath.spectral_norm_within(defect, atol):
+    if not qmath.spectral_norm_within(defect, qmath.LOOSE_ATOL):
         raise ValueError(f"basis kets are not orthonormal (Gram defect "
-                         f"{np.linalg.norm(defect, 2):.3e} > {atol:.1e})")
+                         f"{np.linalg.norm(defect, 2):.3e} > {qmath.LOOSE_ATOL:.1e})")
     return phi
 
 
@@ -251,28 +251,18 @@ def build_optimal_basis(theta: float, eta: float,
     """
     theta, eta, f = _checked_amplitudes(theta, eta)
     return OptimalBasis(theta=theta, eta=eta, beta1=float(beta1), beta2=float(beta2),
-                        f=f, kets=tuple(_tuned_kets(f, beta1, beta2)))
+                        f=f, kets=_tuned_kets(f, beta1, beta2))
 
 
-def bell_kets() -> tuple[np.ndarray, ...]:
-    """The four standard Bell states on Clare's two qubits."""
+def bell_kets() -> np.ndarray:
+    """The four standard Bell states on Clare's two qubits, one ket per row."""
     r = 1.0 / np.sqrt(2.0)
-    return (
-        np.array([r, 0, 0, r], dtype=complex),
-        np.array([r, 0, 0, -r], dtype=complex),
-        np.array([0, r, r, 0], dtype=complex),
-        np.array([0, r, -r, 0], dtype=complex),
-    )
+    return np.array([[r, 0, 0, r], [r, 0, 0, -r], [0, r, r, 0], [0, r, -r, 0]], dtype=complex)
 
 
-# bell_kets() as the rows of one array, for kernel calls.
-_BELL = np.array(bell_kets())
-_BELL.flags.writeable = False
-
-
-def computational_kets() -> tuple[np.ndarray, ...]:
-    """Clare's separable two-qubit basis |00>, |01>, |10>, |11>."""
-    return tuple(_IDENTITY.astype(complex))
+def computational_kets() -> np.ndarray:
+    """Clare's separable two-qubit basis |00>, |01>, |10>, |11>, one ket per row."""
+    return _IDENTITY.astype(complex)
 
 
 class _Outcomes(NamedTuple):
@@ -288,7 +278,6 @@ class _Outcomes(NamedTuple):
     norm: np.ndarray
     maximal: np.ndarray
     bob_success_prob: np.ndarray
-    filter_weight: np.ndarray
 
     @property
     def post_state(self) -> np.ndarray:
@@ -309,7 +298,7 @@ class _Outcomes(NamedTuple):
 _SQRT_HALF = np.sqrt(0.5)
 
 
-def _outcomes(f: np.ndarray, kets) -> _Outcomes:
+def _outcomes(f: np.ndarray, kets: np.ndarray) -> _Outcomes:
     """Every Clare outcome at once, from closed-form 2x2 singular values.
 
     Projecting Clare onto ket phi leaves Alice and Bob the 2x2 matrix
@@ -328,14 +317,13 @@ def _outcomes(f: np.ndarray, kets) -> _Outcomes:
     values come from qmath.singular_values_2x2, on each leftover rescaled
     by an exact power of two.
 
-    Amplitudes f of shape (..., 4) and kets of shape (..., K, 4) broadcast
-    over their leading axes; every field has shape (..., K), `scaled`
-    (..., K, 4).
+    Amplitudes f of shape (..., 4) and complex kets of shape (..., K, 4)
+    broadcast over their leading axes; every field has shape (..., K),
+    `scaled` (..., K, 4).
     """
-    m = np.asarray(f)[..., None, :] * np.asarray(kets, dtype=complex).conj()
+    m = f[..., None, :] * kets.conj()
     k, scaled, total, s_max, s_min = qmath.singular_values_2x2(m)
-    shift = -2 * k
-    prob = np.ldexp(total, shift)
+    prob = np.ldexp(total, -2 * k)
     live = prob > 0.0
     # A nonzero rescaled leftover has total >= 2^-102: the floor only turns
     # 0/0 into 0 for a zero leftover.
@@ -351,8 +339,7 @@ def _outcomes(f: np.ndarray, kets) -> _Outcomes:
                      scaled=scaled,
                      norm=norm,
                      maximal=maximal,
-                     bob_success_prob=np.where(live, bob, 0.0),
-                     filter_weight=np.ldexp(2.0 * s_min ** 2, shift))
+                     bob_success_prob=np.where(live, bob, 0.0))
 
 
 def _success(out: _Outcomes) -> np.ndarray:
@@ -457,10 +444,13 @@ def run_protocol_sampled(theta: float, eta: float, n: int,
     Clare's outcome counts are one multinomial draw from the exact Born
     distribution; for each filterable outcome, the successes of Bob's
     filter are one binomial draw at its Born probability.  Memory does
-    not grow with n, and runs are deterministic for a fixed seed.
+    not grow with n, and runs are deterministic for a fixed seed.  Without
+    one, the seed is fresh entropy, reported so the run can be repeated.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
+    if seed is None:
+        seed = np.random.SeedSequence().entropy
     rng = np.random.default_rng(seed)
     theta, eta, out = _tuned_outcomes(theta, eta)
     counts = rng.multinomial(n, out.clare_prob / np.add.reduce(out.clare_prob))
@@ -491,7 +481,7 @@ def compare_with_bell(theta: float, eta: float) -> ComparisonRecord:
     """
     basis = build_optimal_basis(theta, eta)
     kets = np.empty((2, 4, 4), dtype=complex)
-    kets[0], kets[1] = basis.kets, _BELL
+    kets[0], kets[1] = basis.kets, bell_kets()
     out = _outcomes(basis.f, kets)
     p_ms = _rate(out).tolist()
     optimal, bell = (BranchSummary(p_ms=p, bob_action_prob=b, expected_local_measurements=1.0 + b)

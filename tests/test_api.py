@@ -2,12 +2,13 @@
 numpy calls on the per-point path, and no module-level name that nothing uses."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
 
 import repeaterlab
-from repeaterlab import cli
+from repeaterlab import cli, repeater
 
 SRC = Path(repeaterlab.__file__).resolve().parent
 TOLERANCE_SUFFIXES = ("_ATOL", "_TOL", "_FLOOR", "_CUTOFF", "_SLACK")
@@ -123,6 +124,14 @@ def test_every_module_level_name_is_used():
         names = module_level_definitions(tree) - loaded - attributes - set(repeaterlab.__all__)
         unused[module] = sorted(n for n in names if (module, n) not in imported)
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_one_success_weight_and_one_gram_bound():
+    # The kernel's fields hold one success weight, Clare's probability times
+    # Bob's, and every basis is checked at the one bound qmath.LOOSE_ATOL.
+    assert repeater._Outcomes._fields == ("clare_prob", "scaled", "norm", "maximal",
+                                          "bob_success_prob")
+    assert list(inspect.signature(repeater._orthonormal_kets).parameters) == ["kets"]
 
 
 # The library's private names that cli imports, and why each stays.

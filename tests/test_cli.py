@@ -369,6 +369,30 @@ class TestRun:
         argv = ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "2000", "--seed", "9"]
         assert run(parse_args(argv)) == run(parse_args(argv))
 
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_unseeded_simulate_reports_a_seed_that_repeats_it(self, output_format, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        argv = ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "2000",
+                "--format", output_format]
+        reports = [run(parse_args(argv))[1] for _ in range(2)]
+        if output_format == "json":
+            seeds = [json.loads(report)["seed"] for report in reports]
+        else:
+            seeds = [int(next(csv.DictReader(io.StringIO(report)))["seed"]) for report in reports]
+        assert all(type(seed) is int for seed in seeds)
+        assert seeds[0] != seeds[1]
+        for seed, report in zip(seeds, reports):
+            assert run(parse_args(argv + ["--seed", str(seed)])) == (0, report)
+
+    def test_criterion_optimal_p_s_is_the_rate_report_p_ms(self):
+        # criterion --measurement optimal and rate read one success sum.
+        rng = np.random.default_rng(19)
+        for theta, eta in rng.uniform(1e-3, np.pi / 4, size=(300, 2)).tolist():
+            angles = ["--theta", repr(theta), "--eta", repr(eta)]
+            _, verdict = run(parse_args(["criterion", *angles, "--measurement", "optimal"]))
+            _, rate = run(parse_args(["rate", *angles]))
+            assert json.loads(verdict)["p_s"] == json.loads(rate)["p_ms"]
+
     def test_simulate_report_fields(self):
         status, report = run(parse_args(["simulate", "--theta", "0.5236", "--eta", "0.7854",
                                          "--n", "20000", "--seed", "3"]))
@@ -444,7 +468,7 @@ class TestRun:
         assert max(float(row["theta"]) for row in rows) == np.pi / 4
 
     def test_criterion_routes_that_disagree_exit_one(self, monkeypatch):
-        monkeypatch.setattr(criterion, "_delivered_rate", lambda phi, f: 0.5)
+        monkeypatch.setattr(criterion, "_rate", lambda out: 0.5)
         status, report = run(parse_args(["criterion", "--theta", "0.3", "--eta", "0.6",
                                          "--measurement", "bell"]))
         assert status == 1
@@ -724,11 +748,15 @@ class TestDumps:
            st.lists(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0.5 + 0j,
                                      -0.5j]), min_size=1, max_size=6),
            st.lists(st.builds(complex, finite_part, finite_part), max_size=4))
+    @example(0.0, [0j, 0j, 0j], [1e308 + 1e308j])
     @settings(max_examples=200, deadline=None)
     def test_rank_one_matches_json_dumps_of_real_pairs(self, scale, omega, w):
         omega, w = np.array(omega, dtype=complex), np.array(w, dtype=complex)
         pieces = cli._rank_one_pieces(scale, omega, w, "\n")
-        pairs = qmath.as_real_pairs(scale * np.outer(omega, w))
+        # np.outer can warn of an overflow at a zero times a huge entry,
+        # though the product it returns is exact, as the pieces' rows are.
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = qmath.as_real_pairs(scale * np.outer(omega, w))
         assert "".join(pieces) == json.dumps(pairs, indent=2)
 
     @pytest.mark.parametrize("swapped", [False, True])

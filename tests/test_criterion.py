@@ -19,6 +19,7 @@ from repeaterlab.repeater import (
     bell_kets,
     build_optimal_basis,
     computational_kets,
+    run_protocol_with_kets,
 )
 from oracles import random_orthonormal_kets
 
@@ -156,6 +157,19 @@ class TestAchievedRate:
         rate = achieved_rate(kets, theta, eta)
         assert rate <= 2 * np.sin(theta) ** 2 + 1e-10
 
+    def test_is_the_rate_of_the_swap_report(self):
+        # One success sum: the p_ms that rate, compare and sweep report.
+        rng = np.random.default_rng(19)
+        for _ in range(1000):
+            kets = random_orthonormal_kets(rng)
+            theta, eta = rng.uniform(1e-3, np.pi / 4, size=2)
+            rate = achieved_rate(kets, theta, eta)
+            assert rate == run_protocol_with_kets(theta, eta, kets).p_ms
+
+    def test_reports_a_bad_angle_before_bad_kets(self):
+        with pytest.raises(ValueError, match="theta must lie"):
+            achieved_rate(bell_kets()[:3], 1.0, 0.3)
+
 
 class TestIsOptimal:
     def test_tuned_basis(self):
@@ -187,12 +201,11 @@ class TestIsOptimal:
 
     def test_routes_that_disagree_raise(self, monkeypatch):
         # A delivered rate forged 2e-10 away from 1 - lhs must not pass.
-        honest = criterion._delivered_rate
-        monkeypatch.setattr(criterion, "_delivered_rate",
-                            lambda phi, f: honest(phi, f) + 2e-10)
+        honest = criterion._rate
+        monkeypatch.setattr(criterion, "_rate", lambda out: honest(out) + 2e-10)
         with pytest.raises(ValueError, match="disagree"):
             is_optimal(bell_kets(), 0.3, 0.6)
-        monkeypatch.setattr(criterion, "_delivered_rate", lambda phi, f: float("nan"))
+        monkeypatch.setattr(criterion, "_rate", lambda out: float("nan"))
         with pytest.raises(ValueError, match="disagree"):
             is_optimal(bell_kets(), 0.3, 0.6)
 
@@ -259,7 +272,7 @@ class TestMeasurementFromText:
     def test_row_vector_blocks(self):
         text = "\n".join(qmath.format_matrix_text(k.reshape(1, 4)) for k in bell_kets())
         meas = measurement_from_text(text)
-        assert np.array_equal(meas, np.asarray(bell_kets()))
+        assert np.array_equal(meas, bell_kets())
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
     @pytest.mark.parametrize("projectors", [False, True])

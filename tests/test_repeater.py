@@ -161,9 +161,15 @@ class TestOptimalBasis:
     @given(protocol_angles, protocol_angles, phases, phases)
     @settings(max_examples=40, deadline=None)
     def test_measurement_is_projective(self, theta, eta, beta1, beta2):
-        phi = np.asarray(build_optimal_basis(theta, eta, beta1, beta2).kets)
+        phi = build_optimal_basis(theta, eta, beta1, beta2).kets
         assert phi.shape == (4, 4)
         assert np.allclose(phi.conj() @ phi.T, np.eye(4), atol=1e-12)
+
+    def test_every_basis_is_one_array(self):
+        # A basis is a (4, 4) complex array, one ket per row, wherever it comes from.
+        for kets in (bell_kets(), computational_kets(), build_optimal_basis(0.3, 0.6).kets):
+            assert type(kets) is np.ndarray
+            assert (kets.shape, kets.dtype) == ((4, 4), np.complex128)
 
 
 class TestAnalyticRate:
@@ -442,6 +448,13 @@ class TestSampled:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_unseeded_run_reports_the_seed_it_drew(self):
+        first = run_protocol_sampled(0.3, 0.6, n=1000)
+        assert type(first.seed) is int
+        assert first.seed != run_protocol_sampled(0.3, 0.6, n=1000).seed
+        again = run_protocol_sampled(0.3, 0.6, n=1000, seed=first.seed)
+        assert again.to_dict() == first.to_dict()
+
     def test_to_dict_is_json_ready(self):
         payload = run_protocol_sampled(0.3, 0.6, n=500, seed=1).to_dict()
         round_tripped = json.loads(json.dumps(payload))
@@ -493,7 +506,7 @@ class TestProjectiveMeasurement:
     def test_from_bell_kets(self):
         phi = repeater._orthonormal_kets(bell_kets())
         assert phi.shape == (4, 4)
-        assert np.array_equal(phi, np.asarray(bell_kets()))
+        assert np.array_equal(phi, bell_kets())
 
     def test_computational_kets_are_complete(self):
         assert np.array_equal(repeater._orthonormal_kets(computational_kets()), np.eye(4))
@@ -539,8 +552,20 @@ class TestProjectiveMeasurement:
         with pytest.raises(ValueError):
             measurement_from_text("")
 
+    def test_every_check_of_four_kets_is_loose(self):
+        # A ket file at Gram defect ~9e-11, between the strict and the loose
+        # bound: read, judged and run alike.
+        kets = bell_kets()
+        kets[0] *= 1.0 + 4.5e-11
+        text = "".join(qmath.format_matrix_text(k) for k in kets)
+        phi = measurement_from_text(text)
+        defect = np.linalg.norm(phi.conj() @ phi.T - np.eye(4), 2)
+        assert qmath.STRICT_ATOL < 8e-11 < defect <= qmath.LOOSE_ATOL
+        result = run_protocol_with_kets(0.3, 0.6, phi)
+        assert result.p_ms == achieved_rate(phi, 0.3, 0.6)
+
     def test_rejects_non_finite_kets(self):
-        kets = np.asarray(bell_kets())
+        kets = bell_kets()
         kets[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             repeater._orthonormal_kets(kets)
@@ -599,7 +624,7 @@ class TestOutcomeKernel:
     @pytest.mark.parametrize("kets", [
         [np.ones(4)] * 4,
         bell_kets()[:3],
-        computational_kets() + (np.ones(4) / 2,),
+        (*computational_kets(), np.ones(4) / 2),
         (bell_kets()[0],) * 4,
     ], ids=["all-ones", "three-kets", "five-kets", "repeated-ket"])
     def test_rejects_sets_that_are_not_an_orthonormal_basis(self, kets):
@@ -686,9 +711,10 @@ class TestClosedFormKernel:
     def test_singular_values_match_lapack(self, theta, eta, kind, seed, shift):
         """s_min within 4 eps s_max of LAPACK's, on leftovers scaled by 2^-shift.
 
-        Seen through the fields that carry it: the filter weight 2 s_min^2,
-        Bob's weight min(1, 2 c_min^2) of the normalized values c, and the
-        maximal flags.
+        Seen through the fields that carry it: the success weight, Clare's
+        probability times Bob's weight min(1, 2 c_min^2) of the normalized
+        values c, which is 2 s_min^2; Bob's weight itself; and the maximal
+        flags.
         """
         f = np.ldexp(repeater._amplitudes(theta, eta), -shift)
         kets = np.asarray(kets_of(kind, theta, eta, seed), dtype=complex)
@@ -697,8 +723,8 @@ class TestClosedFormKernel:
         s = np.linalg.svd(leftover.reshape(-1, 2, 2), compute_uv=False)
         s_max, s_min = s[:, 0], s[:, 1]
         # |2 s^2 - 2 t^2| = 2 |s - t| (s + t) <= 16 eps s_max^2, plus two
-        # roundings of a square that underflows.
-        assert np.all(np.abs(out.filter_weight - 2 * s_min ** 2)
+        # roundings of a product that underflows.
+        assert np.all(np.abs(repeater._success(out) - 2 * s_min ** 2)
                       <= 16 * EPS * s_max ** 2 + 2 * SUBNORMAL)
         live = out.clare_prob > 0.0
         norm = np.hypot(s_max, s_min)
