@@ -8,8 +8,8 @@ an arbitrary projective measurement is optimal, and bounds what a single
 outcome can achieve in any finite dimension.
 """
 
-from .bounds import (BoundResult, SchmidtState, achieving_operator, max_entangled,
-                     optimal_u, p_max, steering_bound, trace_rearrangement_lb)
+from .bounds import (BoundResult, achieving_operator, p_max, steering_bound,
+                     trace_rearrangement_lb)
 from .criterion import (CriterionReport, RankOneRequiredError, achieved_rate,
                         criterion_lhs, is_optimal, measurement_from_text)
 from .repeater import (AnalyticResult, ComparisonRecord, OptimalBasis, SampledResult,
@@ -28,7 +28,6 @@ __all__ = [
     "OptimalBasis",
     "RankOneRequiredError",
     "SampledResult",
-    "SchmidtState",
     "achieved_rate",
     "achieving_operator",
     "bell_kets",
@@ -38,9 +37,7 @@ __all__ = [
     "criterion_lhs",
     "direct_success_prob",
     "is_optimal",
-    "max_entangled",
     "measurement_from_text",
-    "optimal_u",
     "p_max",
     "projection_bounds",
     "run_protocol_analytic",

@@ -19,45 +19,6 @@ import numpy as np
 from . import qmath
 
 
-@dataclass(frozen=True)
-class SchmidtState:
-    """Bipartite pure state given by its squared Schmidt coefficients.
-
-    Coefficients are probabilities: strictly positive, nonincreasing and
-    summing to 1.
-    """
-
-    coefficients: tuple[float, ...]
-
-    def __init__(self, coefficients: Sequence[float]) -> None:
-        coeffs = tuple(float(c) for c in coefficients)
-        if not coeffs:
-            raise ValueError("at least one Schmidt coefficient required")
-        if any(c <= 0.0 for c in coeffs):
-            raise ValueError(f"Schmidt coefficients must be strictly positive, got {coeffs}")
-        if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
-            raise ValueError(f"Schmidt coefficients must be nonincreasing, got {coeffs}")
-        if abs(sum(coeffs) - 1.0) > qmath.STRICT_ATOL:
-            raise ValueError(f"Schmidt coefficients must sum to 1, got sum {sum(coeffs)}")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coefficients)
-
-
-def max_entangled(u: np.ndarray, d: int) -> np.ndarray:
-    """Maximally entangled ket (u x I) (1/sqrt(d)) sum_k |k>|k>."""
-    m = qmath.as_matrix(u)
-    if m.shape != (d, d):
-        raise ValueError(f"unitary must be {d}x{d}, got {m.shape}")
-    defect = m @ m.conj().T - np.eye(d)
-    if not qmath.spectral_norm_within(defect, qmath.LOOSE_ATOL):
-        raise ValueError(f"matrix is not unitary (defect {np.linalg.norm(defect, 2):.3e})")
-    # Sum_k (u|k>)|k> has amplitude u[i, k] at index i * d + k.
-    return m.reshape(-1) / np.sqrt(d)
-
-
 @dataclass(frozen=True, eq=False)
 class BoundResult:
     """Ceiling, the unitary picking the target state, and the reaching operator.
@@ -136,45 +97,42 @@ def trace_rearrangement_lb(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(la, lb))
 
 
-def _as_schmidt(x) -> SchmidtState:
-    if isinstance(x, SchmidtState):
-        return x
-    return SchmidtState(x)
+def _coefficients(a: Sequence[float], b: Sequence[float]) -> list[np.ndarray]:
+    """Both squared Schmidt coefficient lists, checked, as arrays with the shorter first.
+
+    Each list must be nonempty, strictly positive, nonincreasing and sum
+    to 1 within STRICT_ATOL.  Lists of equal length keep their order.
+    """
+    checked = []
+    for x in (a, b):
+        coeffs = tuple(float(c) for c in x)
+        if not coeffs:
+            raise ValueError("at least one Schmidt coefficient required")
+        if any(c <= 0.0 for c in coeffs):
+            raise ValueError(f"Schmidt coefficients must be strictly positive, got {coeffs}")
+        if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
+            raise ValueError(f"Schmidt coefficients must be nonincreasing, got {coeffs}")
+        if abs(sum(coeffs) - 1.0) > qmath.STRICT_ATOL:
+            raise ValueError(f"Schmidt coefficients must sum to 1, got sum {sum(coeffs)}")
+        checked.append(np.array(coeffs))
+    return sorted(checked, key=len)
 
 
-def p_max(a: SchmidtState | Sequence[float], b: SchmidtState | Sequence[float]) -> float:
+def p_max(a: Sequence[float], b: Sequence[float]) -> float:
     """Ceiling on any single outcome's probability of leaving the ends maximal.
 
-    The source pairs have Schmidt coefficient lists a and b; the smaller
-    list is paired against the reversal of the larger one's head.
+    The source pairs have squared Schmidt coefficient lists a and b; the
+    shorter list is paired against the reversal of the longer one's head.
     """
-    sa = _as_schmidt(a)
-    sb = _as_schmidt(b)
-    if sa.dim > sb.dim:
-        sa, sb = sb, sa
-    d_a, d = sa.dim, sb.dim
-    ca = np.asarray(sa.coefficients)
-    cb = np.asarray(sb.coefficients)
+    ca, cb = _coefficients(a, b)
+    d_a, d = len(ca), len(cb)
     # A product that underflows makes the sum infinite and the ceiling 0.
     with np.errstate(over="ignore", divide="ignore"):
         denom = float(np.sum(1.0 / (ca * cb[d_a - 1 :: -1])))
     return float(d / denom)
 
 
-def optimal_u(d_a: int, d: int) -> np.ndarray:
-    """Permutation reversing the first d_a basis states, identity beyond."""
-    if not 1 <= d_a <= d:
-        raise ValueError(f"need 1 <= d_a <= d, got d_a={d_a}, d={d}")
-    u = np.zeros((d, d), dtype=complex)
-    for k in range(d_a):
-        u[d_a - 1 - k, k] = 1.0
-    for k in range(d_a, d):
-        u[k, k] = 1.0
-    return u
-
-
-def achieving_operator(a: SchmidtState | Sequence[float],
-                       b: SchmidtState | Sequence[float]) -> BoundResult:
+def achieving_operator(a: Sequence[float], b: Sequence[float]) -> BoundResult:
     """Measurement element reaching the ceiling, checked on the actual state.
 
     The middle station holds a mirror copy of the end-node pair; applying
@@ -183,20 +141,20 @@ def achieving_operator(a: SchmidtState | Sequence[float],
     dimensions both hit the ceiling exactly; with unequal dimensions the
     smaller local rank caps what any operator can reach.
     """
-    sa = _as_schmidt(a)
-    sb = _as_schmidt(b)
-    if sa.dim > sb.dim:
-        sa, sb = sb, sa
-    d_a, d = sa.dim, sb.dim
-    ceiling = p_max(sa, sb)
+    ca, cb = _coefficients(a, b)
+    d_a, d = len(ca), len(cb)
+    ceiling = p_max(ca, cb)
 
-    u = optimal_u(d_a, d)
-    omega = max_entangled(u, d)
+    # The permutation reversing the first d_a basis states, identity beyond,
+    # picks the target (u x 1) (1/sqrt(d)) sum_k |k>|k>, whose amplitude at
+    # index i * d + k is u[i, k] / sqrt(d).
+    u = np.eye(d, dtype=complex)[np.concatenate((np.arange(d_a)[::-1], np.arange(d_a, d)))]
+    omega = u.reshape(-1) / np.sqrt(d)
     a_pad = np.zeros(d)
-    a_pad[:d_a] = sa.coefficients
-    diag = np.kron(a_pad, np.asarray(sb.coefficients))
+    a_pad[:d_a] = ca
+    diag = np.kron(a_pad, cb)
     g = np.sqrt(diag)
-    # SchmidtState coefficients are positive, so only the padding is zero.
+    # The checked coefficients are positive, so only the padding is zero.
     inv_g = np.where(g > 0.0, 1.0 / np.where(g > 0.0, g, 1.0), 0.0)
     scale = np.sqrt(ceiling)
     w = omega.conj() * inv_g

@@ -25,9 +25,9 @@ import numpy as np
 from . import qmath
 from .bounds import BoundResult, achieving_operator
 from .criterion import _verdict, measurement_from_text
-from .repeater import (_fields, _orthonormal_kets, _rate_table, _tuned_outcomes, bell_kets,
-                       build_optimal_basis, compare_with_bell, computational_kets,
-                       run_protocol_analytic, run_protocol_sampled)
+from .repeater import (_fields, _rate_table, _tuned_outcomes, bell_kets, build_optimal_basis,
+                       compare_with_bell, computational_kets, run_protocol_analytic,
+                       run_protocol_sampled)
 
 SEED_ENV_VAR = "REPEATERLAB_SEED"
 BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
@@ -354,28 +354,22 @@ def _sweep_json(grid: int) -> str:
     return _rows_text(_sweep_columns(grid), "[\n  ", _SWEEP_ITEM, ",\n  ", "\n]\n")
 
 
-@functools.cache
-def _rate_template(outcomes: int) -> str:
-    """The rate report of AnalyticResult.to_dict with its leaves left as `%` fields.
-
-    The skeleton has to_dict's layout with "%r" for floats and "%s" for
-    flags; the outcome numbers and the bit count are fixed.  `_rate_json`
-    lists the values in the same order.
-    """
-    per_outcome = [{"outcome": index,
-                    "clare_prob": "%r",
-                    "maximal": "%s",
-                    "bob_success_prob": "%r",
-                    "success_prob": "%r",
-                    "post_state": [["%r", "%r"]] * 4}
-                   for index in range(1, outcomes + 1)]
-    return _template({"theta": "%r",
-                      "eta": "%r",
-                      "p_ms": "%r",
-                      "per_outcome": per_outcome,
-                      "ledger": {"classical_bits_sent": 2,
-                                 "local_measurements_expected": "%r",
-                                 "bob_action_prob": "%r"}})
+# The rate report of AnalyticResult.to_dict with its leaves left as `%` fields:
+# "%r" for floats and "%s" for flags; the outcome numbers and the bit count
+# are fixed.  `_rate_json` lists the values in the same order.
+_RATE_TEMPLATE = _template({"theta": "%r",
+                            "eta": "%r",
+                            "p_ms": "%r",
+                            "per_outcome": [{"outcome": index,
+                                             "clare_prob": "%r",
+                                             "maximal": "%s",
+                                             "bob_success_prob": "%r",
+                                             "success_prob": "%r",
+                                             "post_state": [["%r", "%r"]] * 4}
+                                            for index in range(1, 5)],
+                            "ledger": {"classical_bits_sent": 2,
+                                       "local_measurements_expected": "%r",
+                                       "bob_action_prob": "%r"}})
 
 
 def _rate_json(config: argparse.Namespace) -> str:
@@ -392,18 +386,21 @@ def _rate_json(config: argparse.Namespace) -> str:
                                             out.post_state.view(np.float64).tolist()):
         cells += (p, "true" if maximal else "false", q, success, *post)
     cells += (1.0 + fields.bob_action_prob, fields.bob_action_prob)
-    return _rate_template(len(fields.clare_prob)) % tuple(cells)
+    return _RATE_TEMPLATE % tuple(cells)
 
 
 def _criterion_measurement(config: argparse.Namespace) -> np.ndarray:
-    """The measurement's kets as the rows of a (4, 4) array, checked to be orthonormal once."""
+    """The measurement's kets as the rows of a (4, 4) array, checked to be orthonormal at most once.
+
+    The constant bases are orthonormal as built and go unchecked; the tuned
+    basis is checked when it is built, a file's kets where the file is read.
+    """
     if config.measurement == "bell":
-        return _orthonormal_kets(bell_kets())
+        return bell_kets()
     if config.measurement == "optimal":
-        # OptimalBasis checks its kets when it is built.
         return build_optimal_basis(config.theta, config.eta).kets
     if config.measurement == "computational":
-        return _orthonormal_kets(computational_kets())
+        return computational_kets()
     with open(config.measurement_file, encoding="utf-8") as fh:
         return measurement_from_text(fh.read())
 

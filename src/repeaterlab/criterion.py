@@ -64,9 +64,9 @@ def criterion_lhs(kets: Sequence[np.ndarray], theta: float, eta: float) -> float
     Never smaller than the target, so the gap measures how far the
     measurement falls short.
     """
-    phi = _orthonormal_kets(kets)
+    # The angles are checked before the kets, so a bad angle is the error reported.
     theta, eta = _checked_angles(theta, eta)
-    return _lhs(phi, theta, eta)
+    return _lhs(_orthonormal_kets(kets), theta, eta)
 
 
 def achieved_rate(kets: Sequence[np.ndarray], theta: float, eta: float) -> float:

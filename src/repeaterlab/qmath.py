@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 # Every threshold in the package, one name per value and meaning.  A defect
 # equal to its bound passes.
 # Rounding at unit scale: norms, ket Gram, Schmidt sums, eigenvalue support.
 STRICT_ATOL = 1e-12
-# After an eigensolver, a file read or two routes: Hermiticity, PSD, projectors, unitarity, rates.
+# After an eigensolver, a file read or two routes: Hermiticity, PSD, projectors, rates.
 LOOSE_ATOL = 1e-10
 # Angles up to pi/4 plus this (decimal-rounded pi/4, as in 0.7854) snap down to pi/4.
 BOUNDARY_SLACK = 1e-4
@@ -20,16 +18,10 @@ FLAG_TOL = 1e-9
 TEXT_SUM_ATOL = 1e-9
 
 
-def as_matrix(a: np.ndarray | Sequence) -> np.ndarray:
-    """Coerce to a 2-D complex array."""
+def require_hermitian(a: np.ndarray, what: str = "operator") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of rank {m.ndim}")
-    return m
-
-
-def require_hermitian(a: np.ndarray, what: str = "operator") -> np.ndarray:
-    m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():

@@ -1,5 +1,5 @@
-"""General-dimension ceiling: Schmidt lists, maximally entangled kets, steering, trace
-rearrangement, reaching operator."""
+"""General-dimension ceiling: Schmidt lists, steering, trace rearrangement, reaching
+operator."""
 
 import json
 import tracemalloc
@@ -12,10 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repeaterlab import bounds, qmath
 from repeaterlab.bounds import (
     BoundResult,
-    SchmidtState,
     achieving_operator,
-    max_entangled,
-    optimal_u,
     p_max,
     steering_bound,
     trace_rearrangement_lb,
@@ -32,10 +29,15 @@ def random_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def kron_loop(u):
+    """The maximally entangled ket (u x 1) (1/sqrt(d)) sum_k |k>|k>, term by term."""
+    d = len(u)
+    return sum(np.kron(u[:, k], np.eye(d)[k]) for k in range(d)) / np.sqrt(d)
+
+
 def random_schmidt(rng, d):
     w = rng.dirichlet(np.ones(d)) + 1e-3
-    w = np.sort(w / w.sum())[::-1]
-    return SchmidtState(w)
+    return np.sort(w / w.sum())[::-1]
 
 
 class TestSteeringBound:
@@ -213,9 +215,6 @@ class TestPMax:
         b = [0.5, 0.3, 0.2]
         assert p_max(a, b) == pytest.approx(p_max(b, a), abs=1e-15)
 
-    def test_accepts_schmidt_states(self):
-        assert p_max(SchmidtState([0.5, 0.5]), SchmidtState([0.5, 0.5])) == pytest.approx(0.25)
-
     def test_rejects_bad_coefficient_lists(self):
         with pytest.raises(ValueError):
             p_max([0.5, 0.4], [0.5, 0.5])       # sums to 0.9
@@ -223,28 +222,33 @@ class TestPMax:
             p_max([0.4, 0.6], [0.5, 0.5])       # increasing
 
 
+def reversal(a, b):
+    """The optimal_u of achieving_operator(a, b)."""
+    return achieving_operator(a, b).optimal_u
+
+
 class TestOptimalU:
+    """The permutation reversing the shorter list's basis states, identity beyond."""
+
     def test_two_dim_reversal_is_bit_flip(self):
-        assert np.array_equal(optimal_u(2, 2), np.array([[0, 1], [1, 0]], dtype=complex))
+        u = reversal([0.5, 0.5], [0.7, 0.3])
+        assert np.array_equal(u, np.array([[0, 1], [1, 0]], dtype=complex))
 
     def test_partial_reversal_keeps_tail_fixed(self):
-        u = optimal_u(2, 3)
+        u = reversal([0.6, 0.4], [0.5, 0.3, 0.2])
         expected = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
         assert np.array_equal(u, expected)
 
     def test_single_state_reversal_is_identity(self):
-        assert np.array_equal(optimal_u(1, 3), np.eye(3, dtype=complex))
+        assert np.array_equal(reversal([1.0], [0.5, 0.3, 0.2]), np.eye(3, dtype=complex))
 
     def test_always_unitary(self):
+        rng = np.random.default_rng(7)
         for d in range(1, 7):
             for d_a in range(1, d + 1):
-                u = optimal_u(d_a, d)
+                u = reversal(random_schmidt(rng, d_a), random_schmidt(rng, d))
+                assert u.shape == (d, d)
                 assert np.allclose(u @ u.conj().T, np.eye(d), atol=1e-15)
-
-    @pytest.mark.parametrize("d_a,d", [(0, 2), (3, 2), (-1, 4)])
-    def test_rejects_bad_dims(self, d_a, d):
-        with pytest.raises(ValueError):
-            optimal_u(d_a, d)
 
 
 class TestAchievingOperator:
@@ -290,8 +294,10 @@ class TestAchievingOperator:
         assert unequal.post_fidelity == pytest.approx(2 / 3, abs=1e-12)
 
     def test_unitary_matches_helper(self):
-        result = achieving_operator([0.6, 0.4], [0.5, 0.3, 0.2])
-        assert np.array_equal(result.optimal_u, optimal_u(2, 3))
+        # The shorter list is reversed whichever argument it is.
+        expected = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+        for a, b in (([0.6, 0.4], [0.5, 0.3, 0.2]), ([0.5, 0.3, 0.2], [0.6, 0.4])):
+            assert np.array_equal(achieving_operator(a, b).optimal_u, expected)
 
     @staticmethod
     def assert_matches_dense(a, b):
@@ -311,8 +317,7 @@ class TestAchievingOperator:
                              + [(2, 3), (3, 7), (5, 12), (1, 4), (1, 1)])
     def test_checks_match_the_dense_formulas(self, d_a, d):
         rng = np.random.default_rng(100 * d_a + d)
-        sa, sb = random_schmidt(rng, d_a), random_schmidt(rng, d)
-        self.assert_matches_dense(sa.coefficients, sb.coefficients)
+        self.assert_matches_dense(random_schmidt(rng, d_a), random_schmidt(rng, d))
 
     @pytest.mark.parametrize("tiny", [1e-160, 1e-300])
     @pytest.mark.parametrize("b", [[0.5, 0.5], [0.5, 0.3, 0.2], "tiny"])
@@ -354,8 +359,8 @@ class TestCeilingIsASteeringBound:
             d = int(RNG.integers(2, 5))
             sa = random_schmidt(RNG, d)
             sb = random_schmidt(RNG, d)
-            rho = np.kron(np.diag(sa.coefficients), np.diag(sb.coefficients))
-            omega = max_entangled(optimal_u(d, d), d)
+            rho = np.kron(np.diag(sa), np.diag(sb))
+            omega = kron_loop(np.eye(d)[::-1])
             target = np.outer(omega, omega.conj())
             bound = steering_bound(rho, target)
             assert bound == pytest.approx(p_max(sa, sb), abs=1e-10)
@@ -365,74 +370,51 @@ class TestCeilingIsASteeringBound:
             d = int(RNG.integers(2, 5))
             sa = random_schmidt(RNG, d)
             sb = random_schmidt(RNG, d)
-            rho = np.kron(np.diag(sa.coefficients), np.diag(sb.coefficients))
-            v = random_unitary(RNG, d)
-            omega = max_entangled(v, d)
+            rho = np.kron(np.diag(sa), np.diag(sb))
+            omega = kron_loop(random_unitary(RNG, d))
             bound = steering_bound(rho, np.outer(omega, omega.conj()))
             assert bound <= p_max(sa, sb) + 1e-10
 
 
 class TestSchmidtState:
-    def test_basic(self):
-        s = bounds.SchmidtState([0.7, 0.3])
-        assert s.dim == 2
-        assert s.coefficients == (0.7, 0.3)
-
-    @pytest.mark.parametrize("coeffs", [
-        [],
-        [0.5, 0.5, 0.0],
-        [-0.2, 1.2],
-        [0.3, 0.7],      # increasing
-        [0.6, 0.3],      # sums to 0.9
-    ])
-    def test_invalid_coefficients(self, coeffs):
-        with pytest.raises(ValueError):
-            bounds.SchmidtState(coeffs)
+    @pytest.mark.parametrize("coeffs, message", [
+        ([], "at least one Schmidt coefficient required"),
+        ([0.5, 0.5, 0.0], "Schmidt coefficients must be strictly positive, got (0.5, 0.5, 0.0)"),
+        ([-0.2, 1.2], "Schmidt coefficients must be strictly positive, got (-0.2, 1.2)"),
+        ([0.3, 0.7], "Schmidt coefficients must be nonincreasing, got (0.3, 0.7)"),
+        ([0.6, 0.3], "Schmidt coefficients must sum to 1, got sum 0.8999999999999999"),
+    ], ids=[f"coeffs{i}" for i in range(5)])
+    def test_invalid_coefficients(self, coeffs, message):
+        # Either argument of either function, checked before any work.
+        good = [0.7, 0.2, 0.1]
+        for fn in (p_max, achieving_operator):
+            for args in ((coeffs, good), (good, coeffs)):
+                with pytest.raises(ValueError) as info:
+                    fn(*args)
+                assert str(info.value) == message
 
 
 class TestMaxEntangled:
+    """The target ket omega: (u x 1) (1/sqrt(d)) sum_k |k>|k> for the operator's u."""
+
     def test_identity_gives_uniform_pair(self):
-        k = bounds.max_entangled(np.eye(2), 2)
-        assert np.allclose(k, np.array([1, 0, 0, 1]) / np.sqrt(2))
+        omega = achieving_operator([1.0], [0.5, 0.5]).omega
+        assert np.allclose(omega, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
     def test_bit_flip_rotates_left_factor(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        k = bounds.max_entangled(x, 2)
-        assert np.allclose(k, np.array([0, 1, 1, 0]) / np.sqrt(2))
+        omega = achieving_operator([0.5, 0.5], [0.5, 0.5]).omega
+        assert np.allclose(omega, np.array([0, 1, 1, 0]) / np.sqrt(2))
 
     def test_reduced_state_is_uniform(self):
-        u = random_unitary(RNG, 3)
-        k = bounds.max_entangled(u, 3)
-        # Alice's reduced state: trace Bob's factor out of |k><k|.
-        m = k.reshape(3, 3)
-        left = m @ m.conj().T
-        assert np.allclose(left, np.eye(3) / 3, atol=1e-12)
+        omega = achieving_operator([0.6, 0.4], [0.5, 0.3, 0.2]).omega
+        # Alice's reduced state: trace Bob's factor out of |omega><omega|.
+        m = omega.reshape(3, 3)
+        assert np.allclose(m @ m.conj().T, np.eye(3) / 3, atol=1e-12)
         assert np.allclose(np.linalg.svd(m, compute_uv=False), 1 / np.sqrt(3), atol=1e-10)
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_equals_the_kron_loop(self, d):
-        for u in (random_unitary(RNG, d), np.eye(d)[::-1].astype(complex)):
-            loop = sum(np.kron(u[:, k], np.eye(d)[k]) for k in range(d)) / np.sqrt(d)
-            assert np.array_equal(bounds.max_entangled(u, d), loop)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            bounds.max_entangled(np.diag([1.0, 2.0]), 2)
-
-    def test_judged_by_the_spectral_defect(self):
-        # Defect diag(0.9e-10, 0.9e-10, 0, 0): its Frobenius norm is above the
-        # bound, its spectral norm below it, so the matrix passes.
-        d = 4
-        m = np.diag(np.sqrt([1 + 0.9e-10, 1 + 0.9e-10, 1.0, 1.0]))
-        defect = m @ m.conj().T - np.eye(d)
-        assert np.linalg.norm(defect, 2) <= qmath.LOOSE_ATOL < np.linalg.norm(defect)
-        assert np.array_equal(bounds.max_entangled(m, d), m.reshape(-1) / np.sqrt(d))
-
-    def test_rejects_a_spectral_defect_above_the_bound(self):
-        m = np.diag(np.sqrt([1 + 1.1e-10, 1.0, 1.0]))
-        with pytest.raises(ValueError, match=r"^matrix is not unitary \(defect 1\.100e-10\)$"):
-            bounds.max_entangled(m, 3)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            bounds.max_entangled(np.eye(3), 2)
+        rng = np.random.default_rng(d)
+        for d_a in (1, d):
+            result = achieving_operator(random_schmidt(rng, d_a), random_schmidt(rng, d))
+            assert np.array_equal(result.omega, kron_loop(result.optimal_u))

@@ -167,8 +167,12 @@ class TestAchievedRate:
             assert rate == run_protocol_with_kets(theta, eta, kets).p_ms
 
     def test_reports_a_bad_angle_before_bad_kets(self):
-        with pytest.raises(ValueError, match="theta must lie"):
-            achieved_rate(bell_kets()[:3], 1.0, 0.3)
+        # Every route from kets and angles checks the angles first.
+        for fn in (achieved_rate, criterion_lhs, is_optimal):
+            with pytest.raises(ValueError, match="theta must lie"):
+                fn(bell_kets()[:3], 1.0, 0.3)
+            with pytest.raises(ValueError, match="theta must lie"):
+                fn(np.zeros((4, 4)), -1.0, 0.5)
 
 
 class TestIsOptimal:
