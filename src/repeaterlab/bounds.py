@@ -10,6 +10,7 @@ entangled, together with the operator that reaches it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -100,14 +101,16 @@ def trace_rearrangement_lb(a: np.ndarray, b: np.ndarray) -> float:
 def _coefficients(a: Sequence[float], b: Sequence[float]) -> list[np.ndarray]:
     """Both squared Schmidt coefficient lists, checked, as arrays with the shorter first.
 
-    Each list must be nonempty, strictly positive, nonincreasing and sum
-    to 1 within STRICT_ATOL.  Lists of equal length keep their order.
+    Each list must be nonempty, finite, strictly positive, nonincreasing
+    and sum to 1 within STRICT_ATOL.  Lists of equal length keep their order.
     """
     checked = []
     for x in (a, b):
         coeffs = tuple(float(c) for c in x)
         if not coeffs:
             raise ValueError("at least one Schmidt coefficient required")
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError(f"Schmidt coefficients must be finite, got {coeffs}")
         if any(c <= 0.0 for c in coeffs):
             raise ValueError(f"Schmidt coefficients must be strictly positive, got {coeffs}")
         if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):

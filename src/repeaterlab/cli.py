@@ -2,9 +2,9 @@
 
 Every command prints one serialized report (JSON by default; the sweep
 prints CSV, the basis command matrix text) and exits 0, or prints a
-machine-readable error object to stderr and exits nonzero.  A JSON report
-is json.dumps(..., indent=2) output, or a template built from it and filled
-with one `%` where a report carries many floats.
+machine-readable error object to stderr and exits nonzero.  Every JSON
+report is written by `%` into templates built once from
+json.dumps(..., indent=2) text; the error object is one json.dumps line.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ import numpy as np
 
 from . import qmath
 from .bounds import BoundResult, achieving_operator
-from .criterion import _verdict, measurement_from_text
-from .repeater import (_fields, _rate_table, _tuned_outcomes, bell_kets, build_optimal_basis,
-                       compare_with_bell, computational_kets, run_protocol_analytic,
-                       run_protocol_sampled)
+from .criterion import CriterionReport, _verdict, measurement_from_text
+from .repeater import (ComparisonRecord, SampledResult, _fields, _rate_table, _tuned_outcomes,
+                       bell_kets, build_optimal_basis, compare_with_bell, computational_kets,
+                       run_protocol_analytic, run_protocol_sampled)
 
 SEED_ENV_VAR = "REPEATERLAB_SEED"
 BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
@@ -418,6 +418,68 @@ def _basis_report(config: argparse.Namespace) -> str:
                               *basis.kets.view(np.float64).ravel().tolist())
 
 
+# The simulate report of SampledResult.to_dict, its leaves `%` fields.
+_SIMULATE_TEMPLATE = _template({"theta": "%r",
+                                "eta": "%r",
+                                "n": "%r",
+                                "seed": "%r",
+                                "estimate": "%r",
+                                "stderr": "%r",
+                                "ledger_stats": {"classical_bits_mean": "%r",
+                                                 "local_measurements_mean": "%r",
+                                                 "bob_acted_freq": "%r",
+                                                 "outcome_counts": ["%r"] * 4}})
+
+
+def _simulate_json(result: SampledResult) -> str:
+    """json.dumps(result.to_dict(), indent=2) and a newline, filled from its fields.
+
+    The seed, n and the counts are ints, and the rest are finite floats at
+    checked angles: %r writes both as json does.
+    """
+    stats = result.ledger_stats
+    return _SIMULATE_TEMPLATE % (result.theta, result.eta, result.n, result.seed,
+                                 result.estimate, result.stderr,
+                                 stats["classical_bits_mean"], stats["local_measurements_mean"],
+                                 stats["bob_acted_freq"], *stats["outcome_counts"])
+
+
+# The compare report of ComparisonRecord.to_dict, its leaves `%` fields.
+_BRANCH_SKELETON = {"p_ms": "%r", "bob_action_prob": "%r",
+                    "expected_local_measurements": "%r", "classical_bits_sent": "%r"}
+_COMPARE_TEMPLATE = _template({"theta": "%r", "eta": "%r", "optimal": _BRANCH_SKELETON,
+                               "bell": _BRANCH_SKELETON, "rates_equal": "%s"})
+
+
+def _compare_json(record: ComparisonRecord) -> str:
+    """json.dumps(record.to_dict(), indent=2) and a newline, filled from its fields.
+
+    Its rates are finite at checked angles, and %r writes a finite float
+    as json does.
+    """
+    cells = [record.theta, record.eta]
+    for branch in (record.optimal, record.bell):
+        cells += (branch.p_ms, branch.bob_action_prob, branch.expected_local_measurements,
+                  branch.classical_bits_sent)
+    cells.append("true" if record.rates_equal else "false")
+    return _COMPARE_TEMPLATE % tuple(cells)
+
+
+# The criterion report of CriterionReport.to_dict, its leaves `%` fields.
+_CRITERION_TEMPLATE = _template({"lhs": "%r", "rhs": "%r", "p_s": "%r", "optimal": "%s",
+                                 "tolerance": "%r"})
+
+
+def _criterion_json(report: CriterionReport) -> str:
+    """json.dumps(report.to_dict(), indent=2) and a newline, filled from its fields.
+
+    The tolerance is finite, by `_tolerance`, and so are the sums of finite
+    kets at checked angles; %r writes a finite float as json does.
+    """
+    return _CRITERION_TEMPLATE % (report.lhs, report.rhs, report.p_s,
+                                  "true" if report.optimal else "false", report.tolerance)
+
+
 def _error(exc: Exception, **context) -> str:
     """The JSON error object of exc, a line: its type, its message, then the context keys."""
     return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc), **context}}) + "\n"
@@ -425,36 +487,40 @@ def _error(exc: Exception, **context) -> str:
 
 def run(config: argparse.Namespace) -> tuple[int, str]:
     """Execute one parse_args namespace; returns (exit status, serialized report)."""
+    as_json = config.output_format == "json"
     try:
         if config.command == "rate":
-            if config.output_format == "json":
+            if as_json:
                 return 0, _rate_json(config)
-            record = run_protocol_analytic(config.theta, config.eta,
-                                           config.beta1, config.beta2).to_dict()
+            result = run_protocol_analytic(config.theta, config.eta, config.beta1, config.beta2)
         elif config.command == "basis":
             return 0, _basis_report(config)
         elif config.command == "simulate":
-            record = run_protocol_sampled(config.theta, config.eta, config.n_samples,
-                                          config.seed).to_dict()
+            result = run_protocol_sampled(config.theta, config.eta, config.n_samples,
+                                          config.seed)
+            if as_json:
+                return 0, _simulate_json(result)
         elif config.command == "criterion":
             phi = _criterion_measurement(config)
-            record = _verdict(phi, config.theta, config.eta, config.tolerance).to_dict()
+            result = _verdict(phi, config.theta, config.eta, config.tolerance)
+            if as_json:
+                return 0, _criterion_json(result)
         elif config.command == "bound":
             result = achieving_operator(config.schmidt_a, config.schmidt_b)
-            if config.output_format == "json":
+            if as_json:
                 return 0, _bound_json(result)
             return 0, _csv_row({k: getattr(result, k) for k in _BOUND_SCALARS})
         elif config.command == "sweep":
-            if config.output_format == "csv":
-                return 0, _sweep_csv(config.grid)
-            return 0, _sweep_json(config.grid)
+            if as_json:
+                return 0, _sweep_json(config.grid)
+            return 0, _sweep_csv(config.grid)
         else:  # compare
-            record = compare_with_bell(config.theta, config.eta).to_dict()
+            result = compare_with_bell(config.theta, config.eta)
+            if as_json:
+                return 0, _compare_json(result)
     except (ValueError, OSError, MemoryError) as exc:
         return 1, _error(exc, command=config.command)
-    if config.output_format == "csv":
-        return 0, _csv_row(record)
-    return 0, json.dumps(record, indent=2) + "\n"
+    return 0, _csv_row(result.to_dict())
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,6 +11,7 @@ other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,9 +84,15 @@ def is_optimal(kets: Sequence[np.ndarray], theta: float, eta: float,
                tol: float = qmath.FLAG_TOL) -> CriterionReport:
     """Full report: closed-form sum, target, delivered rate, and the verdict.
 
-    Raises ValueError when the two routes disagree: the delivered rate must
-    equal 1 - lhs within qmath.LOOSE_ATOL.
+    Raises ValueError for a negative or non-finite tol, and when the two
+    routes disagree: the delivered rate must equal 1 - lhs within
+    qmath.LOOSE_ATOL.
     """
+    tol = float(tol)
+    if not math.isfinite(tol):
+        raise ValueError(f"expected a finite number, got {tol!r}")
+    if tol < 0.0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
     # The angles are checked before the kets, so a bad angle is the error reported.
     theta, eta = _checked_angles(theta, eta)
     return _verdict(_orthonormal_kets(kets), theta, eta, tol)

@@ -3,12 +3,14 @@ numpy calls on the per-point path, and no module-level name that nothing uses.""
 
 import ast
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import repeaterlab
-from repeaterlab import cli, repeater
+from repeaterlab import cli, qmath, repeater
 
 SRC = Path(repeaterlab.__file__).resolve().parent
 TOLERANCE_SUFFIXES = ("_ATOL", "_TOL", "_FLOOR", "_CUTOFF", "_SLACK")
@@ -174,4 +176,31 @@ def test_per_point_commands_call_no_numpy_wrappers(monkeypatch):
                  ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "1000", "--seed", "1"],
                  ["criterion", "--theta", "0.6", "--eta", "0.3", "--measurement", "bell"],
                  ["sweep", "--grid", "3"]):
+        assert cli.run(cli.parse_args(argv))[0] == 0, argv
+
+
+def test_json_reports_never_run_the_indent_encoder(monkeypatch, tmp_path):
+    # json.dumps(..., indent=2) always runs json's pure-Python encoder; every
+    # JSON report is a template fill, and json.dumps runs only to build one.
+    path = tmp_path / "meas.txt"
+    path.write_text("".join(qmath.format_matrix_text(k)
+                            for k in repeater.build_optimal_basis(0.2, 0.5).kets),
+                    encoding="utf-8")
+    commands = (["rate", "--theta", "0.3", "--eta", "0.6", "--beta1", "0.5"],
+                ["basis", "--theta", "0.3", "--eta", "0.6", "--format", "json"],
+                ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "1000", "--seed", "1"],
+                ["criterion", "--theta", "0.6", "--eta", "0.3", "--measurement", "optimal"],
+                ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement-file", str(path)],
+                ["compare", "--theta", "0.3", "--eta", "0.6"],
+                ["bound", "--a", "0.5,0.3,0.2", "--b", "0.6,0.4"],
+                ["sweep", "--grid", "3", "--format", "json"])
+    for argv in commands:  # builds the templates cached per bound dimension
+        assert cli.run(cli.parse_args(argv))[0] == 0, argv
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+    monkeypatch.setattr(json.encoder, "_make_iterencode", forbidden)
+    with pytest.raises(AssertionError):
+        json.dumps([1.0], indent=2)
+    for argv in commands:
         assert cli.run(cli.parse_args(argv))[0] == 0, argv

@@ -221,6 +221,21 @@ class TestPMax:
         with pytest.raises(ValueError):
             p_max([0.4, 0.6], [0.5, 0.5])       # increasing
 
+    @pytest.mark.parametrize("function", [p_max, achieving_operator],
+                             ids=["p_max", "achieving_operator"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("which, at, lists", [
+        (0, 0, ([1.0], [1.0])), (1, 0, ([1.0], [1.0])),
+        (0, 0, ([1.0, 0.0], [0.5, 0.5])), (1, 1, ([0.5, 0.5], [0.6, 0.4]))],
+        ids=["a-alone", "b-alone", "a-head", "b-tail"])
+    def test_rejects_non_finite_coefficients(self, function, bad, which, at, lists):
+        # Every comparison with NaN is false, so finiteness is checked first.
+        lists = [list(x) for x in lists]
+        lists[which][at] = bad
+        with pytest.raises(ValueError, match="Schmidt coefficients must be finite"):
+            function(*lists)
+
 
 def reversal(a, b):
     """The optimal_u of achieving_operator(a, b)."""

@@ -27,12 +27,16 @@ from repeaterlab.cli import (
     parse_args,
     run,
 )
+from repeaterlab.criterion import is_optimal, measurement_from_text
 from repeaterlab.repeater import (
     bell_kets,
+    build_optimal_basis,
     compare_with_bell,
+    computational_kets,
     direct_success_prob,
     projection_bounds,
     run_protocol_analytic,
+    run_protocol_sampled,
 )
 from oracles import random_orthonormal_kets
 
@@ -323,7 +327,6 @@ class TestRun:
         assert payload["p_s"] == pytest.approx(0.0, abs=1e-12)
 
     def test_criterion_from_file(self, tmp_path):
-        from repeaterlab.repeater import build_optimal_basis
         kets = build_optimal_basis(0.3, 0.6).kets
         path = tmp_path / "meas.txt"
         path.write_text("\n".join(qmath.format_matrix_text(k) for k in kets),
@@ -681,10 +684,16 @@ phases = st.floats(-100.0, 100.0) | st.sampled_from([0.0, -0.0])
 
 
 @st.composite
+def angle_pairs(draw):
+    """theta, eta: equal half the time."""
+    theta = draw(protocol_angles)
+    return theta, (theta if draw(st.booleans()) else draw(protocol_angles))
+
+
+@st.composite
 def rate_inputs(draw):
     """theta, eta, beta1, beta2: equal angles half the time, random phases half the time."""
-    theta = draw(protocol_angles)
-    eta = theta if draw(st.booleans()) else draw(protocol_angles)
+    theta, eta = draw(angle_pairs())
     beta1, beta2 = (draw(phases), draw(phases)) if draw(st.booleans()) else (0.0, 0.0)
     return theta, eta, beta1, beta2
 
@@ -708,6 +717,82 @@ class TestRateReport:
         # reports also show that every cell is finite.
         want = run_protocol_analytic(theta, eta, beta1, beta2).to_dict()
         assert report == json.dumps(want, indent=2) + "\n"
+
+
+def _angles(theta, eta):
+    return ["--theta", repr(theta), "--eta", repr(eta)]
+
+
+def _json_of(result):
+    """What json.dumps writes for result.to_dict(): the report each template must give."""
+    return json.dumps(result.to_dict(), indent=2) + "\n"
+
+
+class TestRecordReports:
+    """The simulate, compare and criterion reports, each one template fill, against
+    json.dumps of to_dict.  json writes a non-finite float as NaN or Infinity, %r
+    does not: equal reports also show that every cell is finite."""
+
+    @given(angle_pairs(), st.integers(1, MAX_SAMPLES), st.integers(0, 2 ** 128 - 1))
+    @example((0.3, 0.6), 1, 0)
+    @example((0.3, 0.6), MAX_SAMPLES, 0)
+    @example((5e-324, QUARTER_PI + qmath.BOUNDARY_SLACK), MAX_SAMPLES, 2 ** 128 - 1)
+    @example((0.3, 0.3), 1000, 7)
+    @settings(max_examples=300, deadline=None)
+    def test_simulate(self, angles, n, seed):
+        status, report = run(parse_args(["simulate", *_angles(*angles), "--n", str(n),
+                                         "--seed", str(seed)]))
+        assert status == 0
+        assert report == _json_of(run_protocol_sampled(*angles, n, seed))
+
+    @pytest.mark.parametrize("n", [1, MAX_SAMPLES])
+    def test_unseeded_simulate(self, n):
+        config = parse_args(["simulate", "--theta", "0.3", "--eta", "0.6", "--n", str(n)])
+        config.seed = None  # as parse_args leaves it without --seed or $REPEATERLAB_SEED
+        status, report = run(config)
+        assert status == 0
+        seed = json.loads(report)["seed"]
+        # Fresh entropy is a 128-bit int, past what a 64-bit field holds.
+        assert 64 < seed.bit_length() <= 128
+        assert report == _json_of(run_protocol_sampled(0.3, 0.6, n, seed))
+
+    @given(angle_pairs())
+    @example((5e-324, 5e-324))
+    @example((5e-324, QUARTER_PI))
+    @example((0.3, 0.3))
+    @example((QUARTER_PI + qmath.BOUNDARY_SLACK, 0.3))
+    @example((QUARTER_PI + qmath.BOUNDARY_SLACK, QUARTER_PI))
+    @settings(max_examples=300, deadline=None)
+    def test_compare(self, angles):
+        status, report = run(parse_args(["compare", *_angles(*angles)]))
+        assert status == 0
+        assert report == _json_of(compare_with_bell(*angles))
+
+    @given(angle_pairs(), st.sampled_from(cli.BUILTIN_MEASUREMENTS + ("file",)),
+           st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, 5e-324, 1e300, qmath.FLAG_TOL]) | st.floats(0.0, 1e300))
+    @example((0.3, 0.6), "bell", 0, 0.0)
+    @example((0.6, 0.3), "optimal", 0, 5e-324)
+    @example((0.3, 0.6), "computational", 0, 1e300)
+    @example((5e-324, QUARTER_PI), "file", 1, 0.0)
+    @example((QUARTER_PI + qmath.BOUNDARY_SLACK, 0.3), "optimal", 0, 1e300)
+    @settings(max_examples=300, deadline=None)
+    def test_criterion(self, tmp_path_factory, angles, measurement, seed, tol):
+        if measurement == "file":
+            path = tmp_path_factory.getbasetemp() / "haar-kets.txt"
+            path.write_text("".join(qmath.format_matrix_text(k) for k in
+                                    random_orthonormal_kets(np.random.default_rng(seed))),
+                            encoding="utf-8")
+            source = ["--measurement-file", str(path)]
+            kets = measurement_from_text(path.read_text(encoding="utf-8"))
+        else:
+            source = ["--measurement", measurement]
+            kets = {"bell": bell_kets, "computational": computational_kets,
+                    "optimal": lambda: build_optimal_basis(*angles).kets}[measurement]()
+        status, report = run(parse_args(["criterion", *_angles(*angles), *source,
+                                         "--tol", repr(tol)]))
+        assert status == 0
+        assert report == _json_of(is_optimal(kets, *angles, tol))
 
 
 class TestDumps:

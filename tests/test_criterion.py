@@ -240,6 +240,17 @@ class TestIsOptimal:
         assert not is_optimal(meas, 0.3, 0.6, tol=1e-9).optimal
         assert is_optimal(meas, 0.3, 0.6, tol=1.0).optimal
 
+    @pytest.mark.parametrize("tol, message", [
+        (float("nan"), "expected a finite number, got nan"),
+        (float("inf"), "expected a finite number, got inf"),
+        (-1.0, "tolerance must be nonnegative, got -1.0"),
+        (-5e-324, "tolerance must be nonnegative, got -5e-324"),
+    ])
+    def test_rejects_a_tolerance_the_cli_rejects(self, tol, message):
+        with pytest.raises(ValueError) as excinfo:
+            is_optimal(bell_kets(), 0.3, 0.6, tol=tol)
+        assert str(excinfo.value) == message
+
     def test_to_dict_is_json_ready(self):
         report = is_optimal(bell_kets(), 0.3, 0.6)
         payload = json.loads(json.dumps(report.to_dict()))
