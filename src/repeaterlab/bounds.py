@@ -127,7 +127,11 @@ def p_max(a: Sequence[float], b: Sequence[float]) -> float:
     The source pairs have squared Schmidt coefficient lists a and b; the
     shorter list is paired against the reversal of the longer one's head.
     """
-    ca, cb = _coefficients(a, b)
+    return _ceiling(*_coefficients(a, b))
+
+
+def _ceiling(ca: np.ndarray, cb: np.ndarray) -> float:
+    """p_max of coefficient arrays `_coefficients` has checked, the shorter first."""
     d_a, d = len(ca), len(cb)
     # A product that underflows makes the sum infinite and the ceiling 0.
     with np.errstate(over="ignore", divide="ignore"):
@@ -146,7 +150,7 @@ def achieving_operator(a: Sequence[float], b: Sequence[float]) -> BoundResult:
     """
     ca, cb = _coefficients(a, b)
     d_a, d = len(ca), len(cb)
-    ceiling = p_max(ca, cb)
+    ceiling = _ceiling(ca, cb)
 
     # The permutation reversing the first d_a basis states, identity beyond,
     # picks the target (u x 1) (1/sqrt(d)) sum_k |k>|k>, whose amplitude at

@@ -2,17 +2,15 @@
 
 Every command prints one serialized report (JSON by default; the sweep
 prints CSV, the basis command matrix text) and exits 0, or prints a
-machine-readable error object to stderr and exits nonzero.  Every JSON
-report is written by `%` into templates built once from
-json.dumps(..., indent=2) text; the error object is one json.dumps line.
+machine-readable error object to stderr and exits nonzero.  Every JSON or
+CSV report is one layout, built once from a skeleton of the report, filled
+from one tuple of cells (`_layout`); the error object is one json.dumps line.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -23,11 +21,10 @@ import sys
 import numpy as np
 
 from . import qmath
-from .bounds import BoundResult, achieving_operator
-from .criterion import CriterionReport, _verdict, measurement_from_text
-from .repeater import (ComparisonRecord, SampledResult, _fields, _rate_table, _tuned_outcomes,
-                       bell_kets, build_optimal_basis, compare_with_bell, computational_kets,
-                       run_protocol_analytic, run_protocol_sampled)
+from .bounds import achieving_operator
+from .criterion import _verdict, measurement_from_text
+from .repeater import (_fields, _rate_table, _tuned_outcomes, bell_kets, build_optimal_basis,
+                       compare_with_bell, computational_kets, run_protocol_sampled)
 
 SEED_ENV_VAR = "REPEATERLAB_SEED"
 BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
@@ -224,25 +221,6 @@ def _checked(ns: argparse.Namespace) -> argparse.Namespace:
     return ns
 
 
-def _csv_row(record: dict) -> str:
-    """A report as a one-row table of its scalars, in report order, written by csv.writer.
-
-    The scalars of a nested dict become dotted columns ("ledger.bob_action_prob");
-    lists stay out.  Flags are written true or false, floats (by csv.writer)
-    as their repr, and None as an empty cell.
-    """
-    flat = {}
-    for k, v in record.items():
-        if isinstance(v, dict):
-            flat.update((f"{k}.{inner}", x) for inner, x in v.items() if not isinstance(x, list))
-        elif not isinstance(v, list):
-            flat[k] = v
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        [flat, [("true" if v else "false") if isinstance(v, bool) else v for v in flat.values()]])
-    return buf.getvalue()
-
-
 def _template(skeleton) -> str:
     """json.dumps(skeleton, indent=2) and a newline, its "%r" and "%s" leaves made `%` fields.
 
@@ -251,6 +229,36 @@ def _template(skeleton) -> str:
     """
     text = json.dumps(skeleton, indent=2).replace("%", "%%") + "\n"
     return text.replace('"%%r"', "%r").replace('"%%s"', "%s")
+
+
+def _layout(skeleton: dict) -> dict[str, str]:
+    """A report's JSON and CSV templates, by format, built once from a skeleton of the report.
+
+    The skeleton is the report with its leaves left as fields: "%r" for a
+    float or an int, "%s" for a flag (filled with "true" or "false") or a
+    cell written beforehand; any other leaf is a constant.  The JSON
+    template is `_template(skeleton)`.  The CSV template is a header line
+    and one row, as csv.writer writes them: the top-level scalars, then the
+    scalars of each nested dict as dotted columns ("ledger.bob_action_prob"),
+    in report order, a constant written as json writes it.  Each field
+    inside a list is a `%.0s` field of the row, which takes its cell and
+    writes nothing, so one `%` from the same tuple of cells fills either
+    template.  Every cell is finite or an int (each command's cells say
+    why), and %r writes both as json does; no cell needs quoting in CSV.
+    """
+    columns, row, sep = [], "", ""
+    for key, value in skeleton.items():
+        leaves = ([(f"{key}.{k}", v) for k, v in value.items()] if isinstance(value, dict)
+                  else [(key, value)])
+        for name, leaf in leaves:
+            if isinstance(leaf, list):
+                row += "%.0s" * len(re.findall('"%[rs]"', json.dumps(leaf)))
+            else:
+                columns.append(name)
+                cell = leaf if leaf in ("%r", "%s") else json.dumps(leaf).replace("%", "%%")
+                row, sep = row + sep + cell, ","
+    return {"json": _template(skeleton),
+            "csv": ",".join(columns).replace("%", "%%") + "\n" + row + "\n"}
 
 
 @functools.cache
@@ -287,30 +295,35 @@ def _rank_one_pieces(scale: float, omega: np.ndarray, w: np.ndarray,
     return pieces
 
 
-# The bound report's scalars, in BoundResult.to_dict order: the whole CSV
-# report, and the head of the JSON one.
+# The bound report's scalars, in BoundResult.to_dict order.
 _BOUND_SCALARS = ("p_max", "achieved_p", "post_fidelity")
 
 
 @functools.cache
-def _bound_template(d: int) -> list[str]:
-    """The bound report at a d x d optimal_u, split where m_i's text goes: head and tail."""
-    return _template({**dict.fromkeys(_BOUND_SCALARS, "%r"),
-                      "optimal_u": np.full((d, d, 2), "%r").tolist(),
-                      "m_i": "%s"}).rsplit("%s", 1)
+def _bound_layout(d: int) -> dict[str, str]:
+    """The bound report's layout at a d x d optimal_u.
+
+    Its operator m_i, an empty list in the skeleton, stays out of CSV; the
+    JSON report writes it where the [] stands.
+    """
+    return _layout({**dict.fromkeys(_BOUND_SCALARS, "%r"),
+                    "optimal_u": np.full((d, d, 2), "%r").tolist(), "m_i": []})
 
 
-def _bound_json(result: BoundResult) -> str:
-    """json.dumps(result.to_dict(), indent=2) and a newline, the operator written from its factors.
+def _bound_report(config: argparse.Namespace) -> str:
+    """The bound report, its JSON operator written from its factors.
 
     The scalars are finite (a ceiling of d over a positive sum, and closed
-    forms of finite vectors), and so is optimal_u, a permutation; %r writes
-    a finite float as json does.  The report is joined once, so its tens of
-    MB are copied once.
+    forms of finite vectors), and so is optimal_u, a permutation.  The JSON
+    report is joined once, so its tens of MB are copied once.
     """
-    head, tail = _bound_template(len(result.optimal_u))
+    result = achieving_operator(config.schmidt_a, config.schmidt_b)
+    layout = _bound_layout(len(result.optimal_u))
     cells = (*(getattr(result, k) for k in _BOUND_SCALARS),
              *result.optimal_u.view(np.float64).ravel().tolist())
+    if config.output_format == "csv":
+        return layout["csv"] % cells
+    head, tail = layout["json"].rsplit("[]", 1)
     return "".join([head % cells,
                     *_rank_one_pieces(result.scale, result.omega, result.w, "\n  "), tail])
 
@@ -329,54 +342,44 @@ def _sweep_columns(grid: int) -> list[list]:
     return [[c for c in cells for _ in range(grid)], cells * grid] + [c.tolist() for c in table]
 
 
-def _rows_text(columns: list[list], head: str, row: str, sep: str, tail: str) -> str:
-    """head, `row` once per row joined by sep, then tail, filled row by row in one `%`."""
+# A sweep row's layout.  Every cell is finite for angles in (0, pi/4].
+_SWEEP = _layout(dict(zip(SWEEP_COLUMNS, _SWEEP_CELLS)))
+# Each sweep report as a head, a row, a separator and a tail: the CSV
+# header and one row per grid point, or json.dumps(rows, indent=2) of a list
+# of one object per row.
+_SWEEP_ROWS = {"csv": (*_SWEEP["csv"].splitlines(keepends=True), "", ""),
+               "json": ("[\n  ", _SWEEP["json"][:-1].replace("\n", "\n  "), ",\n  ", "\n]\n")}
+
+
+def _sweep_report(grid: int, output_format: str) -> str:
+    """The sweep report: its head, a row per grid point joined by sep, and its tail, in one `%`."""
+    columns = _sweep_columns(grid)
+    head, row, sep, tail = _SWEEP_ROWS[output_format]
     cells = tuple(itertools.chain.from_iterable(zip(*columns)))
     return (head + sep.join([row] * len(columns[0])) + tail) % cells
 
 
-def _sweep_csv(grid: int) -> str:
-    """The sweep as csv.writer writes its columns: the repr of a float needs no quoting."""
-    return _rows_text(_sweep_columns(grid), ",".join(SWEEP_COLUMNS) + "\n",
-                      ",".join(_SWEEP_CELLS), "\n", "\n")
+# The rate report of AnalyticResult.to_dict; the outcome numbers and the bit
+# count are fixed.
+_RATE = _layout({"theta": "%r",
+                 "eta": "%r",
+                 "p_ms": "%r",
+                 "per_outcome": [{"outcome": index,
+                                  "clare_prob": "%r",
+                                  "maximal": "%s",
+                                  "bob_success_prob": "%r",
+                                  "success_prob": "%r",
+                                  "post_state": [["%r", "%r"]] * 4}
+                                 for index in range(1, 5)],
+                 "ledger": {"classical_bits_sent": 2,
+                            "local_measurements_expected": "%r",
+                            "bob_action_prob": "%r"}})
 
 
-# A sweep row at the depth of json.dumps(rows, indent=2), its cells as `%` fields.
-_SWEEP_ITEM = _template(dict(zip(SWEEP_COLUMNS, _SWEEP_CELLS)))[:-1].replace("\n", "\n  ")
+def _rate_cells(config: argparse.Namespace) -> tuple:
+    """The rate report's cells, from the kernel's arrays; all finite for checked angles.
 
-
-def _sweep_json(grid: int) -> str:
-    """The sweep as json.dumps(rows, indent=2) writes a list of one dict per row.
-
-    Every cell is finite for angles in (0, pi/4], and repr writes a finite
-    float as json does.
-    """
-    return _rows_text(_sweep_columns(grid), "[\n  ", _SWEEP_ITEM, ",\n  ", "\n]\n")
-
-
-# The rate report of AnalyticResult.to_dict with its leaves left as `%` fields:
-# "%r" for floats and "%s" for flags; the outcome numbers and the bit count
-# are fixed.  `_rate_json` lists the values in the same order.
-_RATE_TEMPLATE = _template({"theta": "%r",
-                            "eta": "%r",
-                            "p_ms": "%r",
-                            "per_outcome": [{"outcome": index,
-                                             "clare_prob": "%r",
-                                             "maximal": "%s",
-                                             "bob_success_prob": "%r",
-                                             "success_prob": "%r",
-                                             "post_state": [["%r", "%r"]] * 4}
-                                            for index in range(1, 5)],
-                            "ledger": {"classical_bits_sent": 2,
-                                       "local_measurements_expected": "%r",
-                                       "bob_action_prob": "%r"}})
-
-
-def _rate_json(config: argparse.Namespace) -> str:
-    """The rate report as json.dumps writes to_dict(), filled from the kernel's arrays.
-
-    Every cell is finite for checked angles, and %r writes a finite float
-    as json does.  A post state's (re, im) pairs are its interleaved view.
+    A post state's (re, im) pairs are its interleaved view.
     """
     theta, eta, out = _tuned_outcomes(config.theta, config.eta, config.beta1, config.beta2)
     fields = _fields(out)
@@ -386,7 +389,7 @@ def _rate_json(config: argparse.Namespace) -> str:
                                             out.post_state.view(np.float64).tolist()):
         cells += (p, "true" if maximal else "false", q, success, *post)
     cells += (1.0 + fields.bob_action_prob, fields.bob_action_prob)
-    return _RATE_TEMPLATE % tuple(cells)
+    return tuple(cells)
 
 
 def _criterion_measurement(config: argparse.Namespace) -> np.ndarray:
@@ -405,79 +408,83 @@ def _criterion_measurement(config: argparse.Namespace) -> np.ndarray:
         return measurement_from_text(fh.read())
 
 
-_BASIS_TEMPLATE = _template({"theta": "%r", "eta": "%r", "beta1": "%r", "beta2": "%r",
-                             "kets": np.full((4, 4, 2), "%r").tolist()})
+_BASIS = _layout({"theta": "%r", "eta": "%r", "beta1": "%r", "beta2": "%r",
+                  "kets": np.full((4, 4, 2), "%r").tolist()})
 
 
 def _basis_report(config: argparse.Namespace) -> str:
-    """The kets as matrix text, or as json.dumps writes the angles, phases and [re, im] pairs."""
+    """The kets as matrix text, or the JSON report of the angles, phases and [re, im] pairs."""
     basis = build_optimal_basis(config.theta, config.eta, config.beta1, config.beta2)
     if config.output_format == "text":
         return "\n".join(qmath.format_matrix_text(k) for k in basis.kets) + "\n"
-    return _BASIS_TEMPLATE % (basis.theta, basis.eta, basis.beta1, basis.beta2,
-                              *basis.kets.view(np.float64).ravel().tolist())
+    return _BASIS["json"] % (basis.theta, basis.eta, basis.beta1, basis.beta2,
+                             *basis.kets.view(np.float64).ravel().tolist())
 
 
-# The simulate report of SampledResult.to_dict, its leaves `%` fields.
-_SIMULATE_TEMPLATE = _template({"theta": "%r",
-                                "eta": "%r",
-                                "n": "%r",
-                                "seed": "%r",
-                                "estimate": "%r",
-                                "stderr": "%r",
-                                "ledger_stats": {"classical_bits_mean": "%r",
-                                                 "local_measurements_mean": "%r",
-                                                 "bob_acted_freq": "%r",
-                                                 "outcome_counts": ["%r"] * 4}})
+# The simulate report of SampledResult.to_dict.
+_SIMULATE = _layout({"theta": "%r",
+                     "eta": "%r",
+                     "n": "%r",
+                     "seed": "%r",
+                     "estimate": "%r",
+                     "stderr": "%r",
+                     "ledger_stats": {"classical_bits_mean": "%r",
+                                      "local_measurements_mean": "%r",
+                                      "bob_acted_freq": "%r",
+                                      "outcome_counts": ["%r"] * 4}})
 
 
-def _simulate_json(result: SampledResult) -> str:
-    """json.dumps(result.to_dict(), indent=2) and a newline, filled from its fields.
+def _simulate_cells(config: argparse.Namespace) -> tuple:
+    """The simulate report's cells, from its record's fields.
 
     The seed, n and the counts are ints, and the rest are finite floats at
-    checked angles: %r writes both as json does.
+    checked angles.
     """
+    result = run_protocol_sampled(config.theta, config.eta, config.n_samples, config.seed)
     stats = result.ledger_stats
-    return _SIMULATE_TEMPLATE % (result.theta, result.eta, result.n, result.seed,
-                                 result.estimate, result.stderr,
-                                 stats["classical_bits_mean"], stats["local_measurements_mean"],
-                                 stats["bob_acted_freq"], *stats["outcome_counts"])
+    return (result.theta, result.eta, result.n, result.seed, result.estimate, result.stderr,
+            stats["classical_bits_mean"], stats["local_measurements_mean"],
+            stats["bob_acted_freq"], *stats["outcome_counts"])
 
 
-# The compare report of ComparisonRecord.to_dict, its leaves `%` fields.
+# The compare report of ComparisonRecord.to_dict.
 _BRANCH_SKELETON = {"p_ms": "%r", "bob_action_prob": "%r",
                     "expected_local_measurements": "%r", "classical_bits_sent": "%r"}
-_COMPARE_TEMPLATE = _template({"theta": "%r", "eta": "%r", "optimal": _BRANCH_SKELETON,
-                               "bell": _BRANCH_SKELETON, "rates_equal": "%s"})
+_COMPARE = _layout({"theta": "%r", "eta": "%r", "optimal": _BRANCH_SKELETON,
+                    "bell": _BRANCH_SKELETON, "rates_equal": "%s"})
 
 
-def _compare_json(record: ComparisonRecord) -> str:
-    """json.dumps(record.to_dict(), indent=2) and a newline, filled from its fields.
-
-    Its rates are finite at checked angles, and %r writes a finite float
-    as json does.
-    """
+def _compare_cells(config: argparse.Namespace) -> tuple:
+    """The compare report's cells, from its record; its rates are finite at checked angles."""
+    record = compare_with_bell(config.theta, config.eta)
     cells = [record.theta, record.eta]
     for branch in (record.optimal, record.bell):
         cells += (branch.p_ms, branch.bob_action_prob, branch.expected_local_measurements,
                   branch.classical_bits_sent)
     cells.append("true" if record.rates_equal else "false")
-    return _COMPARE_TEMPLATE % tuple(cells)
+    return tuple(cells)
 
 
-# The criterion report of CriterionReport.to_dict, its leaves `%` fields.
-_CRITERION_TEMPLATE = _template({"lhs": "%r", "rhs": "%r", "p_s": "%r", "optimal": "%s",
-                                 "tolerance": "%r"})
+# The criterion report of CriterionReport.to_dict.
+_CRITERION = _layout({"lhs": "%r", "rhs": "%r", "p_s": "%r", "optimal": "%s",
+                      "tolerance": "%r"})
 
 
-def _criterion_json(report: CriterionReport) -> str:
-    """json.dumps(report.to_dict(), indent=2) and a newline, filled from its fields.
+def _criterion_cells(config: argparse.Namespace) -> tuple:
+    """The criterion report's cells, from its record's fields.
 
     The tolerance is finite, by `_tolerance`, and so are the sums of finite
-    kets at checked angles; %r writes a finite float as json does.
+    kets at checked angles.
     """
-    return _CRITERION_TEMPLATE % (report.lhs, report.rhs, report.p_s,
-                                  "true" if report.optimal else "false", report.tolerance)
+    report = _verdict(_criterion_measurement(config), config.theta, config.eta,
+                      config.tolerance)
+    return (report.lhs, report.rhs, report.p_s, "true" if report.optimal else "false",
+            report.tolerance)
+
+
+# Each record command's layout and the function of its config that gives its cells.
+_RECORDS = {"rate": (_RATE, _rate_cells), "simulate": (_SIMULATE, _simulate_cells),
+            "criterion": (_CRITERION, _criterion_cells), "compare": (_COMPARE, _compare_cells)}
 
 
 def _error(exc: Exception, **context) -> str:
@@ -487,40 +494,18 @@ def _error(exc: Exception, **context) -> str:
 
 def run(config: argparse.Namespace) -> tuple[int, str]:
     """Execute one parse_args namespace; returns (exit status, serialized report)."""
-    as_json = config.output_format == "json"
+    fmt = config.output_format
     try:
-        if config.command == "rate":
-            if as_json:
-                return 0, _rate_json(config)
-            result = run_protocol_analytic(config.theta, config.eta, config.beta1, config.beta2)
-        elif config.command == "basis":
+        if config.command == "sweep":
+            return 0, _sweep_report(config.grid, fmt)
+        if config.command == "bound":
+            return 0, _bound_report(config)
+        if config.command == "basis":
             return 0, _basis_report(config)
-        elif config.command == "simulate":
-            result = run_protocol_sampled(config.theta, config.eta, config.n_samples,
-                                          config.seed)
-            if as_json:
-                return 0, _simulate_json(result)
-        elif config.command == "criterion":
-            phi = _criterion_measurement(config)
-            result = _verdict(phi, config.theta, config.eta, config.tolerance)
-            if as_json:
-                return 0, _criterion_json(result)
-        elif config.command == "bound":
-            result = achieving_operator(config.schmidt_a, config.schmidt_b)
-            if as_json:
-                return 0, _bound_json(result)
-            return 0, _csv_row({k: getattr(result, k) for k in _BOUND_SCALARS})
-        elif config.command == "sweep":
-            if as_json:
-                return 0, _sweep_json(config.grid)
-            return 0, _sweep_csv(config.grid)
-        else:  # compare
-            result = compare_with_bell(config.theta, config.eta)
-            if as_json:
-                return 0, _compare_json(result)
+        layout, cells_of = _RECORDS[config.command]
+        return 0, layout[fmt] % cells_of(config)
     except (ValueError, OSError, MemoryError) as exc:
         return 1, _error(exc, command=config.command)
-    return 0, _csv_row(result.to_dict())
 
 
 def main(argv: list[str] | None = None) -> int:

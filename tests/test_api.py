@@ -137,8 +137,9 @@ def test_one_success_weight_and_one_gram_bound():
 
 # The library's private names that cli imports, and why each stays.
 CLI_PRIVATE_IMPORTS = {
-    # rate's JSON report is filled from the kernel's arrays: building it from
-    # the public run_protocol_analytic result took ~15 us more per command.
+    # rate's report, in either format, is filled from the kernel's arrays:
+    # building it from the public run_protocol_analytic result took ~15 us
+    # more per command.
     "_tuned_outcomes", "_fields",
     # criterion checks a basis' kets once per command, where the file is read
     # or when the tuned basis is built (the constant built-ins go unchecked),
@@ -179,21 +180,26 @@ def test_per_point_commands_call_no_numpy_wrappers(monkeypatch):
         assert cli.run(cli.parse_args(argv))[0] == 0, argv
 
 
-def test_json_reports_never_run_the_indent_encoder(monkeypatch, tmp_path):
-    # json.dumps(..., indent=2) always runs json's pure-Python encoder; every
-    # JSON report is a template fill, and json.dumps runs only to build one.
+def report_commands(tmp_path):
+    """One command line per command and criterion source, without --format."""
     path = tmp_path / "meas.txt"
     path.write_text("".join(qmath.format_matrix_text(k)
                             for k in repeater.build_optimal_basis(0.2, 0.5).kets),
                     encoding="utf-8")
-    commands = (["rate", "--theta", "0.3", "--eta", "0.6", "--beta1", "0.5"],
-                ["basis", "--theta", "0.3", "--eta", "0.6", "--format", "json"],
-                ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "1000", "--seed", "1"],
-                ["criterion", "--theta", "0.6", "--eta", "0.3", "--measurement", "optimal"],
-                ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement-file", str(path)],
-                ["compare", "--theta", "0.3", "--eta", "0.6"],
-                ["bound", "--a", "0.5,0.3,0.2", "--b", "0.6,0.4"],
-                ["sweep", "--grid", "3", "--format", "json"])
+    return (["rate", "--theta", "0.3", "--eta", "0.6", "--beta1", "0.5"],
+            ["basis", "--theta", "0.3", "--eta", "0.6"],
+            ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "1000", "--seed", "1"],
+            ["criterion", "--theta", "0.6", "--eta", "0.3", "--measurement", "optimal"],
+            ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement-file", str(path)],
+            ["compare", "--theta", "0.3", "--eta", "0.6"],
+            ["bound", "--a", "0.5,0.3,0.2", "--b", "0.6,0.4"],
+            ["sweep", "--grid", "3"])
+
+
+def test_json_reports_never_run_the_indent_encoder(monkeypatch, tmp_path):
+    # json.dumps(..., indent=2) always runs json's pure-Python encoder; every
+    # JSON report is a template fill, and json.dumps runs only to build one.
+    commands = [[*argv, "--format", "json"] for argv in report_commands(tmp_path)]
     for argv in commands:  # builds the templates cached per bound dimension
         assert cli.run(cli.parse_args(argv))[0] == 0, argv
 
@@ -204,3 +210,20 @@ def test_json_reports_never_run_the_indent_encoder(monkeypatch, tmp_path):
         json.dumps([1.0], indent=2)
     for argv in commands:
         assert cli.run(cli.parse_args(argv))[0] == 0, argv
+
+
+def test_no_report_goes_through_to_dict(monkeypatch, tmp_path):
+    # Every report, CSV included, is filled from its cells; to_dict is the
+    # library callers' form and the tests' reference.
+    def forbidden(self):
+        raise AssertionError(f"{type(self).__name__}.to_dict ran")
+    for record in (repeater._Record, repeater.AnalyticResult, repeaterlab.BoundResult):
+        monkeypatch.setattr(record, "to_dict", forbidden)
+    with pytest.raises(AssertionError):
+        repeaterlab.compare_with_bell(0.3, 0.6).to_dict()
+    _, parsers = cli._build_parser()
+    for argv in report_commands(tmp_path):
+        formats = next(a.choices for a in parsers[argv[0]]._actions if a.dest == "output_format")
+        for output_format in formats:
+            config = cli.parse_args([*argv, "--format", output_format])
+            assert cli.run(config)[0] == 0, config

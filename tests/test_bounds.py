@@ -356,10 +356,25 @@ class TestAchievingOperator:
 
     def test_rejects_an_element_above_the_identity(self, monkeypatch):
         # A ceiling 1% too high scales M^dag M to a top eigenvalue of 1.01.
-        real_p_max = bounds.p_max
-        monkeypatch.setattr(bounds, "p_max", lambda a, b: 1.01 * real_p_max(a, b))
+        real_ceiling = bounds._ceiling
+        monkeypatch.setattr(bounds, "_ceiling", lambda ca, cb: 1.01 * real_ceiling(ca, cb))
         with pytest.raises(ValueError, match="not a valid measurement element"):
             achieving_operator([0.5, 0.3, 0.2], [0.6, 0.3, 0.1])
+
+    @pytest.mark.parametrize("d_a, d", [(1, 1), (2, 2), (2, 3), (3, 7), (24, 24), (1, 32)])
+    def test_checks_each_coefficient_list_once(self, monkeypatch, d_a, d):
+        # achieving_operator takes its ceiling from the arrays it checked, as
+        # p_max does, so both give the same bits from one check.
+        rng = np.random.default_rng(10 * d_a + d)
+        a, b = random_schmidt(rng, d_a).tolist(), random_schmidt(rng, d).tolist()
+        checks = []
+        real = bounds._coefficients
+        monkeypatch.setattr(bounds, "_coefficients",
+                            lambda *lists: checks.append(lists) or real(*lists))
+        ceiling = p_max(b, a)
+        result = achieving_operator(a, b)
+        assert len(checks) == 2
+        assert result.p_max == ceiling == d / np.sum(1.0 / (np.array(a) * b[d_a - 1 :: -1]))
 
     def test_to_dict_is_json_ready(self):
         payload = achieving_operator([0.5, 0.5], [0.5, 0.5]).to_dict()

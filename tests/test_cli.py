@@ -461,9 +461,9 @@ class TestRun:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(cli.SWEEP_COLUMNS)
         writer.writerows(rows)
-        assert cli._sweep_csv(grid) == buf.getvalue()
+        assert cli._sweep_report(grid, "csv") == buf.getvalue()
         records = [dict(zip(cli.SWEEP_COLUMNS, row)) for row in rows]
-        assert cli._sweep_json(grid) == json.dumps(records, indent=2) + "\n"
+        assert cli._sweep_report(grid, "json") == json.dumps(records, indent=2) + "\n"
 
     @pytest.mark.parametrize("grid", [25, 41, 50])
     def test_sweep_echoes_the_snapped_end_of_the_grid(self, grid):
@@ -571,6 +571,22 @@ class TestRun:
 
 
 class TestMain:
+    def test_readme_examples_run(self, capsys, monkeypatch, tmp_path):
+        # Each line of the README's CLI block, its comment dropped; a "> file"
+        # redirect writes the report there, as the basis line writes meas.txt.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        for line in block.splitlines():
+            command, _, target = line.split("#", 1)[0].partition(">")
+            program, *argv = command.split()
+            assert program == "repeaterlab"
+            assert main(argv) == 0, line
+            report = capsys.readouterr().out
+            if target.strip():
+                (tmp_path / target.strip()).write_text(report, encoding="utf-8")
+        assert (tmp_path / "meas.txt").is_file()
+
     def test_success_prints_to_stdout(self, capsys):
         assert main(["rate", "--theta", "0.3", "--eta", "0.6"]) == 0
         out = capsys.readouterr()
@@ -793,6 +809,88 @@ class TestRecordReports:
                                          "--tol", repr(tol)]))
         assert status == 0
         assert report == _json_of(is_optimal(kets, *angles, tol))
+
+
+def _csv_of(result):
+    """csv.writer's one-row table of result.to_dict(): the CSV report each layout must give.
+
+    The top-level scalars, then each nested dict's scalars as dotted
+    columns, in report order; lists stay out, and a flag is true or false.
+    """
+    flat = {}
+    for key, value in result.to_dict().items():
+        if isinstance(value, dict):
+            flat.update((f"{key}.{k}", v) for k, v in value.items() if not isinstance(v, list))
+        elif not isinstance(value, list):
+            flat[key] = value
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [flat, [("true" if v else "false") if isinstance(v, bool) else v for v in flat.values()]])
+    return buf.getvalue()
+
+
+def _csv_report(argv):
+    status, report = run(parse_args([*argv, "--format", "csv"]))
+    assert status == 0
+    return report
+
+
+class TestCsvReports:
+    """Every one-row CSV report against csv.writer on a flattening of to_dict."""
+
+    @given(rate_inputs())
+    @example((5e-324, QUARTER_PI + qmath.BOUNDARY_SLACK, 1.0, -2.0))
+    @example((0.3, 0.3, -0.0, 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_rate(self, inputs):
+        theta, eta, beta1, beta2 = inputs
+        report = _csv_report(["rate", *_angles(theta, eta), "--beta1", repr(beta1),
+                              "--beta2", repr(beta2)])
+        assert report == _csv_of(run_protocol_analytic(*inputs))
+
+    @given(angle_pairs(), st.integers(1, MAX_SAMPLES), st.integers(0, 2 ** 128 - 1))
+    @example((0.3, 0.6), MAX_SAMPLES, 2 ** 128 - 1)
+    @settings(max_examples=100, deadline=None)
+    def test_simulate(self, angles, n, seed):
+        report = _csv_report(["simulate", *_angles(*angles), "--n", str(n), "--seed", str(seed)])
+        assert report == _csv_of(run_protocol_sampled(*angles, n, seed))
+
+    @given(angle_pairs())
+    @example((5e-324, QUARTER_PI))
+    @settings(max_examples=100, deadline=None)
+    def test_compare(self, angles):
+        assert _csv_report(["compare", *_angles(*angles)]) == _csv_of(compare_with_bell(*angles))
+
+    @given(angle_pairs(), st.sampled_from(cli.BUILTIN_MEASUREMENTS + ("kets", "projectors")),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 5e-324, 1e300, qmath.FLAG_TOL]))
+    @example((0.3, 0.6), "kets", 0, 0.0)
+    @example((0.6, 0.3), "projectors", 1, 1e300)
+    @settings(max_examples=100, deadline=None)
+    def test_criterion(self, tmp_path_factory, angles, measurement, seed, tol):
+        if measurement in cli.BUILTIN_MEASUREMENTS:
+            source = ["--measurement", measurement]
+            kets = {"bell": bell_kets, "computational": computational_kets,
+                    "optimal": lambda: build_optimal_basis(*angles).kets}[measurement]()
+        else:
+            kets = random_orthonormal_kets(np.random.default_rng(seed))
+            blocks = kets if measurement == "kets" else [np.outer(k, k.conj()) for k in kets]
+            path = tmp_path_factory.getbasetemp() / f"csv-{measurement}.txt"
+            path.write_text("".join(map(qmath.format_matrix_text, blocks)), encoding="utf-8")
+            source = ["--measurement-file", str(path)]
+            kets = measurement_from_text(path.read_text(encoding="utf-8"))
+        report = _csv_report(["criterion", *_angles(*angles), *source, "--tol", repr(tol)])
+        assert report == _csv_of(is_optimal(kets, *angles, tol))
+
+    @given(st.integers(1, 13), st.integers(1, 13) | st.just(0), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_bound(self, da, db, swapped):
+        # db = 0 draws lists of equal length.
+        a, b = schmidt_texts(da, db or da)
+        if swapped:
+            a, b = b, a
+        config = parse_args(["bound", "--a", a, "--b", b])
+        report = _csv_report(["bound", "--a", a, "--b", b])
+        assert report == _csv_of(achieving_operator(config.schmidt_a, config.schmidt_b))
 
 
 class TestDumps:
