@@ -159,8 +159,7 @@ def achieving_operator(a: Sequence[float], b: Sequence[float]) -> BoundResult:
     omega = u.reshape(-1) / np.sqrt(d)
     a_pad = np.zeros(d)
     a_pad[:d_a] = ca
-    diag = np.kron(a_pad, cb)
-    g = np.sqrt(diag)
+    g = np.sqrt(np.multiply.outer(a_pad, cb).ravel())
     # The checked coefficients are positive, so only the padding is zero.
     inv_g = np.where(g > 0.0, 1.0 / np.where(g > 0.0, g, 1.0), 0.0)
     scale = np.sqrt(ceiling)
@@ -186,5 +185,5 @@ def achieving_operator(a: Sequence[float], b: Sequence[float]) -> BoundResult:
     achieved = norm_omega * norm_t
     fidelity = abs(complex(np.vdot(omega, t))) ** 2 / norm_t if norm_t > 0.0 else 0.0
     return BoundResult(p_max=ceiling, achieved_p=achieved,
-                       post_fidelity=float(np.clip(fidelity, 0.0, 1.0)),
+                       post_fidelity=min(max(fidelity, 0.0), 1.0),
                        optimal_u=u, scale=scale, omega=omega, w=w)

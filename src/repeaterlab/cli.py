@@ -2,7 +2,9 @@
 
 Every command prints one serialized report (JSON by default; the sweep
 prints CSV, the basis command matrix text) and exits 0, or prints a
-machine-readable error object to stderr and exits nonzero.  Every JSON or
+machine-readable error object to stderr and exits nonzero.  A report is
+written in pieces as they are made: `bound` its operator row by row,
+`sweep` one slice of grid points at a time.  Every JSON or
 CSV report is one layout, built once from a skeleton of the report, filled
 from one tuple of cells (`_layout`); the error object is one json.dumps line.
 """
@@ -10,6 +12,7 @@ from one tuple of cells (`_layout`); the error object is one json.dumps line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -17,10 +20,11 @@ import math
 import os
 import re
 import sys
+from typing import Iterator
 
 import numpy as np
 
-from . import qmath
+from . import qmath, repeater
 from .bounds import achieving_operator
 from .criterion import _verdict, measurement_from_text
 from .repeater import (_fields, _rate_table, _tuned_outcomes, bell_kets, build_optimal_basis,
@@ -33,17 +37,17 @@ SWEEP_COLUMNS = ("theta", "eta", "p_ms", "direct_success_prob",
 # How a sweep report fills each column: the angles arrive as text, formatted
 # once per grid angle, and the rest are floats written with repr.
 _SWEEP_CELLS = ("%s", "%s", "%r", "%r", "%r", "%r")
-# The sweep holds its grid^2 rows of floats and their report in memory at
-# once (the kernel takes the grid in slices): at 500 points per angle a
-# 2-core host peaks near 131 MB (CSV) or 213 MB (JSON) in ~2 s, most of it
-# spent writing the 1M rate and bound floats with repr.
+# The sweep computes and writes one slice of grid points at a time, so its
+# memory does not grow with the grid, but its time does, as grid^2: at 500
+# points per angle a fresh process on a 2-core host peaks near 37 MB RSS
+# and takes ~1.5-2 s for either format (30 MB of CSV, 59 MB of JSON), most
+# of it spent writing the 1M rate and bound floats with repr.
 MAX_GRID = 500
 # A bound report writes a d^2 x d^2 operator, so its size and the time to
-# write it grow as d^4 (the library keeps the operator as rank-one factors):
-# at 32 coefficients a fresh process on a 2-core host takes ~0.35 s, peaks
-# near 116 MB RSS and writes a 44 MB report.  At 24 coefficients (a 14 MB
-# report) a command between others takes ~11-12 ms, with ~3.4k minor page
-# faults: the report string is new memory each time.
+# write it grow as d^4 (the library keeps the operator as rank-one factors,
+# and the report is written a row at a time): at 32 coefficients a fresh
+# process on a 2-core host takes ~0.2-0.26 s, ~35-55 ms of it in `main`,
+# peaks near 35 MB RSS and writes a 44 MB report.
 MAX_BOUND_DIM = 32
 # The sampler's multinomial draw takes a 64-bit count.
 MAX_SAMPLES = 2 ** 63 - 1
@@ -279,19 +283,17 @@ def _rank_one_pieces(scale: float, omega: np.ndarray, w: np.ndarray,
     Row i is scale * (omega[i] * w), computed as the outer product computes
     it, so rows whose omega[i] have equal bytes are equal and each is
     formatted once: a bound operator's omega holds two distinct entries.
-    Keying by bytes, not values, keeps 0.0 and -0.0 apart.  The caller
-    joins the pieces once, with the rest of its report.
+    Keying by bytes, not values, keeps 0.0 and -0.0 apart.  Each row and
+    its separator is one piece, and the pieces of equal rows are one string.
     """
     inner = newline + "  "
+    sep = "," + inner
     distinct, index = np.unique(omega.view(f"V{omega.itemsize}"), return_inverse=True)
     template = _pairs_template(w.shape, inner)
-    rows = [template % tuple((scale * (x * w)).view(np.float64).tolist())
+    rows = [template % tuple((scale * (x * w)).view(np.float64).tolist()) + sep
             for x in distinct.view(omega.dtype)]
-    sep = "," + inner
-    pieces = ["[" + inner]
-    for i in index.tolist():
-        pieces += (rows[i], sep)
-    pieces[-1] = newline + "]"
+    pieces = ["[" + inner, *(rows[i] for i in index.tolist())]
+    pieces[-1] = pieces[-1][:-len(sep)] + newline + "]"
     return pieces
 
 
@@ -310,36 +312,43 @@ def _bound_layout(d: int) -> dict[str, str]:
                     "optimal_u": np.full((d, d, 2), "%r").tolist(), "m_i": []})
 
 
-def _bound_report(config: argparse.Namespace) -> str:
-    """The bound report, its JSON operator written from its factors.
+def _bound_report(config: argparse.Namespace) -> Iterator[str]:
+    """The bound report's pieces, its JSON operator written from its factors.
 
     The scalars are finite (a ceiling of d over a positive sum, and closed
     forms of finite vectors), and so is optimal_u, a permutation.  The JSON
-    report is joined once, so its tens of MB are copied once.
+    report is its head, the operator's pieces and its tail, so its tens of
+    MB are never one string.
     """
     result = achieving_operator(config.schmidt_a, config.schmidt_b)
     layout = _bound_layout(len(result.optimal_u))
     cells = (*(getattr(result, k) for k in _BOUND_SCALARS),
              *result.optimal_u.view(np.float64).ravel().tolist())
     if config.output_format == "csv":
-        return layout["csv"] % cells
+        yield layout["csv"] % cells
+        return
     head, tail = layout["json"].rsplit("[]", 1)
-    return "".join([head % cells,
-                    *_rank_one_pieces(result.scale, result.omega, result.w, "\n  "), tail])
+    yield head % cells
+    yield from _rank_one_pieces(result.scale, result.omega, result.w, "\n  ")
+    yield tail
 
 
-def _sweep_columns(grid: int) -> list[list]:
-    """The SWEEP_COLUMNS at every (theta, eta) pair of the grid, row-major in theta.
+def _sweep_columns(grid: int) -> Iterator[list[list]]:
+    """The SWEEP_COLUMNS at the grid's (theta, eta) pairs, row-major in theta.
 
-    The whole grid goes through `_rate_table` at once.  The grid angle
-    i * step can round an ulp above pi/4; rows carry and are computed with
-    the snapped angle, as the scalar functions are.  The theta and eta
+    One list of columns per `repeater._TABLE_SLICE` pairs, each slice one
+    `_rate_table` call, so memory does not grow with the grid.  The grid
+    angle i * step can round an ulp above pi/4; rows carry and are computed
+    with the snapped angle, as the scalar functions are.  The theta and eta
     columns hold the repr of the grid's angles, each formatted once.
     """
     angles = np.minimum(np.arange(1, grid + 1) * ((np.pi / 4.0) / grid), np.pi / 4)
-    table = _rate_table(np.repeat(angles, grid), np.tile(angles, grid))
-    cells = [repr(a) for a in angles.tolist()]
-    return [[c for c in cells for _ in range(grid)], cells * grid] + [c.tolist() for c in table]
+    cells = np.array([repr(a) for a in angles.tolist()], dtype=object)
+    size = repeater._TABLE_SLICE
+    for start in range(0, grid * grid, size):
+        i, k = np.divmod(np.arange(start, min(start + size, grid * grid)), grid)
+        table = _rate_table(angles[i], angles[k])
+        yield [cells[i].tolist(), cells[k].tolist()] + [c.tolist() for c in table]
 
 
 # A sweep row's layout.  Every cell is finite for angles in (0, pi/4].
@@ -351,12 +360,17 @@ _SWEEP_ROWS = {"csv": (*_SWEEP["csv"].splitlines(keepends=True), "", ""),
                "json": ("[\n  ", _SWEEP["json"][:-1].replace("\n", "\n  "), ",\n  ", "\n]\n")}
 
 
-def _sweep_report(grid: int, output_format: str) -> str:
-    """The sweep report: its head, a row per grid point joined by sep, and its tail, in one `%`."""
-    columns = _sweep_columns(grid)
-    head, row, sep, tail = _SWEEP_ROWS[output_format]
-    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
-    return (head + sep.join([row] * len(columns[0])) + tail) % cells
+def _sweep_report(grid: int, output_format: str) -> Iterator[str]:
+    """The sweep report's pieces: one `%` per slice of rows joined by sep, then the tail.
+
+    The head leads the first slice's piece and sep each later one's.
+    """
+    lead, row, sep, tail = _SWEEP_ROWS[output_format]
+    for columns in _sweep_columns(grid):
+        yield (lead + sep.join([row] * len(columns[0]))) % tuple(
+            itertools.chain.from_iterable(zip(*columns)))
+        lead = sep
+    yield tail
 
 
 # The rate report of AnalyticResult.to_dict; the outcome numbers and the bit
@@ -492,24 +506,40 @@ def _error(exc: Exception, **context) -> str:
     return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc), **context}}) + "\n"
 
 
+def _report(config: argparse.Namespace) -> Iterator[str]:
+    """The command's report as text pieces, in order.
+
+    Every input error is raised before the first piece: each command
+    computes its report, or its first slice of rows, before it yields.
+    """
+    fmt = config.output_format
+    if config.command == "sweep":
+        yield from _sweep_report(config.grid, fmt)
+    elif config.command == "bound":
+        yield from _bound_report(config)
+    elif config.command == "basis":
+        yield _basis_report(config)
+    else:
+        layout, cells_of = _RECORDS[config.command]
+        yield layout[fmt] % cells_of(config)
+
+
 def run(config: argparse.Namespace) -> tuple[int, str]:
     """Execute one parse_args namespace; returns (exit status, serialized report)."""
-    fmt = config.output_format
     try:
-        if config.command == "sweep":
-            return 0, _sweep_report(config.grid, fmt)
-        if config.command == "bound":
-            return 0, _bound_report(config)
-        if config.command == "basis":
-            return 0, _basis_report(config)
-        layout, cells_of = _RECORDS[config.command]
-        return 0, layout[fmt] % cells_of(config)
+        return 0, "".join(_report(config))
     except (ValueError, OSError, MemoryError) as exc:
         return 1, _error(exc, command=config.command)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Console entry point."""
+    """Console entry point: writes the report's pieces to stdout or --output as they come.
+
+    The output file is opened only once the first piece is made, so an
+    input error leaves stdout empty and creates no file.  A failure after
+    that, making a later piece or writing one, leaves what was written and
+    exits 1 with the JSON error on stderr.
+    """
     if argv is None:
         argv = sys.argv[1:]
     try:
@@ -517,19 +547,20 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(_error(exc))
         return 2
-    status, report = run(config)
-    if status != 0:
-        sys.stderr.write(report)
-        return status
-    if config.output_path is not None:
-        try:
-            with open(config.output_path, "w", encoding="utf-8") as fh:
-                fh.write(report)
-        except OSError as exc:
-            sys.stderr.write(_error(exc))
-            return 1
-    else:
-        sys.stdout.write(report)
+    pieces = _report(config)
+    try:
+        first = next(pieces)
+        with (open(config.output_path, "w", encoding="utf-8") if config.output_path is not None
+              else contextlib.nullcontext(sys.stdout)) as out:
+            write = out.write
+            write(first)
+            del first
+            for piece in pieces:
+                write(piece)
+                del piece  # each piece is dropped before the next is made
+    except (ValueError, OSError, MemoryError) as exc:
+        sys.stderr.write(_error(exc, command=config.command))
+        return 1
     return 0
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repeaterlab
-from repeaterlab import cli, criterion, qmath
+from repeaterlab import cli, criterion, qmath, repeater
 from repeaterlab.bounds import achieving_operator
 from repeaterlab.cli import (
     MAX_BOUND_DIM,
@@ -455,15 +455,17 @@ class TestRun:
 
     @pytest.mark.parametrize("grid", list(range(1, 13)) + [25, 50])
     def test_sweep_reports_are_what_csv_and_json_write(self, grid):
-        theta, eta, *rest = cli._sweep_columns(grid)
-        rows = list(zip(map(float, theta), map(float, eta), *rest))
+        rows = [(float(theta), float(eta), *rest)
+                for columns in cli._sweep_columns(grid)
+                for theta, eta, *rest in zip(*columns)]
+        assert len(rows) == grid * grid
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(cli.SWEEP_COLUMNS)
         writer.writerows(rows)
-        assert cli._sweep_report(grid, "csv") == buf.getvalue()
+        assert "".join(cli._sweep_report(grid, "csv")) == buf.getvalue()
         records = [dict(zip(cli.SWEEP_COLUMNS, row)) for row in rows]
-        assert cli._sweep_report(grid, "json") == json.dumps(records, indent=2) + "\n"
+        assert "".join(cli._sweep_report(grid, "json")) == json.dumps(records, indent=2) + "\n"
 
     @pytest.mark.parametrize("grid", [25, 41, 50])
     def test_sweep_echoes_the_snapped_end_of_the_grid(self, grid):
@@ -975,3 +977,144 @@ class TestDumps:
         finally:
             tracemalloc.stop()
         assert peak < 2 * len(report)
+
+
+class Sink:
+    """A stdout that keeps only the size of each write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return len(text)
+
+
+# Each command line, with every format it takes; MEAS stands for a file of kets.
+MEAS = "MEAS"
+STREAMED = [[*argv, "--format", fmt] for argv, formats in (
+    (["rate", "--theta", "0.3", "--eta", "0.6", "--beta1", "0.5"], ("json", "csv")),
+    (["basis", "--theta", "0.3", "--eta", "0.6"], ("text", "json")),
+    (["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "1000", "--seed", "1"],
+     ("json", "csv")),
+    (["criterion", "--theta", "0.6", "--eta", "0.3", "--measurement", "optimal"],
+     ("json", "csv")),
+    (["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement-file", MEAS],
+     ("json", "csv")),
+    (["compare", "--theta", "0.3", "--eta", "0.6"], ("json", "csv")),
+    (["bound", "--a", "0.5,0.3,0.2", "--b", "0.6,0.4"], ("json", "csv")),
+    (["bound", "--a", schmidt_texts(24, 24)[0], "--b", schmidt_texts(24, 24)[1]],
+     ("json", "csv")),
+    (["sweep", "--grid", "9"], ("csv", "json")),
+) for fmt in formats]
+# A grid of 81 points in slices of 7 is twelve slices, the last of four points.
+SMALL_SLICE = 7
+# A sweep slice of repeater._TABLE_SLICE (4096) points peaks near 6.7 MB, most
+# of it the kernel's temporaries.  A report made whole peaked near 2.5x its
+# bytes: 23 MB for the 9.4 MB JSON report of grid 200.
+SWEEP_PEAK_BYTES = 8 * 2 ** 20
+
+
+def with_meas(argv, tmp_path):
+    """argv with MEAS replaced by the path of a file holding a tuned basis' kets."""
+    path = tmp_path / "meas.txt"
+    path.write_text("".join(qmath.format_matrix_text(k)
+                            for k in build_optimal_basis(0.2, 0.5).kets), encoding="utf-8")
+    return [str(path) if a == MEAS else a for a in argv]
+
+
+class TestStreamedReports:
+    @pytest.mark.parametrize("argv", STREAMED, ids=lambda argv: " ".join(argv)[:60])
+    def test_stdout_and_output_file_hold_runs_text(self, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(repeater, "_TABLE_SLICE", SMALL_SLICE)
+        argv = with_meas(argv, tmp_path)
+        status, text = run(parse_args(argv))
+        assert status == 0
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (text, "")
+        path = tmp_path / "report"
+        assert main([*argv, "--output", str(path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert path.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_slices_make_the_whole_report(self, fmt, monkeypatch):
+        argv = ["sweep", "--grid", "9", "--format", fmt]
+        _, whole = run(parse_args(argv))
+        monkeypatch.setattr(repeater, "_TABLE_SLICE", SMALL_SLICE)
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0
+        # One piece per slice and the tail.
+        assert len(sink.sizes) == 12 + 1
+        assert sum(sink.sizes) == len(whole)
+        assert run(parse_args(argv)) == (0, whole)
+
+    def test_bound_report_streams_in_little_memory(self, monkeypatch):
+        a, b = schmidt_texts(24, 24)
+        argv = ["bound", "--a", a, "--b", b]
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0  # a first call pays one-off lazy imports and templates
+        sink.sizes.clear()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(sink.sizes) > 13_000_000
+        assert peak < sum(sink.sizes) / 10
+
+    @pytest.mark.parametrize("grid", [100, 200])
+    def test_sweep_memory_does_not_grow_with_the_grid(self, grid, monkeypatch):
+        argv = ["sweep", "--grid", str(grid), "--format", "json"]
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < SWEEP_PEAK_BYTES
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--theta", "0.9", "--eta", "0.6"],
+        ["bound", "--a", "0.5,0.5", "--b", "1,0"],
+        ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement-file", "missing.txt"],
+    ])
+    def test_input_error_writes_nothing(self, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "report"
+        assert main([*argv, "--output", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err)["error"]["command"] == argv[0]
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_error_after_the_first_slice_exits_one(self, fmt, monkeypatch, capsys):
+        argv = ["sweep", "--grid", "9", "--format", fmt]
+        monkeypatch.setattr(repeater, "_TABLE_SLICE", SMALL_SLICE)
+        _, whole = run(parse_args(argv))
+        table, calls = cli._rate_table, []
+
+        def second_slice_fails(theta, eta):
+            calls.append(len(theta))
+            if len(calls) == 2:
+                raise MemoryError("cannot allocate the second slice")
+            return table(theta, eta)
+        monkeypatch.setattr(cli, "_rate_table", second_slice_fails)
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert calls == [SMALL_SLICE, SMALL_SLICE]
+        error = json.loads(out.err)["error"]
+        assert (error["type"], error["command"]) == ("MemoryError", "sweep")
+        # Stdout holds the head and the first slice's rows, each whole.
+        assert whole.startswith(out.out)
+        if fmt == "csv":
+            assert out.out == "".join(whole.splitlines(keepends=True)[:1 + SMALL_SLICE])
+        else:
+            assert json.loads(out.out + "\n]") == json.loads(whole)[:SMALL_SLICE]
