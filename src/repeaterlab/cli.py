@@ -20,15 +20,16 @@ import math
 import os
 import re
 import sys
-from typing import Iterator
+from typing import Callable, ContextManager, Iterator
 
 import numpy as np
 
-from . import qmath, repeater
+from . import qmath
 from .bounds import achieving_operator
 from .criterion import _verdict, measurement_from_text
-from .repeater import (_fields, _rate_table, _tuned_outcomes, bell_kets, build_optimal_basis,
-                       compare_with_bell, computational_kets, run_protocol_sampled)
+from .repeater import (_fields, _grid_slices, _rate_table, _tuned_outcomes, bell_kets,
+                       build_optimal_basis, compare_with_bell, computational_kets,
+                       run_protocol_sampled)
 
 SEED_ENV_VAR = "REPEATERLAB_SEED"
 BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
@@ -336,17 +337,15 @@ def _bound_report(config: argparse.Namespace) -> Iterator[str]:
 def _sweep_columns(grid: int) -> Iterator[list[list]]:
     """The SWEEP_COLUMNS at the grid's (theta, eta) pairs, row-major in theta.
 
-    One list of columns per `repeater._TABLE_SLICE` pairs, each slice one
-    `_rate_table` call, so memory does not grow with the grid.  The grid
-    angle i * step can round an ulp above pi/4; rows carry and are computed
-    with the snapped angle, as the scalar functions are.  The theta and eta
-    columns hold the repr of the grid's angles, each formatted once.
+    One list of columns per slice of `_grid_slices`, each one `_rate_table`
+    call, so memory does not grow with the grid.  The grid angle i * step
+    can round an ulp above pi/4; rows carry and are computed with the
+    snapped angle, as the scalar functions are.  The theta and eta columns
+    hold the repr of the grid's angles, each formatted once.
     """
     angles = np.minimum(np.arange(1, grid + 1) * ((np.pi / 4.0) / grid), np.pi / 4)
     cells = np.array([repr(a) for a in angles.tolist()], dtype=object)
-    size = repeater._TABLE_SLICE
-    for start in range(0, grid * grid, size):
-        i, k = np.divmod(np.arange(start, min(start + size, grid * grid)), grid)
+    for i, k in _grid_slices(grid):
         table = _rate_table(angles[i], angles[k])
         yield [cells[i].tolist(), cells[k].tolist()] + [c.tolist() for c in table]
 
@@ -524,21 +523,51 @@ def _report(config: argparse.Namespace) -> Iterator[str]:
         yield layout[fmt] % cells_of(config)
 
 
+def _emit(config: argparse.Namespace,
+          open_write: Callable[[], ContextManager[Callable[[str], object]]]) -> str | None:
+    """Writes the report's pieces in order; returns the JSON error of a failure, or None.
+
+    open_write is entered only once the first piece is made, so an input
+    error writes nothing and opens nothing.  A failure after that, making a
+    later piece or writing one, leaves what was written.
+    """
+    pieces = _report(config)
+    try:
+        first = next(pieces)
+        with open_write() as write:
+            write(first)
+            del first
+            for piece in pieces:
+                write(piece)
+                del piece  # each piece is dropped before the next is made
+    except (ValueError, OSError, MemoryError) as exc:
+        return _error(exc, command=config.command)
+    return None
+
+
 def run(config: argparse.Namespace) -> tuple[int, str]:
     """Execute one parse_args namespace; returns (exit status, serialized report)."""
-    try:
-        return 0, "".join(_report(config))
-    except (ValueError, OSError, MemoryError) as exc:
-        return 1, _error(exc, command=config.command)
+    pieces: list[str] = []
+    error = _emit(config, lambda: contextlib.nullcontext(pieces.append))
+    return (0, "".join(pieces)) if error is None else (1, error)
+
+
+@contextlib.contextmanager
+def _open_output(path: str | None) -> Iterator[Callable[[str], object]]:
+    """The write of stdout, or of the --output file, created here."""
+    if path is None:
+        yield sys.stdout.write
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh.write
 
 
 def main(argv: list[str] | None = None) -> int:
     """Console entry point: writes the report's pieces to stdout or --output as they come.
 
-    The output file is opened only once the first piece is made, so an
-    input error leaves stdout empty and creates no file.  A failure after
-    that, making a later piece or writing one, leaves what was written and
-    exits 1 with the JSON error on stderr.
+    An input error leaves stdout empty and creates no file.  A failure after
+    the first piece leaves what was written.  Either exits 1 with the JSON
+    error on stderr.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -547,19 +576,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(_error(exc))
         return 2
-    pieces = _report(config)
-    try:
-        first = next(pieces)
-        with (open(config.output_path, "w", encoding="utf-8") if config.output_path is not None
-              else contextlib.nullcontext(sys.stdout)) as out:
-            write = out.write
-            write(first)
-            del first
-            for piece in pieces:
-                write(piece)
-                del piece  # each piece is dropped before the next is made
-    except (ValueError, OSError, MemoryError) as exc:
-        sys.stderr.write(_error(exc, command=config.command))
+    error = _emit(config, functools.partial(_open_output, config.output_path))
+    if error is not None:
+        sys.stderr.write(error)
         return 1
     return 0
 

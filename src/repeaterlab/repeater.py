@@ -14,7 +14,7 @@ Bell-basis strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -358,6 +358,12 @@ def _rate(out: _Outcomes) -> np.ndarray:
 _TABLE_SLICE = 4096
 
 
+def _slices(count: int) -> Iterator[slice]:
+    """range(count) in slices of _TABLE_SLICE points, one kernel call each."""
+    for start in range(0, count, _TABLE_SLICE):
+        yield slice(start, min(start + _TABLE_SLICE, count))
+
+
 def _rate_table(theta: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, ...]:
     """Tuned-basis rate, direct-success probability and projection bounds.
 
@@ -366,11 +372,20 @@ def _rate_table(theta: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     f = _amplitudes(theta, eta)
     rate = np.empty(len(f))
-    for start in range(0, len(f), _TABLE_SLICE):
-        part = f[start:start + _TABLE_SLICE]
-        rate[start:start + _TABLE_SLICE] = _rate(_outcomes(part, _tuned_kets(part)))
+    for part in _slices(len(f)):
+        rate[part] = _rate(_outcomes(f[part], _tuned_kets(f[part])))
     lower, upper, direct = _direct_forms(theta, eta)
     return rate, direct, lower, upper
+
+
+def _grid_slices(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The theta and eta indices of an n x n grid's pairs, row-major in theta.
+
+    One pair of index arrays per _rate_table slice, so a caller that tables
+    and drops each slice in turn holds one slice at a time, whatever n is.
+    """
+    for part in _slices(n * n):
+        yield np.divmod(np.arange(part.start, part.stop), n)
 
 
 class _Fields(NamedTuple):

@@ -151,8 +151,10 @@ CLI_PRIVATE_IMPORTS = {
     # or when the tuned basis is built (the constant built-ins go unchecked),
     # and hands them to the verdict unchecked again.
     "_verdict",
-    # sweep takes its angle grid through the batched kernel one slice at a time.
-    "_rate_table",
+    # sweep takes its angle grid through the batched kernel one slice at a
+    # time, the slices cut by the kernel's module, and writes each before
+    # the next is made.
+    "_rate_table", "_grid_slices",
 }
 
 

@@ -698,6 +698,14 @@ class TestBatchedKernel:
         whole = repeater._rate(repeater._outcomes(f, repeater._tuned_kets(f)))
         assert np.array_equal(repeater._rate_table(theta, eta)[0], whole)
 
+    def test_grid_slices_cover_the_grid_row_major(self, monkeypatch):
+        monkeypatch.setattr(repeater, "_TABLE_SLICE", 7)
+        slices = list(repeater._grid_slices(9))
+        assert [len(i) for i, _ in slices] == [7] * 11 + [4]
+        i, k = map(np.concatenate, zip(*slices))
+        assert i.tolist() == [t for t in range(9) for _ in range(9)]
+        assert k.tolist() == list(range(9)) * 9
+
 
 class TestClosedFormKernel:
     """The kernel's closed-form 2x2 singular values against np.linalg.svd."""
