@@ -27,17 +27,12 @@ import numpy as np
 from . import qmath
 from .bounds import achieving_operator
 from .criterion import _verdict, measurement_from_text
-from .repeater import (_fields, _grid_slices, _rate_table, _tuned_outcomes, bell_kets,
-                       build_optimal_basis, compare_with_bell, computational_kets,
+from .repeater import (_checked_angles, _fields, _grid_angles, _grid_table, _tuned_outcomes,
+                       bell_kets, build_optimal_basis, compare_with_bell, computational_kets,
                        run_protocol_sampled)
 
 SEED_ENV_VAR = "REPEATERLAB_SEED"
 BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
-SWEEP_COLUMNS = ("theta", "eta", "p_ms", "direct_success_prob",
-                 "lower_bound", "upper_bound")
-# How a sweep report fills each column: the angles arrive as text, formatted
-# once per grid angle, and the rest are floats written with repr.
-_SWEEP_CELLS = ("%s", "%s", "%r", "%r", "%r", "%r")
 # The sweep computes and writes one slice of grid points at a time, so its
 # memory does not grow with the grid, but its time does, as grid^2: at 500
 # points per angle a fresh process on a 2-core host peaks near 37 MB RSS
@@ -334,24 +329,11 @@ def _bound_report(config: argparse.Namespace) -> Iterator[str]:
     yield tail
 
 
-def _sweep_columns(grid: int) -> Iterator[list[list]]:
-    """The SWEEP_COLUMNS at the grid's (theta, eta) pairs, row-major in theta.
-
-    One list of columns per slice of `_grid_slices`, each one `_rate_table`
-    call, so memory does not grow with the grid.  The grid angle i * step
-    can round an ulp above pi/4; rows carry and are computed with the
-    snapped angle, as the scalar functions are.  The theta and eta columns
-    hold the repr of the grid's angles, each formatted once.
-    """
-    angles = np.minimum(np.arange(1, grid + 1) * ((np.pi / 4.0) / grid), np.pi / 4)
-    cells = np.array([repr(a) for a in angles.tolist()], dtype=object)
-    for i, k in _grid_slices(grid):
-        table = _rate_table(angles[i], angles[k])
-        yield [cells[i].tolist(), cells[k].tolist()] + [c.tolist() for c in table]
-
-
-# A sweep row's layout.  Every cell is finite for angles in (0, pi/4].
-_SWEEP = _layout(dict(zip(SWEEP_COLUMNS, _SWEEP_CELLS)))
+# A sweep row's layout.  The angles arrive as text, formatted once per grid
+# angle, and the rest are floats written with repr; every cell is finite for
+# angles in (0, pi/4].
+_SWEEP = _layout({"theta": "%s", "eta": "%s", "p_ms": "%r", "direct_success_prob": "%r",
+                  "lower_bound": "%r", "upper_bound": "%r"})
 # Each sweep report as a head, a row, a separator and a tail: the CSV
 # header and one row per grid point, or json.dumps(rows, indent=2) of a list
 # of one object per row.
@@ -360,14 +342,17 @@ _SWEEP_ROWS = {"csv": (*_SWEEP["csv"].splitlines(keepends=True), "", ""),
 
 
 def _sweep_report(grid: int, output_format: str) -> Iterator[str]:
-    """The sweep report's pieces: one `%` per slice of rows joined by sep, then the tail.
+    """The sweep report's pieces: one `%` per slice of `_grid_table`, its rows joined by sep.
 
-    The head leads the first slice's piece and sep each later one's.
+    The head leads the first slice's piece and sep each later one's; the
+    tail comes last.  The theta and eta cells are the repr of the grid's
+    angles, each formatted once.
     """
     lead, row, sep, tail = _SWEEP_ROWS[output_format]
-    for columns in _sweep_columns(grid):
-        yield (lead + sep.join([row] * len(columns[0]))) % tuple(
-            itertools.chain.from_iterable(zip(*columns)))
+    cells = np.array([repr(a) for a in _grid_angles(grid).tolist()], dtype=object)
+    for i, k, *table in _grid_table(grid):
+        rows = zip(cells[i].tolist(), cells[k].tolist(), *(c.tolist() for c in table))
+        yield (lead + sep.join([row] * len(i))) % tuple(itertools.chain.from_iterable(rows))
         lead = sep
     yield tail
 
@@ -489,8 +474,9 @@ def _criterion_cells(config: argparse.Namespace) -> tuple:
     The tolerance is finite, by `_tolerance`, and so are the sums of finite
     kets at checked angles.
     """
-    report = _verdict(_criterion_measurement(config), config.theta, config.eta,
-                      config.tolerance)
+    # The angles are checked before a file is read, so a bad angle is the error reported.
+    theta, eta = _checked_angles(config.theta, config.eta)
+    report = _verdict(_criterion_measurement(config), theta, eta, config.tolerance)
     return (report.lhs, report.rhs, report.p_s, "true" if report.optimal else "false",
             report.tolerance)
 

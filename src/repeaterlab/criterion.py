@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import qmath
-from .repeater import (_IDENTITY, _Record, _checked_amplitudes, _checked_angles,
-                       _orthonormal_kets, _outcomes, _rate, run_protocol_with_kets)
+from .repeater import (_IDENTITY, _Record, _amplitudes, _checked_angles, _orthonormal_kets,
+                       _outcomes, _rate, run_protocol_with_kets)
 
 # Exchanging the roles of the two source pairs swaps Clare's qubits.
 _SWAP_PERM = (0, 2, 1, 3)
@@ -99,12 +99,11 @@ def is_optimal(kets: Sequence[np.ndarray], theta: float, eta: float,
 
 
 def _verdict(phi: np.ndarray, theta: float, eta: float, tol: float) -> CriterionReport:
-    """is_optimal of validated kets (the rows of phi); checks the angles itself."""
-    theta, eta, f = _checked_amplitudes(theta, eta)
+    """is_optimal of validated kets (the rows of phi) at checked angles."""
     lhs = _lhs(phi, theta, eta)
     rhs = float(np.cos(2 * min(theta, eta)))
     # Looked up as a module attribute, so a substituted rate is still compared.
-    p_s = float(_rate(_outcomes(f, phi)))
+    p_s = float(_rate(_outcomes(_amplitudes(theta, eta), phi)))
     gap = abs(p_s - (1.0 - lhs))
     if not gap <= qmath.LOOSE_ATOL:
         raise ValueError(f"delivered rate {p_s!r} and closed form 1 - lhs = {1.0 - lhs!r} "

@@ -352,40 +352,40 @@ def _rate(out: _Outcomes) -> np.ndarray:
     return np.add.reduce(_success(out), axis=-1)
 
 
-# Grid points per kernel call in _rate_table.  The kernel's temporaries are
+def _rate_table(theta: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Tuned-basis rate, direct-success probability and projection bounds.
+
+    Takes 1-D arrays of checked (snapped) angles and evaluates them in one
+    kernel call.
+    """
+    f = _amplitudes(theta, eta)
+    lower, upper, direct = _direct_forms(theta, eta)
+    return _rate(_outcomes(f, _tuned_kets(f))), direct, lower, upper
+
+
+def _grid_angles(n: int) -> np.ndarray:
+    """The grid angles i (pi/4) / n for i = 1..n, the last snapped where it rounds above pi/4."""
+    return np.minimum(np.arange(1, n + 1) * ((np.pi / 4.0) / n), np.pi / 4)
+
+
+# Grid points per kernel call in _grid_table.  The kernel's temporaries are
 # a few dozen arrays of four outcomes per point, so taking a large grid in
 # slices keeps its memory per point as low as a small grid's.
 _TABLE_SLICE = 4096
 
 
-def _slices(count: int) -> Iterator[slice]:
-    """range(count) in slices of _TABLE_SLICE points, one kernel call each."""
-    for start in range(0, count, _TABLE_SLICE):
-        yield slice(start, min(start + _TABLE_SLICE, count))
+def _grid_table(n: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """_rate_table over the n x n pairs of _grid_angles(n), row-major in theta.
 
-
-def _rate_table(theta: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Tuned-basis rate, direct-success probability and projection bounds.
-
-    Takes 1-D arrays of checked (snapped) angles and evaluates them with
-    one kernel call per slice of _TABLE_SLICE points.
+    The pairs are cut into slices of _TABLE_SLICE points, one _rate_table
+    call each.  Yields each slice's theta and eta indices, then its four
+    columns, so a caller that drops each slice in turn holds one slice at a
+    time, whatever n is.
     """
-    f = _amplitudes(theta, eta)
-    rate = np.empty(len(f))
-    for part in _slices(len(f)):
-        rate[part] = _rate(_outcomes(f[part], _tuned_kets(f[part])))
-    lower, upper, direct = _direct_forms(theta, eta)
-    return rate, direct, lower, upper
-
-
-def _grid_slices(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The theta and eta indices of an n x n grid's pairs, row-major in theta.
-
-    One pair of index arrays per _rate_table slice, so a caller that tables
-    and drops each slice in turn holds one slice at a time, whatever n is.
-    """
-    for part in _slices(n * n):
-        yield np.divmod(np.arange(part.start, part.stop), n)
+    angles = _grid_angles(n)
+    for start in range(0, n * n, _TABLE_SLICE):
+        i, k = np.divmod(np.arange(start, min(start + _TABLE_SLICE, n * n)), n)
+        yield (i, k, *_rate_table(angles[i], angles[k]))
 
 
 class _Fields(NamedTuple):

@@ -91,6 +91,55 @@ def test_tolerances_live_only_in_qmath():
     assert len(table) == 5
 
 
+def functions_reading(name: str) -> set[tuple[str, str]]:
+    """(module, function) of every package function that loads name, bare or as an attribute."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+                    or isinstance(n, ast.Attribute) and n.attr == name
+                    for n in ast.walk(node)):
+                found.add((path.stem, node.name))
+    return found
+
+
+# numpy calls that build or index an angle grid.
+GRID_CALLS = {"arange", "linspace", "meshgrid", "divmod", "repeat", "tile", "minimum"}
+
+
+def test_the_sweep_grid_has_one_owner():
+    # One loop slices the grid, in repeater._grid_table; cli only formats it.
+    assert functions_reading("_TABLE_SLICE") == {("repeater", "_grid_table")}
+    tree = ast.parse(inspect.getsource(repeater._grid_table))
+    loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
+    assert len(loops) == 1
+    assert "_TABLE_SLICE" in ast.dump(loops[0].iter)
+    calls = {node.attr for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute)}
+    assert calls & GRID_CALLS == set()
+
+
+def test_readme_library_example_holds():
+    # Each commented line of README's Python block evaluates to the value
+    # its comment starts with, a float within 1e-12.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1]
+    namespace, checked = {}, 0
+    for line in block.split("```", 1)[0].splitlines():
+        code, _, comment = line.partition("#")
+        if not comment:
+            exec(code, namespace)
+            continue
+        expected, value = ast.literal_eval(comment.split(",")[0].strip()), eval(code, namespace)
+        if isinstance(expected, bool):
+            assert value is expected, line
+        else:
+            assert abs(value - expected) <= 1e-12, line
+        checked += 1
+    assert checked == 5
+
+
 def module_level_definitions(tree: ast.Module) -> set[str]:
     """Names a module binds at its top level: functions, classes, constants and imports."""
     names = set()
@@ -151,10 +200,13 @@ CLI_PRIVATE_IMPORTS = {
     # or when the tuned basis is built (the constant built-ins go unchecked),
     # and hands them to the verdict unchecked again.
     "_verdict",
-    # sweep takes its angle grid through the batched kernel one slice at a
-    # time, the slices cut by the kernel's module, and writes each before
-    # the next is made.
-    "_rate_table", "_grid_slices",
+    # criterion checks the angles before it reads a measurement file, so a
+    # bad angle is the error reported, as on every library route.
+    "_checked_angles",
+    # sweep formats the table its kernel's module builds, snaps and slices:
+    # the grid's angles, each written once, and one slice of the table at a
+    # time, each written before the next is made.
+    "_grid_angles", "_grid_table",
 }
 
 

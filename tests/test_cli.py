@@ -40,6 +40,26 @@ from repeaterlab.repeater import (
 )
 from oracles import random_orthonormal_kets
 
+# The sweep report's columns, in order.
+SWEEP_COLUMNS = ("theta", "eta", "p_ms", "direct_success_prob", "lower_bound", "upper_bound")
+# Measurement files that fail as read: None is a missing file.
+BAD_MEASUREMENT_FILES = {
+    "missing": None,
+    "malformed": qmath.format_matrix_text(np.eye(4)[0]),
+    "non-orthonormal": qmath.format_matrix_text(np.eye(4)[0]) * 4,
+    "projector": "".join(qmath.format_matrix_text(p) for p in (
+        np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0]), np.zeros((4, 4)),
+        np.zeros((4, 4)))),
+}
+
+
+
+def child_env() -> dict:
+    """Environment of a child that finds the package where this process did, installed or not."""
+    src = str(Path(repeaterlab.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
 
 class TestParseArgs:
     def test_rate(self):
@@ -455,16 +475,17 @@ class TestRun:
 
     @pytest.mark.parametrize("grid", list(range(1, 13)) + [25, 50])
     def test_sweep_reports_are_what_csv_and_json_write(self, grid):
-        rows = [(float(theta), float(eta), *rest)
-                for columns in cli._sweep_columns(grid)
-                for theta, eta, *rest in zip(*columns)]
+        angles = repeater._grid_angles(grid).tolist()
+        rows = [(angles[t], angles[e], *rest)
+                for i, k, *table in repeater._grid_table(grid)
+                for t, e, *rest in zip(i.tolist(), k.tolist(), *(c.tolist() for c in table))]
         assert len(rows) == grid * grid
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cli.SWEEP_COLUMNS)
+        writer.writerow(SWEEP_COLUMNS)
         writer.writerows(rows)
         assert "".join(cli._sweep_report(grid, "csv")) == buf.getvalue()
-        records = [dict(zip(cli.SWEEP_COLUMNS, row)) for row in rows]
+        records = [dict(zip(SWEEP_COLUMNS, row)) for row in rows]
         assert "".join(cli._sweep_report(grid, "json")) == json.dumps(records, indent=2) + "\n"
 
     @pytest.mark.parametrize("grid", [25, 41, 50])
@@ -635,7 +656,7 @@ class TestMain:
     def test_memory_error_exits_one(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("cannot allocate the stack")
-        monkeypatch.setattr(cli, "_rate_table", exhausted)
+        monkeypatch.setattr(repeater, "_rate_table", exhausted)
         assert main(["sweep", "--grid", "3"]) == 1
         out = capsys.readouterr()
         assert out.out == ""
@@ -659,16 +680,54 @@ class TestMain:
             "FileNotFoundError", "NotADirectoryError", "OSError")
 
     def test_module_entry_point(self):
-        # The child finds the package where this process did, installed or not.
-        src = str(Path(repeaterlab.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "repeaterlab.cli", "rate",
              "--theta", "0.3", "--eta", "0.6"],
             capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": path})
+            env=child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["p_ms"] == pytest.approx(2 * np.sin(0.3) ** 2)
+
+    def test_closed_pipe_exits_one_with_one_error_line(self):
+        # A reader that closes the pipe after a few bytes makes the later
+        # writes fail: one JSON error line, as for any failed write, and no
+        # traceback.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repeaterlab.cli", "sweep", "--grid", "200"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=child_env())
+        try:
+            assert proc.stdout.read(64).startswith(b"theta,eta,p_ms,")
+        finally:
+            proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        lines = err.decode("utf-8").splitlines()
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])["error"]
+        assert (error["type"], error["command"]) == ("BrokenPipeError", "sweep")
+        assert b"Traceback" not in err
+
+    @pytest.mark.parametrize("kind", BAD_MEASUREMENT_FILES)
+    @pytest.mark.parametrize("theta, eta", [(0.9, 0.3), (0.3, -0.2)])
+    def test_criterion_reports_a_bad_angle_before_a_bad_file(self, kind, theta, eta,
+                                                             tmp_path, capsys):
+        path = tmp_path / "meas.txt"
+        if BAD_MEASUREMENT_FILES[kind] is not None:
+            path.write_text(BAD_MEASUREMENT_FILES[kind], encoding="utf-8")
+        argv = ["criterion", "--measurement-file", str(path)]
+        # The file fails on its own, with good angles.
+        assert main([*argv, "--theta", "0.3", "--eta", "0.6"]) == 1
+        file_error = json.loads(capsys.readouterr().err)["error"]["message"]
+        with pytest.raises(ValueError) as angle_error:
+            is_optimal(bell_kets(), theta, eta)
+        assert main([*argv, "--theta", str(theta), "--eta", str(eta)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        error = json.loads(out.err)["error"]
+        assert (error["type"], error["message"], error["command"]) == (
+            "ValueError", str(angle_error.value), "criterion")
+        assert error["message"] != file_error
 
 
 finite_part = (st.floats(allow_nan=False, allow_infinity=False)
@@ -1099,14 +1158,14 @@ class TestStreamedReports:
         argv = ["sweep", "--grid", "9", "--format", fmt]
         monkeypatch.setattr(repeater, "_TABLE_SLICE", SMALL_SLICE)
         _, whole = run(parse_args(argv))
-        table, calls = cli._rate_table, []
+        table, calls = repeater._rate_table, []
 
         def second_slice_fails(theta, eta):
             calls.append(len(theta))
             if len(calls) == 2:
                 raise MemoryError("cannot allocate the second slice")
             return table(theta, eta)
-        monkeypatch.setattr(cli, "_rate_table", second_slice_fails)
+        monkeypatch.setattr(repeater, "_rate_table", second_slice_fails)
         assert main(argv) == 1
         out = capsys.readouterr()
         assert calls == [SMALL_SLICE, SMALL_SLICE]

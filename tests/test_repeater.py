@@ -676,35 +676,34 @@ class TestBatchedKernel:
             assert direct[i] == direct_success_prob(t, e)
             assert (lower[i], upper[i]) == projection_bounds(t, e)
 
-    def test_rate_table_memory_per_point(self):
-        # Taken in slices, the table's peak is one slice's temporaries plus
-        # its output columns.  One kernel call over the whole grid peaked at
-        # 896 B per point.
+    def test_grid_table_memory_per_point(self):
+        # Consumed a slice at a time, the table's peak is one slice's
+        # temporaries and columns.  One kernel call over the whole grid
+        # peaked at 896 B per point.
         grid = 200
-        angles = np.minimum(np.arange(1, grid + 1) * ((np.pi / 4) / grid), np.pi / 4)
-        theta, eta = np.repeat(angles, grid), np.tile(angles, grid)
-        repeater._rate_table(theta[:1], eta[:1])
+        for _ in repeater._grid_table(1):
+            pass
         tracemalloc.start()
         try:
-            repeater._rate_table(theta, eta)
+            for _ in repeater._grid_table(grid):
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak / grid ** 2 < 400
 
-    def test_slices_equal_one_kernel_call(self):
-        theta, eta = np.random.default_rng(7).uniform(1e-3, np.pi / 4, size=(2, 10_000))
-        f = repeater._amplitudes(theta, eta)
-        whole = repeater._rate(repeater._outcomes(f, repeater._tuned_kets(f)))
-        assert np.array_equal(repeater._rate_table(theta, eta)[0], whole)
-
-    def test_grid_slices_cover_the_grid_row_major(self, monkeypatch):
+    def test_grid_table_covers_the_grid_row_major(self, monkeypatch):
         monkeypatch.setattr(repeater, "_TABLE_SLICE", 7)
-        slices = list(repeater._grid_slices(9))
-        assert [len(i) for i, _ in slices] == [7] * 11 + [4]
-        i, k = map(np.concatenate, zip(*slices))
+        slices = list(repeater._grid_table(9))
+        assert [len(i) for i, *_ in slices] == [7] * 11 + [4]
+        i, k, *columns = map(np.concatenate, zip(*slices))
         assert i.tolist() == [t for t in range(9) for _ in range(9)]
         assert k.tolist() == list(range(9)) * 9
+        angles = repeater._grid_angles(9)
+        whole = repeater._rate_table(np.repeat(angles, 9), np.tile(angles, 9))
+        assert len(columns) == len(whole) == 4
+        for column, expected in zip(columns, whole):
+            assert column.tobytes() == expected.tobytes()
 
 
 class TestClosedFormKernel:
