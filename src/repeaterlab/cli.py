@@ -393,8 +393,8 @@ def _rate_cells(config: argparse.Namespace) -> tuple:
 def _criterion_measurement(config: argparse.Namespace) -> np.ndarray:
     """The measurement's kets as the rows of a (4, 4) array, checked to be orthonormal at most once.
 
-    The constant bases are orthonormal as built and go unchecked; the tuned
-    basis is checked when it is built, a file's kets where the file is read.
+    The built-in bases are orthonormal as built and go unchecked; a file's
+    kets are checked where the file is read.
     """
     if config.measurement == "bell":
         return bell_kets()
@@ -540,9 +540,26 @@ def run(config: argparse.Namespace) -> tuple[int, str]:
 
 @contextlib.contextmanager
 def _open_output(path: str | None) -> Iterator[Callable[[str], object]]:
-    """The write of stdout, or of the --output file, created here."""
+    """The write of stdout, or of the --output file, created here.
+
+    The process's own stdout is flushed before the context closes, so a
+    failed write raises here; after one, it is pointed at os.devnull, so
+    the interpreter's flush at exit does not fail again.  A stdout an
+    in-process caller substituted is left to that caller.
+    """
     if path is None:
-        yield sys.stdout.write
+        out = sys.stdout
+        own = out is sys.__stdout__
+        try:
+            yield out.write
+            if own:
+                out.flush()
+        except OSError:
+            if own:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, out.fileno())
+                os.close(devnull)
+            raise
         return
     with open(path, "w", encoding="utf-8") as fh:
         yield fh.write

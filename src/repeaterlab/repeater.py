@@ -13,7 +13,8 @@ Bell-basis strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -70,9 +71,6 @@ class OptimalBasis:
     f: np.ndarray
     kets: np.ndarray
 
-    def __post_init__(self) -> None:
-        _orthonormal_kets(self.kets)
-
 
 class _Record:
     """Base of a dataclass whose report, to_dict, lists its fields in declaration order.
@@ -81,15 +79,8 @@ class _Record:
     """
 
     def to_dict(self) -> dict:
-        report = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, _Record):
-                value = value.to_dict()
-            elif isinstance(value, np.ndarray):
-                value = qmath.as_real_pairs(value)
-            report[f.name] = value
-        return report
+        return asdict(self, dict_factory=lambda items: {
+            k: qmath.as_real_pairs(v) if isinstance(v, np.ndarray) else v for k, v in items})
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,10 +238,15 @@ def build_optimal_basis(theta: float, eta: float,
     """Construct Clare's tuned basis for the given pair angles.
 
     The two free phases rotate the direct-success kets without changing
-    any outcome probability.
+    any outcome probability; each must be finite.  The kets are orthonormal
+    as built and go unchecked.
     """
     theta, eta, f = _checked_amplitudes(theta, eta)
-    return OptimalBasis(theta=theta, eta=eta, beta1=float(beta1), beta2=float(beta2),
+    beta1, beta2 = float(beta1), float(beta2)
+    for name, value in (("beta1", beta1), ("beta2", beta2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    return OptimalBasis(theta=theta, eta=eta, beta1=beta1, beta2=beta2,
                         f=f, kets=_tuned_kets(f, beta1, beta2))
 
 
@@ -464,6 +460,9 @@ def run_protocol_sampled(theta: float, eta: float, n: int,
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
+    if n % 1:  # also true for NaN and inf
+        raise ValueError(f"n must be a whole number, got n={n}")
+    n = int(n)
     if seed is None:
         seed = np.random.SeedSequence().entropy
     rng = np.random.default_rng(seed)
@@ -482,7 +481,7 @@ def run_protocol_sampled(theta: float, eta: float, n: int,
         "bob_acted_freq": bob_freq,
         "outcome_counts": [int(c) for c in counts],
     }
-    return SampledResult(theta=theta, eta=eta, n=int(n), seed=seed,
+    return SampledResult(theta=theta, eta=eta, n=n, seed=seed,
                          estimate=float(estimate), stderr=stderr,
                          ledger_stats=ledger_stats)
 

@@ -120,6 +120,15 @@ def test_the_sweep_grid_has_one_owner():
     assert calls & GRID_CALLS == set()
 
 
+def test_kets_are_checked_only_where_they_arrive():
+    # A basis the library builds is orthonormal as built (the tests vouch
+    # for it); the Gram check runs on kets a caller or a file hands in.
+    assert "__post_init__" not in vars(repeater.OptimalBasis)
+    assert functions_reading("_orthonormal_kets") == {
+        ("repeater", "run_protocol_with_kets"), ("criterion", "criterion_lhs"),
+        ("criterion", "is_optimal"), ("criterion", "measurement_from_text")}
+
+
 def test_readme_library_example_holds():
     # Each commented line of README's Python block evaluates to the value
     # its comment starts with, a float within 1e-12.
@@ -197,8 +206,8 @@ CLI_PRIVATE_IMPORTS = {
     # more per command.
     "_tuned_outcomes", "_fields",
     # criterion checks a basis' kets once per command, where the file is read
-    # or when the tuned basis is built (the constant built-ins go unchecked),
-    # and hands them to the verdict unchecked again.
+    # (the built-in bases go unchecked), and hands them to the verdict
+    # unchecked again.
     "_verdict",
     # criterion checks the angles before it reads a measurement file, so a
     # bad angle is the error reported, as on every library route.

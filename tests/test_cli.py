@@ -55,10 +55,15 @@ BAD_MEASUREMENT_FILES = {
 
 
 def child_env() -> dict:
-    """Environment of a child that finds the package where this process did, installed or not."""
+    """Environment of a child that finds the package where this process did, installed or not.
+
+    PYTHONUNBUFFERED is dropped, so the child's stdout is buffered, as is
+    Python's default, whatever this process's environment says.
+    """
     src = str(Path(repeaterlab.__file__).resolve().parents[1])
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return env
 
 
 class TestParseArgs:
@@ -286,18 +291,44 @@ def _count_gram_checks(monkeypatch):
 
 
 class TestCriterionChecksOnce:
-    """Each criterion command checks its kets' Gram matrix at most once."""
+    """A basis is checked where its kets arrive, once; a basis the library builds is not."""
 
-    @pytest.mark.parametrize("builtin, checks", [("bell", 0), ("optimal", 1),
+    @pytest.mark.parametrize("builtin, checks", [("bell", 0), ("optimal", 0),
                                                  ("computational", 0)],
                              ids=["bell", "optimal", "computational"])
     def test_builtin(self, builtin, checks, monkeypatch):
-        # The constant bases are orthonormal as built; the tuned one is
-        # checked when it is built.
+        # Every built-in basis, the tuned one included, is orthonormal as built.
         calls = _count_gram_checks(monkeypatch)
         status, _ = run(parse_args(["criterion", "--theta", "0.6", "--eta", "0.3",
                                     "--measurement", builtin]))
         assert (status, calls[0]) == (0, checks)
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--theta", "0.3", "--eta", "0.6", "--beta1", "0.5"],
+        ["compare", "--theta", "0.3", "--eta", "0.6"],
+        ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "1000", "--seed", "1"],
+        ["basis", "--theta", "0.3", "--eta", "0.6", "--beta2", "-1.5"],
+        ["basis", "--theta", "0.3", "--eta", "0.6", "--format", "json"],
+    ], ids=" ".join)
+    def test_commands_on_the_tuned_basis_check_nothing(self, argv, monkeypatch):
+        calls = _count_gram_checks(monkeypatch)
+        status, _ = run(parse_args(argv))
+        assert (status, calls[0]) == (0, 0)
+
+    @pytest.mark.parametrize("route", [
+        lambda kets: repeaterlab.run_protocol_with_kets(0.3, 0.6, kets),
+        lambda kets: repeaterlab.criterion_lhs(kets, 0.3, 0.6),
+        lambda kets: repeaterlab.achieved_rate(kets, 0.3, 0.6),
+        lambda kets: repeaterlab.is_optimal(kets, 0.3, 0.6),
+        lambda kets: repeaterlab.measurement_from_text(
+            "".join(qmath.format_matrix_text(k) for k in kets)),
+    ], ids=["run_protocol_with_kets", "criterion_lhs", "achieved_rate", "is_optimal",
+            "measurement_from_text"])
+    def test_each_public_ket_route_checks_once(self, route, monkeypatch):
+        kets = random_orthonormal_kets(np.random.default_rng(5))
+        calls = _count_gram_checks(monkeypatch)
+        route(kets)
+        assert calls[0] == 1
 
     @pytest.mark.parametrize("projectors, checks", [(False, 1), (True, 3)])
     def test_file(self, projectors, checks, tmp_path, monkeypatch):
@@ -707,6 +738,50 @@ class TestMain:
         error = json.loads(lines[0])["error"]
         assert (error["type"], error["command"]) == ("BrokenPipeError", "sweep")
         assert b"Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_one_with_one_error_line(self):
+        # Buffered, the report fails only when stdout is flushed: that flush
+        # is the command's, and the interpreter's at exit finds nothing left.
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repeaterlab.cli", "rate", "--theta", "0.3", "--eta", "0.6"],
+                stdout=full, stderr=subprocess.PIPE, timeout=60, env=child_env())
+        assert proc.returncode == 1
+        lines = proc.stderr.decode("utf-8").splitlines()
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])["error"]
+        assert (error["type"], error["command"]) == ("OSError", "rate")
+
+    def test_a_failed_write_to_a_substituted_stdout_leaves_fd_1(self, monkeypatch, capsys):
+        # Only the process's own stdout is pointed at os.devnull after a
+        # failed write; an in-process caller's stream is left as it is.
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        before = os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert main(["rate", "--theta", "0.3", "--eta", "0.6"]) == 1
+        after = os.fstat(1)
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["type"], error["command"]) == ("OSError", "rate")
+
+    def test_pipe_closed_before_the_write_exits_one_with_one_error_line(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repeaterlab.cli", "rate", "--theta", "0.3", "--eta", "0.6"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=child_env())
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        lines = proc.stderr.decode("utf-8").splitlines()
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])["error"]
+        assert (error["type"], error["command"]) == ("BrokenPipeError", "rate")
 
     @pytest.mark.parametrize("kind", BAD_MEASUREMENT_FILES)
     @pytest.mark.parametrize("theta, eta", [(0.9, 0.3), (0.3, -0.2)])

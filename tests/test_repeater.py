@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +43,11 @@ tiny_angles = st.floats(min_value=np.log(1e-160), max_value=np.log(np.pi / 4)).m
 EPS = np.finfo(float).eps
 # The smallest subnormal, the rounding step of a square that underflows.
 SUBNORMAL = 5e-324
-phases = st.floats(min_value=-np.pi, max_value=np.pi)
+# Log-uniform over every positive float up to pi/4, subnormals included.
+any_angles = st.floats(min_value=np.log(SUBNORMAL), max_value=np.log(np.pi / 4)).map(
+    lambda x: min(max(float(np.exp(x)), SUBNORMAL), np.pi / 4))
+# Any finite phase, up to nearly the largest float.
+phases = st.floats(min_value=-1.7e308, max_value=1.7e308)
 angles_strict = st.floats(min_value=1e-3, max_value=np.pi / 4)
 
 
@@ -158,12 +163,25 @@ class TestOptimalBasis:
         expected /= np.linalg.norm(expected)
         assert abs(abs(np.vdot(result.per_outcome[2].post_state, expected)) - 1.0) <= 1e-12
 
-    @given(protocol_angles, protocol_angles, phases, phases)
-    @settings(max_examples=40, deadline=None)
+    @given(any_angles, any_angles, phases, phases)
+    @example(SUBNORMAL, np.pi / 4, 1.7e308, -1.7e308)
+    @example(SUBNORMAL, SUBNORMAL, -1.7e308, 1e-300)
+    @settings(max_examples=300, deadline=None)
     def test_measurement_is_projective(self, theta, eta, beta1, beta2):
+        # No command checks the basis it builds; this test vouches for it.
         phi = build_optimal_basis(theta, eta, beta1, beta2).kets
         assert phi.shape == (4, 4)
-        assert np.allclose(phi.conj() @ phi.T, np.eye(4), atol=1e-12)
+        assert np.linalg.norm(phi.conj() @ phi.T - np.eye(4), 2) <= qmath.STRICT_ATOL
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("name", ["beta1", "beta2"])
+    @pytest.mark.parametrize("route", [build_optimal_basis, run_protocol_analytic],
+                             ids=["build_optimal_basis", "run_protocol_analytic"])
+    def test_rejects_a_non_finite_phase_without_a_warning(self, route, name, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                route(0.3, 0.6, **{name: bad})
 
     def test_every_basis_is_one_array(self):
         # A basis is a (4, 4) complex array, one ket per row, wherever it comes from.
@@ -436,6 +454,19 @@ class TestSampled:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
             run_protocol_sampled(0.3, 0.6, n=0)
+
+    @pytest.mark.parametrize("n", [1.9, 2.5, np.float64(3.5), np.nan, np.inf])
+    def test_rejects_a_fractional_sample_count(self, n):
+        with pytest.raises(ValueError, match="whole number"):
+            run_protocol_sampled(0.3, 0.6, n, seed=1)
+
+    @pytest.mark.parametrize("n", [7, 7.0, np.int64(7), np.float64(7.0)])
+    def test_reported_n_is_the_count_total_and_the_denominator(self, n):
+        result = run_protocol_sampled(0.3, 0.6, n, seed=1)
+        assert type(result.n) is int
+        assert result.n == sum(result.ledger_stats["outcome_counts"]) == 7
+        assert result.estimate == round(result.estimate * 7) / 7
+        assert result.to_dict() == run_protocol_sampled(0.3, 0.6, 7, seed=1).to_dict()
 
     def test_memory_does_not_grow_with_n(self):
         # A first call pays one-off lazy imports; measure a warm sampler.
