@@ -27,9 +27,9 @@ import numpy as np
 from . import qmath
 from .bounds import achieving_operator
 from .criterion import _verdict, measurement_from_text
-from .repeater import (_checked_angles, _fields, _grid_angles, _grid_table, _tuned_outcomes,
-                       bell_kets, build_optimal_basis, compare_with_bell, computational_kets,
-                       run_protocol_sampled)
+from .repeater import (MAX_SAMPLES, _checked_angles, _fields, _grid_angles, _grid_table,
+                       _tuned_outcomes, bell_kets, build_optimal_basis, compare_with_bell,
+                       computational_kets, run_protocol_sampled)
 
 SEED_ENV_VAR = "REPEATERLAB_SEED"
 BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
@@ -41,12 +41,11 @@ BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
 MAX_GRID = 500
 # A bound report writes a d^2 x d^2 operator, so its size and the time to
 # write it grow as d^4 (the library keeps the operator as rank-one factors,
-# and the report is written a row at a time): at 32 coefficients a fresh
-# process on a 2-core host takes ~0.2-0.26 s, ~35-55 ms of it in `main`,
-# peaks near 35 MB RSS and writes a 44 MB report.
+# and the report is written a row at a time, of which only the nonzero row
+# is formatted per command): at 32 coefficients a fresh process on a 2-core
+# host takes ~0.2-0.35 s, ~35-70 ms of it in `main`, peaks near 35 MB RSS
+# and writes a 44 MB report.
 MAX_BOUND_DIM = 32
-# The sampler's multinomial draw takes a 64-bit count.
-MAX_SAMPLES = 2 ** 63 - 1
 # argparse's pattern for a negative number, plus an exponent and a trailing
 # dot: without them "--beta1 -1e-5" reads -1e-5 as an option (repr writes
 # small phases so), and "--beta1 -5." as well, though float() takes both.
@@ -272,61 +271,76 @@ def _pairs_template(shape: tuple[int, ...], newline: str) -> str:
     return _template(np.full(shape + (2,), "%r").tolist())[:-1].replace("\n", newline)
 
 
+@functools.lru_cache(maxsize=64)
+def _pairs_text(data: bytes, shape: tuple[int, ...], newline: str) -> str:
+    """_pairs_template(shape, newline) filled from the complex array whose bytes are data.
+
+    The text is a function of its key, so reusing it is exact.  The bound
+    report reuses optimal_u, a permutation fixed by the list lengths, and
+    its operator's all-zero row.  At most 64 texts are kept; at
+    MAX_BOUND_DIM each takes under 60 kB with its key.
+    """
+    return _pairs_template(shape, newline) % tuple(np.frombuffer(data).tolist())
+
+
 def _rank_one_pieces(scale: float, omega: np.ndarray, w: np.ndarray,
                      newline: str) -> list[str]:
     """_pairs_template's text of scale * np.outer(omega, w) in pieces, without the matrix.
 
     Row i is scale * (omega[i] * w), computed as the outer product computes
     it, so rows whose omega[i] have equal bytes are equal and each is
-    formatted once: a bound operator's omega holds two distinct entries.
-    Keying by bytes, not values, keeps 0.0 and -0.0 apart.  Each row and
-    its separator is one piece, and the pieces of equal rows are one string.
+    formatted at most once: a bound operator's omega holds two distinct
+    entries, in runs.  Keying by bytes, not values, keeps 0.0 and -0.0
+    apart.  The row of a zero entry is taken from `_pairs_text`.  Each row
+    and its separator is one piece, and the pieces of equal rows are one
+    string.
     """
     inner = newline + "  "
     sep = "," + inner
-    distinct, index = np.unique(omega.view(f"V{omega.itemsize}"), return_inverse=True)
+    keys = omega.view(f"V{omega.itemsize}")
+    starts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()]
     template = _pairs_template(w.shape, inner)
-    rows = [template % tuple((scale * (x * w)).view(np.float64).tolist()) + sep
-            for x in distinct.view(omega.dtype)]
-    pieces = ["[" + inner, *(rows[i] for i in index.tolist())]
+    rows: dict[bytes, str] = {}
+    pieces = ["[" + inner]
+    for start, stop, key in zip(starts, [*starts[1:], omega.size], keys[starts].tolist()):
+        if key not in rows:
+            x = omega[start]
+            row = scale * (x * w)
+            rows[key] = (template % tuple(row.view(np.float64).tolist()) if x
+                         else _pairs_text(row.tobytes(), w.shape, inner)) + sep
+        pieces += [rows[key]] * (stop - start)
     pieces[-1] = pieces[-1][:-len(sep)] + newline + "]"
     return pieces
 
 
 # The bound report's scalars, in BoundResult.to_dict order.
 _BOUND_SCALARS = ("p_max", "achieved_p", "post_fidelity")
-
-
-@functools.cache
-def _bound_layout(d: int) -> dict[str, str]:
-    """The bound report's layout at a d x d optimal_u.
-
-    Its operator m_i, an empty list in the skeleton, stays out of CSV; the
-    JSON report writes it where the [] stands.
-    """
-    return _layout({**dict.fromkeys(_BOUND_SCALARS, "%r"),
-                    "optimal_u": np.full((d, d, 2), "%r").tolist(), "m_i": []})
+# The bound report's layout, its lists left empty: optimal_u and the
+# operator m_i stay out of CSV, and the JSON report writes each where its []
+# stands.
+_BOUND = _layout({**dict.fromkeys(_BOUND_SCALARS, "%r"), "optimal_u": [], "m_i": []})
+_BOUND_HEAD, _BOUND_MID, _BOUND_TAIL = _BOUND["json"].split("[]")
 
 
 def _bound_report(config: argparse.Namespace) -> Iterator[str]:
     """The bound report's pieces, its JSON operator written from its factors.
 
     The scalars are finite (a ceiling of d over a positive sum, and closed
-    forms of finite vectors), and so is optimal_u, a permutation.  The JSON
-    report is its head, the operator's pieces and its tail, so its tens of
-    MB are never one string.
+    forms of finite vectors), and so is optimal_u, a permutation.  Only the
+    scalars and the operator's nonzero row are formatted here; the rest is
+    text fixed by the list lengths, from `_pairs_text`.  The JSON report is
+    its head, the operator's pieces and its tail, so its tens of MB are
+    never one string.
     """
     result = achieving_operator(config.schmidt_a, config.schmidt_b)
-    layout = _bound_layout(len(result.optimal_u))
-    cells = (*(getattr(result, k) for k in _BOUND_SCALARS),
-             *result.optimal_u.view(np.float64).ravel().tolist())
+    scalars = tuple(getattr(result, k) for k in _BOUND_SCALARS)
     if config.output_format == "csv":
-        yield layout["csv"] % cells
+        yield _BOUND["csv"] % scalars
         return
-    head, tail = layout["json"].rsplit("[]", 1)
-    yield head % cells
+    u = result.optimal_u
+    yield _BOUND_HEAD % scalars + _pairs_text(u.tobytes(), u.shape, "\n  ") + _BOUND_MID
     yield from _rank_one_pieces(result.scale, result.omega, result.w, "\n  ")
-    yield tail
+    yield _BOUND_TAIL
 
 
 # A sweep row's layout.  The angles arrive as text, formatted once per grid

@@ -14,12 +14,16 @@ Bell-basis strategy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import qmath
+
+# The most passes one sample may hold: the multinomial draw takes a 64-bit count.
+MAX_SAMPLES = 2 ** 63 - 1
 
 
 def _check_protocol_angle(value: float, name: str) -> float:
@@ -457,14 +461,25 @@ def run_protocol_sampled(theta: float, eta: float, n: int,
     filter are one binomial draw at its Born probability.  Memory does
     not grow with n, and runs are deterministic for a fixed seed.  Without
     one, the seed is fresh entropy, reported so the run can be repeated.
+    n is a whole number from 1 to MAX_SAMPLES and the seed a nonnegative
+    integer; anything else raises ValueError naming the argument.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     if n % 1:  # also true for NaN and inf
         raise ValueError(f"n must be a whole number, got n={n}")
     n = int(n)
+    if n > MAX_SAMPLES:
+        raise ValueError(f"n must be at most {MAX_SAMPLES}, got n={n}")
     if seed is None:
         seed = np.random.SeedSequence().entropy
+    else:
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got seed={seed!r}") from None
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got seed={seed}")
     rng = np.random.default_rng(seed)
     theta, eta, out = _tuned_outcomes(theta, eta)
     counts = rng.multinomial(n, out.clare_prob / np.add.reduce(out.clare_prob))

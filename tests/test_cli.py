@@ -1,10 +1,13 @@
 """Command-line layer: parsing, dispatch, serialization, exit codes."""
 
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -114,6 +117,7 @@ class TestParseArgs:
             parse_args(["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "10"])
 
     def test_simulate_accepts_the_largest_sample_count(self):
+        assert MAX_SAMPLES is repeater.MAX_SAMPLES  # the sampler owns the cap
         config = parse_args(["simulate", "--theta", "0.3", "--eta", "0.6",
                              "--n", str(MAX_SAMPLES), "--seed", "0"])
         assert config.n_samples == MAX_SAMPLES
@@ -1252,3 +1256,100 @@ class TestStreamedReports:
             assert out.out == "".join(whole.splitlines(keepends=True)[:1 + SMALL_SLICE])
         else:
             assert json.loads(out.out + "\n]") == json.loads(whole)[:SMALL_SLICE]
+
+
+class HashSink:
+    """A stdout that keeps only the md5 of what is written to it."""
+
+    def __init__(self):
+        self.md5 = hashlib.md5()
+
+    def write(self, text):
+        self.md5.update(text.encode("utf-8"))
+        return len(text)
+
+
+def _bound_cases():
+    """Bound command lines over every d from 1 to 32, both list orders, in a seeded shuffle.
+
+    Each d pairs a list of (d + 1) // 2 coefficients with one of d, and up
+    to 16 also two lists of d.  Four more pairs end in a coefficient of
+    1e-300 and one of 1e-320, which the library's products underflow.
+    """
+    pairs = []
+    for d in range(1, MAX_BOUND_DIM + 1):
+        pairs += [schmidt_texts((d + 1) // 2, d)] + [schmidt_texts(d, d)] * (d <= 16)
+        if d in (3, 8, 17, MAX_BOUND_DIM - 1):
+            a, b = schmidt_texts((d + 1) // 2, d)
+            pairs.append((f"{a},1e-300", f"{b},1e-320"))
+    cases = [[*pair[::order], fmt] for pair in pairs for order in (1, -1)
+             for fmt in ("json", "csv")]
+    random.Random(0).shuffle(cases)
+    return [["bound", "--a", a, "--b", b, "--format", fmt] for a, b, fmt in cases]
+
+
+class TestBoundShapes:
+    """The bound report's reused text, over many shapes interleaved in one process."""
+
+    def test_every_shape_and_route_writes_the_report_of_its_own_result(self, tmp_path,
+                                                                        monkeypatch):
+        cases = _bound_cases()
+        # Each JSON report as the formatting gives it with nothing reused,
+        # pinned to json.dumps where that is quick enough to run.
+        want = {}
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_pairs_text", cli._pairs_text.__wrapped__)
+            for argv in cases:
+                config = parse_args(argv)
+                result = achieving_operator(config.schmidt_a, config.schmidt_b)
+                if config.output_format == "csv":
+                    # CSV leaves the operator out; one entry of it keeps to_dict quick.
+                    scalars = dataclasses.replace(result, omega=result.omega[:1], w=result.w[:1])
+                    want[tuple(argv)] = hashlib.md5(_csv_of(scalars).encode()).hexdigest()
+                    continue
+                status, report = run(config)
+                assert status == 0
+                if len(result.optimal_u) <= 8:
+                    assert report == json.dumps(result.to_dict(), indent=2) + "\n"
+                want[tuple(argv)] = hashlib.md5(report.encode()).hexdigest()
+        cli._pairs_text.cache_clear()
+        path = tmp_path / "report"
+        # A cold cache, then the same commands again over what it kept; each
+        # command goes by run, main to stdout or main to --output in turn.
+        for i, argv in enumerate(cases * 2):
+            route = i % 3
+            if route == 0:
+                status, report = run(parse_args(argv))
+                assert status == 0
+                got = hashlib.md5(report.encode()).hexdigest()
+            elif route == 1:
+                sink = HashSink()
+                monkeypatch.setattr(sys, "stdout", sink)
+                assert main(argv) == 0
+                monkeypatch.undo()
+                got = sink.md5.hexdigest()
+            else:
+                assert main([*argv, "--output", str(path)]) == 0
+                got = hashlib.md5(path.read_bytes()).hexdigest()
+            assert got == want[tuple(argv)], (route, argv)
+        info = cli._pairs_text.cache_info()
+        # Every shape made its own texts, more than the cache keeps.
+        assert info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
+
+    def test_the_cache_is_bounded(self):
+        cli._pairs_text.cache_clear()
+        # optimal_u of every pair of list lengths: 528 texts, the largest last.
+        for d in range(1, MAX_BOUND_DIM + 1):
+            for d_a in range(1, d + 1):
+                u = achieving_operator([1 / d_a] * d_a, [1 / d] * d).optimal_u
+                text = cli._pairs_text(u.tobytes(), u.shape, "\n  ")
+        info = cli._pairs_text.cache_info()
+        assert info.currsize == info.maxsize == 64
+        assert info.misses == MAX_BOUND_DIM * (MAX_BOUND_DIM + 1) // 2
+        # The largest texts, optimal_u and the operator's zero row at
+        # MAX_BOUND_DIM, each take under 60 kB with their keys.
+        zeros = np.zeros(MAX_BOUND_DIM ** 2, dtype=complex)
+        row = cli._pairs_text(zeros.tobytes(), zeros.shape, "\n    ")
+        assert len(text) + u.nbytes < 60_000
+        assert len(row) + zeros.nbytes < 60_000

@@ -460,6 +460,31 @@ class TestSampled:
         with pytest.raises(ValueError, match="whole number"):
             run_protocol_sampled(0.3, 0.6, n, seed=1)
 
+    @pytest.mark.parametrize("n", [repeater.MAX_SAMPLES + 1, 2 ** 64, 1e19, 10 ** 30])
+    def test_rejects_a_sample_count_above_the_cap(self, n):
+        with pytest.raises(ValueError, match=f"n must be at most {repeater.MAX_SAMPLES}"):
+            run_protocol_sampled(0.3, 0.5, n, seed=1)
+
+    def test_takes_a_sample_count_at_the_cap(self):
+        result = run_protocol_sampled(0.3, 0.5, repeater.MAX_SAMPLES, seed=1)
+        assert result.n == sum(result.ledger_stats["outcome_counts"]) == repeater.MAX_SAMPLES
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), "1", [1, 2], np.array([1])])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_protocol_sampled(0.3, 0.5, 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2 ** 70)])
+    def test_rejects_a_negative_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            run_protocol_sampled(0.3, 0.5, 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint8(5), True])
+    def test_an_integer_seed_is_reported_as_an_int(self, seed):
+        result = run_protocol_sampled(0.3, 0.5, 10, seed=seed)
+        assert type(result.seed) is int
+        assert result.to_dict() == run_protocol_sampled(0.3, 0.5, 10, seed=int(seed)).to_dict()
+
     @pytest.mark.parametrize("n", [7, 7.0, np.int64(7), np.float64(7.0)])
     def test_reported_n_is_the_count_total_and_the_denominator(self, n):
         result = run_protocol_sampled(0.3, 0.6, n, seed=1)
