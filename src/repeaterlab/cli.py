@@ -41,10 +41,10 @@ BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
 MAX_GRID = 500
 # A bound report writes a d^2 x d^2 operator, so its size and the time to
 # write it grow as d^4 (the library keeps the operator as rank-one factors,
-# and the report is written a row at a time, of which only the nonzero row
-# is formatted per command): at 32 coefficients a fresh process on a 2-core
-# host takes ~0.2-0.35 s, ~35-70 ms of it in `main`, peaks near 35 MB RSS
-# and writes a 44 MB report.
+# and the report is written a row at a time, formatting only the d nonzero
+# floats of a row and copying the rest): at 32 coefficients a fresh process
+# on a 2-core host takes ~0.2-0.36 s, ~35-75 ms of it in `main`, peaks near
+# 35 MB RSS and writes a 44 MB report.
 MAX_BOUND_DIM = 32
 # argparse's pattern for a negative number, plus an exponent and a trailing
 # dot: without them "--beta1 -1e-5" reads -1e-5 as an option (repr writes
@@ -271,16 +271,37 @@ def _pairs_template(shape: tuple[int, ...], newline: str) -> str:
     return _template(np.full(shape + (2,), "%r").tolist())[:-1].replace("\n", newline)
 
 
-@functools.lru_cache(maxsize=64)
-def _pairs_text(data: bytes, shape: tuple[int, ...], newline: str) -> str:
-    """_pairs_template(shape, newline) filled from the complex array whose bytes are data.
+@functools.cache
+def _zero_pairs(shape: tuple[int, ...], newline: str) -> tuple[str, np.ndarray]:
+    """_pairs_template(shape, newline) filled with zeros, and where each of its fields starts.
 
-    The text is a function of its key, so reusing it is exact.  The bound
-    report reuses optimal_u, a permutation fixed by the list lengths, and
-    its operator's all-zero row.  At most 64 texts are kept; at
-    MAX_BOUND_DIM each takes under 60 kB with its key.
+    Kept per shape and indent; the bound report uses two per d.
     """
-    return _pairs_template(shape, newline) % tuple(np.frombuffer(data).tolist())
+    template = _pairs_template(shape, newline)
+    # Each "%r" before a field grows by one character as it becomes "0.0".
+    starts = [m.start() + k for k, m in enumerate(re.finditer("%r", template))]
+    return template.replace("%r", "0.0"), np.array(starts)
+
+
+def _pairs_text(a: np.ndarray, newline: str) -> str:
+    """_pairs_template(a.shape, newline) filled from a, formatting only a's nonzero floats.
+
+    The zero text of a's shape holds "0.0", which is repr(0.0), in each
+    field; a float whose bits are not all zero, -0.0 among them, is written
+    by repr in its field's place, so the text is the template's filled from
+    every float.  The work beyond copying the text grows with the nonzero
+    floats: a permutation and a bound operator's row hold one nonzero entry
+    per d pairs.
+    """
+    zero, starts = _zero_pairs(a.shape, newline)
+    floats = a.view(np.float64).ravel()
+    nonzero = floats.view(np.uint64).nonzero()[0]
+    pieces, end = [], 0
+    for start, x in zip(starts[nonzero].tolist(), floats[nonzero].tolist()):
+        pieces += (zero[end:start], repr(x))
+        end = start + 3
+    pieces.append(zero[end:])
+    return "".join(pieces)
 
 
 def _rank_one_pieces(scale: float, omega: np.ndarray, w: np.ndarray,
@@ -289,25 +310,20 @@ def _rank_one_pieces(scale: float, omega: np.ndarray, w: np.ndarray,
 
     Row i is scale * (omega[i] * w), computed as the outer product computes
     it, so rows whose omega[i] have equal bytes are equal and each is
-    formatted at most once: a bound operator's omega holds two distinct
-    entries, in runs.  Keying by bytes, not values, keeps 0.0 and -0.0
-    apart.  The row of a zero entry is taken from `_pairs_text`.  Each row
-    and its separator is one piece, and the pieces of equal rows are one
-    string.
+    formatted once, by `_pairs_text`: a bound operator's omega holds two
+    distinct entries, in runs.  Keying by bytes, not values, keeps 0.0 and
+    -0.0 apart.  Each row and its separator is one piece, and the pieces of
+    equal rows are one string.
     """
     inner = newline + "  "
     sep = "," + inner
     keys = omega.view(f"V{omega.itemsize}")
     starts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()]
-    template = _pairs_template(w.shape, inner)
     rows: dict[bytes, str] = {}
     pieces = ["[" + inner]
     for start, stop, key in zip(starts, [*starts[1:], omega.size], keys[starts].tolist()):
         if key not in rows:
-            x = omega[start]
-            row = scale * (x * w)
-            rows[key] = (template % tuple(row.view(np.float64).tolist()) if x
-                         else _pairs_text(row.tobytes(), w.shape, inner)) + sep
+            rows[key] = _pairs_text(scale * (omega[start] * w), inner) + sep
         pieces += [rows[key]] * (stop - start)
     pieces[-1] = pieces[-1][:-len(sep)] + newline + "]"
     return pieces
@@ -326,19 +342,17 @@ def _bound_report(config: argparse.Namespace) -> Iterator[str]:
     """The bound report's pieces, its JSON operator written from its factors.
 
     The scalars are finite (a ceiling of d over a positive sum, and closed
-    forms of finite vectors), and so is optimal_u, a permutation.  Only the
-    scalars and the operator's nonzero row are formatted here; the rest is
-    text fixed by the list lengths, from `_pairs_text`.  The JSON report is
-    its head, the operator's pieces and its tail, so its tens of MB are
-    never one string.
+    forms of finite vectors), and so is optimal_u, a permutation.  Of
+    optimal_u and the operator only the nonzero floats are formatted (see
+    `_pairs_text`).  The JSON report is its head, the operator's pieces and
+    its tail, so its tens of MB are never one string.
     """
     result = achieving_operator(config.schmidt_a, config.schmidt_b)
     scalars = tuple(getattr(result, k) for k in _BOUND_SCALARS)
     if config.output_format == "csv":
         yield _BOUND["csv"] % scalars
         return
-    u = result.optimal_u
-    yield _BOUND_HEAD % scalars + _pairs_text(u.tobytes(), u.shape, "\n  ") + _BOUND_MID
+    yield _BOUND_HEAD % scalars + _pairs_text(result.optimal_u, "\n  ") + _BOUND_MID
     yield from _rank_one_pieces(result.scale, result.omega, result.w, "\n  ")
     yield _BOUND_TAIL
 

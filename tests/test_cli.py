@@ -1270,11 +1270,13 @@ class HashSink:
 
 
 def _bound_cases():
-    """Bound command lines over every d from 1 to 32, both list orders, in a seeded shuffle.
+    """Bound command lines over every d from 1 to 32, in a seeded shuffle.
 
     Each d pairs a list of (d + 1) // 2 coefficients with one of d, and up
     to 16 also two lists of d.  Four more pairs end in a coefficient of
     1e-300 and one of 1e-320, which the library's products underflow.
+    Every pair runs in both list orders, but a JSON report at d > 16 (10
+    to 44 MB) in one.
     """
     pairs = []
     for d in range(1, MAX_BOUND_DIM + 1):
@@ -1283,39 +1285,58 @@ def _bound_cases():
             a, b = schmidt_texts((d + 1) // 2, d)
             pairs.append((f"{a},1e-300", f"{b},1e-320"))
     cases = [[*pair[::order], fmt] for pair in pairs for order in (1, -1)
-             for fmt in ("json", "csv")]
+             for fmt in ("json", "csv")
+             if fmt == "csv" or order == 1 or pair[1].count(",") < 16]
     random.Random(0).shuffle(cases)
     return [["bound", "--a", a, "--b", b, "--format", fmt] for a, b, fmt in cases]
 
 
+def _dense_pairs_text(a, newline):
+    """Every float of a written by its %r field, as _pairs_text writes only the nonzero ones."""
+    return cli._pairs_template(a.shape, newline) % tuple(a.view(np.float64).ravel().tolist())
+
+
 class TestBoundShapes:
-    """The bound report's reused text, over many shapes interleaved in one process."""
+    """Bound reports over many shapes interleaved in one process."""
+
+    @given(complex_arrays())
+    @example(np.array([[0.0, 1.0], [-0.0, 1.0]], dtype=complex))
+    @example(np.array([[0j, 1j], [complex(0.0, -0.0), 1j]]))
+    @example(np.zeros((2, 0), dtype=complex))
+    @example(np.zeros(3, dtype=complex))
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_fill_matches_the_template_fill(self, a):
+        for newline in ("\n", "\n    "):
+            assert cli._pairs_text(a, newline) == _dense_pairs_text(a, newline)
 
     def test_every_shape_and_route_writes_the_report_of_its_own_result(self, tmp_path,
                                                                         monkeypatch):
         cases = _bound_cases()
-        # Each JSON report as the formatting gives it with nothing reused,
-        # pinned to json.dumps where that is quick enough to run.
+        # Each report with every float formatted, pinned to json.dumps or
+        # to the CSV writer where that is quick enough to run.
         want = {}
         with monkeypatch.context() as m:
-            m.setattr(cli, "_pairs_text", cli._pairs_text.__wrapped__)
+            m.setattr(cli, "_pairs_text", _dense_pairs_text)
             for argv in cases:
                 config = parse_args(argv)
+                md5 = hashlib.md5()
+                for piece in cli._bound_report(config):
+                    md5.update(piece.encode())
+                want[tuple(argv)] = md5.hexdigest()
                 result = achieving_operator(config.schmidt_a, config.schmidt_b)
                 if config.output_format == "csv":
                     # CSV leaves the operator out; one entry of it keeps to_dict quick.
                     scalars = dataclasses.replace(result, omega=result.omega[:1], w=result.w[:1])
-                    want[tuple(argv)] = hashlib.md5(_csv_of(scalars).encode()).hexdigest()
-                    continue
-                status, report = run(config)
-                assert status == 0
-                if len(result.optimal_u) <= 8:
-                    assert report == json.dumps(result.to_dict(), indent=2) + "\n"
-                want[tuple(argv)] = hashlib.md5(report.encode()).hexdigest()
-        cli._pairs_text.cache_clear()
+                    assert hashlib.md5(_csv_of(scalars).encode()).hexdigest() == md5.hexdigest()
+                elif len(result.optimal_u) <= 8:
+                    report = json.dumps(result.to_dict(), indent=2) + "\n"
+                    assert hashlib.md5(report.encode()).hexdigest() == md5.hexdigest()
+        cli._pairs_template.cache_clear()
+        cli._zero_pairs.cache_clear()
         path = tmp_path / "report"
-        # A cold cache, then the same commands again over what it kept; each
-        # command goes by run, main to stdout or main to --output in turn.
+        # Cold shape caches, then the same commands again over what they
+        # kept; each command goes by run, main to stdout or main to --output
+        # in turn.
         for i, argv in enumerate(cases * 2):
             route = i % 3
             if route == 0:
@@ -1332,24 +1353,6 @@ class TestBoundShapes:
                 assert main([*argv, "--output", str(path)]) == 0
                 got = hashlib.md5(path.read_bytes()).hexdigest()
             assert got == want[tuple(argv)], (route, argv)
-        info = cli._pairs_text.cache_info()
-        # Every shape made its own texts, more than the cache keeps.
-        assert info.misses > info.maxsize
-        assert info.currsize <= info.maxsize
-
-    def test_the_cache_is_bounded(self):
-        cli._pairs_text.cache_clear()
-        # optimal_u of every pair of list lengths: 528 texts, the largest last.
-        for d in range(1, MAX_BOUND_DIM + 1):
-            for d_a in range(1, d + 1):
-                u = achieving_operator([1 / d_a] * d_a, [1 / d] * d).optimal_u
-                text = cli._pairs_text(u.tobytes(), u.shape, "\n  ")
-        info = cli._pairs_text.cache_info()
-        assert info.currsize == info.maxsize == 64
-        assert info.misses == MAX_BOUND_DIM * (MAX_BOUND_DIM + 1) // 2
-        # The largest texts, optimal_u and the operator's zero row at
-        # MAX_BOUND_DIM, each take under 60 kB with their keys.
-        zeros = np.zeros(MAX_BOUND_DIM ** 2, dtype=complex)
-        row = cli._pairs_text(zeros.tobytes(), zeros.shape, "\n    ")
-        assert len(text) + u.nbytes < 60_000
-        assert len(row) + zeros.nbytes < 60_000
+        # The zero texts are kept by shape, two per d (optimal_u and the
+        # operator's row), not by the lists they were filled from.
+        assert cli._zero_pairs.cache_info().currsize == 2 * MAX_BOUND_DIM
