@@ -41,10 +41,10 @@ BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
 MAX_GRID = 500
 # A bound report writes a d^2 x d^2 operator, so its size and the time to
 # write it grow as d^4 (the library keeps the operator as rank-one factors,
-# and the report is written a row at a time, formatting only the d nonzero
-# floats of a row and copying the rest): at 32 coefficients a fresh process
-# on a 2-core host takes ~0.2-0.36 s, ~35-75 ms of it in `main`, peaks near
-# 35 MB RSS and writes a 44 MB report.
+# and the report is written a row at a time, its d nonzero floats spliced
+# into json's text of a zero row, made once per d): at 32 coefficients a
+# fresh process on a 2-core host takes ~0.2-0.36 s, ~35-75 ms of it in
+# `main`, peaks near 35 MB RSS and writes a 44 MB report.
 MAX_BOUND_DIM = 32
 # argparse's pattern for a negative number, plus an exponent and a trailing
 # dot: without them "--beta1 -1e-5" reads -1e-5 as an option (repr writes
@@ -261,37 +261,28 @@ def _layout(skeleton: dict) -> dict[str, str]:
 
 
 @functools.cache
-def _pairs_template(shape: tuple[int, ...], newline: str) -> str:
-    """json's layout of an array of this shape as [re, im] pairs of %r fields, indented by newline.
-
-    Filled with one `%` from the array's interleaved (re, im) floats, it
-    gives json.dumps(qmath.as_real_pairs(a), indent=2) for a finite array
-    (%r is float.__repr__, which json writes too).
-    """
-    return _template(np.full(shape + (2,), "%r").tolist())[:-1].replace("\n", newline)
-
-
-@functools.cache
 def _zero_pairs(shape: tuple[int, ...], newline: str) -> tuple[str, np.ndarray]:
-    """_pairs_template(shape, newline) filled with zeros, and where each of its fields starts.
+    """json's text of a zero array of this shape in [re, im] pairs, and where its floats start.
 
-    Kept per shape and indent; the bound report uses two per d.
+    The text is json.dumps(np.zeros(shape + (2,)).tolist(), indent=2) with
+    each newline made `newline`; it holds nothing but brackets, commas,
+    whitespace and "0.0", so each "0.0" is a float, in the order of the
+    array's interleaved (re, im) floats.  Kept per shape and indent; the
+    bound report uses two per d.
     """
-    template = _pairs_template(shape, newline)
-    # Each "%r" before a field grows by one character as it becomes "0.0".
-    starts = [m.start() + k for k, m in enumerate(re.finditer("%r", template))]
-    return template.replace("%r", "0.0"), np.array(starts)
+    zero = json.dumps(np.zeros(shape + (2,)).tolist(), indent=2).replace("\n", newline)
+    return zero, np.array([m.start() for m in re.finditer(r"0\.0", zero)])
 
 
 def _pairs_text(a: np.ndarray, newline: str) -> str:
-    """_pairs_template(a.shape, newline) filled from a, formatting only a's nonzero floats.
+    """json.dumps(qmath.as_real_pairs(a), indent=2), its newlines made `newline`, for a finite a.
 
-    The zero text of a's shape holds "0.0", which is repr(0.0), in each
-    field; a float whose bits are not all zero, -0.0 among them, is written
-    by repr in its field's place, so the text is the template's filled from
-    every float.  The work beyond copying the text grows with the nonzero
-    floats: a permutation and a bound operator's row hold one nonzero entry
-    per d pairs.
+    Only a's nonzero floats are formatted.  The zero text of a's shape
+    holds "0.0", which is repr(0.0) and so json's text of 0.0, for each
+    float; a float whose bits are not all zero, -0.0 among them, is written
+    by repr, as json writes it, in that float's place.  The work beyond
+    copying the text grows with the nonzero floats: a permutation and a
+    bound operator's row hold one nonzero entry per d pairs.
     """
     zero, starts = _zero_pairs(a.shape, newline)
     floats = a.view(np.float64).ravel()
@@ -306,14 +297,16 @@ def _pairs_text(a: np.ndarray, newline: str) -> str:
 
 def _rank_one_pieces(scale: float, omega: np.ndarray, w: np.ndarray,
                      newline: str) -> list[str]:
-    """_pairs_template's text of scale * np.outer(omega, w) in pieces, without the matrix.
+    """_pairs_text of scale * np.outer(omega, w) in pieces, without the matrix.
 
-    Row i is scale * (omega[i] * w), computed as the outer product computes
-    it, so rows whose omega[i] have equal bytes are equal and each is
-    formatted once, by `_pairs_text`: a bound operator's omega holds two
-    distinct entries, in runs.  Keying by bytes, not values, keeps 0.0 and
-    -0.0 apart.  Each row and its separator is one piece, and the pieces of
-    equal rows are one string.
+    Joined, the pieces are json.dumps(qmath.as_real_pairs(scale *
+    np.outer(omega, w)), indent=2), its newlines made `newline`.  Row i is
+    scale * (omega[i] * w), computed as the outer product computes it, so
+    rows whose omega[i] have equal bytes are equal and each is formatted
+    once, by `_pairs_text`: a bound operator's omega holds two distinct
+    entries, in runs.  Keying by bytes, not values, keeps 0.0 and -0.0
+    apart.  Each row and its separator is one piece, and the pieces of equal
+    rows are one string.
     """
     inner = newline + "  "
     sep = "," + inner

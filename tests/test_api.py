@@ -269,7 +269,7 @@ def test_json_reports_never_run_the_indent_encoder(monkeypatch, tmp_path):
     # json.dumps(..., indent=2) always runs json's pure-Python encoder; every
     # JSON report is a template fill, and json.dumps runs only to build one.
     commands = [[*argv, "--format", "json"] for argv in report_commands(tmp_path)]
-    for argv in commands:  # builds the templates cached per bound dimension
+    for argv in commands:  # builds bound's zero texts, kept per d
         assert cli.run(cli.parse_args(argv))[0] == 0, argv
 
     def forbidden(*args, **kwargs):

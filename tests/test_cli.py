@@ -1033,6 +1033,11 @@ class TestCsvReports:
         assert report == _csv_of(achieving_operator(config.schmidt_a, config.schmidt_b))
 
 
+def _json_pairs_text(a, newline):
+    """json.dumps of a's [re, im] pairs, its newlines made newline, as _pairs_text writes it."""
+    return json.dumps(qmath.as_real_pairs(a), indent=2).replace("\n", newline)
+
+
 class TestDumps:
     """Reports and the bulk-array helpers against json.dumps(value, indent=2)."""
 
@@ -1063,13 +1068,12 @@ class TestDumps:
     @example(np.array([[0.0, 1.0], [-0.0, 1.0]], dtype=complex))
     @example(np.array([[0j, 1j], [complex(0.0, -0.0), 1j]]))
     @example(np.zeros((2, 0), dtype=complex))
+    @example(np.zeros((0, 3), dtype=complex))
+    @example(np.zeros(3, dtype=complex))
     @settings(max_examples=200, deadline=None)
     def test_arrays_match_json_dumps_of_real_pairs(self, a):
-        pairs = qmath.as_real_pairs(a)
-        floats = tuple(a.view(np.float64).ravel().tolist())
-        assert cli._pairs_template(a.shape, "\n") % floats == json.dumps(pairs, indent=2)
-        nested = '{\n  "a": ' + cli._pairs_template(a.shape, "\n  ") % floats + "\n}"
-        assert nested == json.dumps({"a": pairs}, indent=2)
+        for newline in ("\n", "\n    "):
+            assert cli._pairs_text(a, newline) == _json_pairs_text(a, newline)
 
     @given(st.floats(0.0, 1.0),
            st.lists(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0.5 + 0j,
@@ -1291,32 +1295,18 @@ def _bound_cases():
     return [["bound", "--a", a, "--b", b, "--format", fmt] for a, b, fmt in cases]
 
 
-def _dense_pairs_text(a, newline):
-    """Every float of a written by its %r field, as _pairs_text writes only the nonzero ones."""
-    return cli._pairs_template(a.shape, newline) % tuple(a.view(np.float64).ravel().tolist())
-
-
 class TestBoundShapes:
     """Bound reports over many shapes interleaved in one process."""
-
-    @given(complex_arrays())
-    @example(np.array([[0.0, 1.0], [-0.0, 1.0]], dtype=complex))
-    @example(np.array([[0j, 1j], [complex(0.0, -0.0), 1j]]))
-    @example(np.zeros((2, 0), dtype=complex))
-    @example(np.zeros(3, dtype=complex))
-    @settings(max_examples=200, deadline=None)
-    def test_sparse_fill_matches_the_template_fill(self, a):
-        for newline in ("\n", "\n    "):
-            assert cli._pairs_text(a, newline) == _dense_pairs_text(a, newline)
 
     def test_every_shape_and_route_writes_the_report_of_its_own_result(self, tmp_path,
                                                                         monkeypatch):
         cases = _bound_cases()
-        # Each report with every float formatted, pinned to json.dumps or
-        # to the CSV writer where that is quick enough to run.
+        # Each report with its arrays written by json.dumps, and pinned to
+        # json.dumps of to_dict or to the CSV writer where that is quick
+        # enough to run.
         want = {}
         with monkeypatch.context() as m:
-            m.setattr(cli, "_pairs_text", _dense_pairs_text)
+            m.setattr(cli, "_pairs_text", _json_pairs_text)
             for argv in cases:
                 config = parse_args(argv)
                 md5 = hashlib.md5()
@@ -1331,10 +1321,9 @@ class TestBoundShapes:
                 elif len(result.optimal_u) <= 8:
                     report = json.dumps(result.to_dict(), indent=2) + "\n"
                     assert hashlib.md5(report.encode()).hexdigest() == md5.hexdigest()
-        cli._pairs_template.cache_clear()
         cli._zero_pairs.cache_clear()
         path = tmp_path / "report"
-        # Cold shape caches, then the same commands again over what they
+        # A cold zero-text cache, then the same commands again over what it
         # kept; each command goes by run, main to stdout or main to --output
         # in turn.
         for i, argv in enumerate(cases * 2):
@@ -1356,3 +1345,12 @@ class TestBoundShapes:
         # The zero texts are kept by shape, two per d (optimal_u and the
         # operator's row), not by the lists they were filled from.
         assert cli._zero_pairs.cache_info().currsize == 2 * MAX_BOUND_DIM
+
+    def test_csv_builds_no_zero_text(self):
+        # CSV is filled from the three scalars alone: at the largest d it
+        # neither builds nor reads a zero text.
+        cli._zero_pairs.cache_clear()
+        a, b = schmidt_texts(MAX_BOUND_DIM, MAX_BOUND_DIM)
+        status, report = run(parse_args(["bound", "--a", a, "--b", b, "--format", "csv"]))
+        assert status == 0 and report.count("\n") == 2
+        assert cli._zero_pairs.cache_info().misses == 0
