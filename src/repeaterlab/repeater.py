@@ -14,6 +14,7 @@ Bell-basis strategy.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -160,25 +161,30 @@ class ComparisonRecord(_Record):
     rates_equal: bool
 
 
-def _direct_forms(theta, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed forms at checked angles, broadcast over arrays.
+def _direct_pairs(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The direct kets' amplitude pairs (f2, f1) and (f3, f0), as x and y of shape (..., 2).
 
-    Returns the lower and upper projection bounds and the direct-success
-    probability.  np.float_power squares through libm pow for scalars and
-    arrays alike, so a scalar call and a batch agree to the bit.  With
-    c = cos 2theta cos 2eta, 1 - c is summed from sines, since subtracting
-    c from 1 loses all precision at small angles.
+    Each pair comes rescaled by the power of two 2^-e that brings its
+    larger component into [1/2, 1), and e comes too, so a tiny pair is
+    scaled up before anything is squared or divided.
     """
-    numerator = np.float_power(np.sin(2 * theta), 2) * np.float_power(np.sin(2 * eta), 2)
-    cos_2theta = np.cos(2 * theta)
-    one_plus_c = 1.0 + cos_2theta * np.cos(2 * eta)
-    one_minus_c = 2.0 * (np.float_power(np.sin(theta), 2)
-                         + np.float_power(np.sin(eta), 2) * cos_2theta)
-    lower = numerator / (4.0 * one_plus_c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = np.where(one_minus_c > 0.0, numerator / (4.0 * one_minus_c), np.inf)
-        direct = numerator / (2.0 * (one_minus_c * one_plus_c))
-    return lower, upper, direct
+    x, y = f[..., 2:], f[..., 1::-1]
+    _, e = np.frexp(np.maximum(x, y))
+    return np.ldexp(x, -e), np.ldexp(y, -e), e
+
+
+def _direct_forms(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The direct-success probability and the lower and upper projection bounds.
+
+    Each bound is its direct ket's Born probability, 2 x^2 y^2 / (x^2 + y^2)
+    for the pair (x, y): (f3, f0) for the lower, (f2, f1) for the upper.
+    Every intermediate is at least half the rescaled result.
+    """
+    x, y, e = _direct_pairs(f)
+    xx, yy = x * x, y * y
+    p = np.ldexp(2.0 * (xx / (xx + yy)) * yy, 2 * e)
+    lower, upper = p[..., 1], p[..., 0]
+    return lower + upper, lower, upper
 
 
 def projection_bounds(theta: float, eta: float) -> tuple[float, float]:
@@ -187,22 +193,17 @@ def projection_bounds(theta: float, eta: float) -> tuple[float, float]:
     A direct success is a Clare outcome after which Alice and Bob already
     hold a maximally entangled state.
     """
-    theta, eta = _checked_angles(theta, eta)
-    lower, upper, _ = _direct_forms(theta, eta)
+    _, lower, upper = _direct_forms(_checked_amplitudes(theta, eta)[2])
     return float(lower), float(upper)
 
 
 def _tuned_kets(f: np.ndarray, beta1: float = 0.0, beta2: float = 0.0) -> np.ndarray:
     """Clare's tuned kets for amplitudes f of shape (..., 4), as rows of (..., 4, 4).
 
-    Each ket pairs two components of f, (f2, f1) or (f3, f0), divided by
-    their hypot.  Each pair is first rescaled by the power of two that
-    brings its larger component into [1/2, 1); the rescale is exact, so
-    the kets stay orthonormal however small the amplitudes.
+    Each ket is built from one of the _direct_pairs over its hypot, so the
+    kets stay orthonormal however small the amplitudes.
     """
-    x, y = f[..., 2:], f[..., 1::-1]
-    _, e = np.frexp(np.maximum(x, y))
-    x, y = np.ldexp(x, -e), np.ldexp(y, -e)
+    x, y, _ = _direct_pairs(f)
     h = np.hypot(x, y)
     c, s = x / h, y / h
     c12, c03, s12, s03 = c[..., 0], c[..., 1], s[..., 0], s[..., 1]
@@ -359,8 +360,7 @@ def _rate_table(theta: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, ...]:
     kernel call.
     """
     f = _amplitudes(theta, eta)
-    lower, upper, direct = _direct_forms(theta, eta)
-    return _rate(_outcomes(f, _tuned_kets(f))), direct, lower, upper
+    return (_rate(_outcomes(f, _tuned_kets(f))), *_direct_forms(f))
 
 
 def _grid_angles(n: int) -> np.ndarray:
@@ -448,8 +448,7 @@ def run_protocol_analytic(theta: float, eta: float,
 
 def direct_success_prob(theta: float, eta: float) -> float:
     """Probability that Clare's outcome alone finishes the job."""
-    theta, eta = _checked_angles(theta, eta)
-    return float(_direct_forms(theta, eta)[2])
+    return float(_direct_forms(_checked_amplitudes(theta, eta)[2])[0])
 
 
 def run_protocol_sampled(theta: float, eta: float, n: int,
@@ -464,10 +463,9 @@ def run_protocol_sampled(theta: float, eta: float, n: int,
     n is a whole number from 1 to MAX_SAMPLES and the seed a nonnegative
     integer; anything else raises ValueError naming the argument.
     """
-    if n < 1:
-        raise ValueError(f"need at least one sample, got n={n}")
-    if n % 1:  # also true for NaN and inf
-        raise ValueError(f"n must be a whole number, got n={n}")
+    # n % 1 is NaN, never 0, for NaN and inf.
+    if not (isinstance(n, numbers.Real) and n >= 1 and n % 1 == 0):
+        raise ValueError(f"n must be a whole number of at least 1, got n={n!r}")
     n = int(n)
     if n > MAX_SAMPLES:
         raise ValueError(f"n must be at most {MAX_SAMPLES}, got n={n}")
@@ -488,7 +486,7 @@ def run_protocol_sampled(theta: float, eta: float, n: int,
         successes += int(hits) if maximal else int(rng.binomial(hits, bob_p))
 
     estimate = successes / n
-    stderr = float(np.sqrt(max(estimate * (1.0 - estimate), 0.0) / n))
+    stderr = math.sqrt(estimate * (1.0 - estimate) / n)
     bob_freq = int(np.add.reduce(counts[~out.maximal])) / n
     ledger_stats = {
         "classical_bits_mean": 2.0,

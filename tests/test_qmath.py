@@ -59,6 +59,10 @@ class TestHelpers:
         assert np.array_equal(qmath.require_hermitian(np.eye(3)), np.eye(3))
         with pytest.raises(ValueError):
             qmath.require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="expected a matrix, got array of rank 3"):
+            qmath.require_hermitian(np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match=r"operator must be square, got shape \(2, 3\)"):
+            qmath.require_hermitian(np.zeros((2, 3)))
 
     def test_hermitian_gate_names_non_finite_input(self):
         for bad in (np.nan, np.inf):
@@ -142,6 +146,8 @@ class TestMatrixText:
         [parsed] = qmath.parse_matrix_blocks(text)
         assert parsed.shape == (4, 1)
         assert np.array_equal(parsed.reshape(4), v)
+        with pytest.raises(ValueError, match="cannot serialize array of rank 3"):
+            qmath.format_matrix_text(np.zeros((2, 2, 2)))
 
     def test_multi_block(self):
         blocks_in = [random_complex(RNG, 4, 1) for _ in range(4)]
@@ -158,6 +164,7 @@ class TestMatrixText:
         "2\n1 0",
         "0 2\n",
         "-1 2\n1 0 1 0",
+        "x 4\n1 0 0 0 0 0 0 0",
     ])
     def test_malformed_input(self, bad):
         with pytest.raises(ValueError):

@@ -314,22 +314,29 @@ class TestDirectSuccess:
 
     @pytest.mark.parametrize("theta, eta", [
         (1e-7, 2e-7), (1e-5, 2e-5), (2e-5, 1e-5), (1e-3, 0.7), (0.3, 0.6), (0.2, 0.2),
-        (np.pi / 4, 0.1), (np.pi / 4, np.pi / 4)])
+        (np.pi / 4, 0.1), (np.pi / 4, np.pi / 4),
+        # Tiny angles, equal and mixed: the direct probability at (1e-160, 1e-160)
+        # is the subnormal 1e-320, and below it the values underflow to 0.
+        *[pair for a in (SUBNORMAL, 1e-300, 1e-200, 1e-160, 1e-90)
+          for pair in ((a, a), (a, 0.5), (0.5, a))],
+        # A subnormal lower bound, 2e-312: multiplying the two squares before
+        # dividing by their sum puts it 9 rounding steps off.
+        (1e-72, 1e-84)])
     def test_closed_forms_match_extended_precision(self, theta, eta):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(60):
             t, e = mpmath.mpf(theta), mpmath.mpf(eta)
             numerator = mpmath.sin(2 * t) ** 2 * mpmath.sin(2 * e) ** 2
-            c = mpmath.cos(2 * t) * mpmath.cos(2 * e)
-            want = (numerator / (4 * (1 + c)), numerator / (4 * (1 - c)),
-                    numerator / (2 * (1 - c * c)))
+            # 1 - c with c = cos 2theta cos 2eta, from sines: subtracting c
+            # from 1 cancels below angles of about 1e-30 even at 60 digits.
+            one_plus_c = 1 + mpmath.cos(2 * t) * mpmath.cos(2 * e)
+            one_minus_c = 2 * (mpmath.sin(t) ** 2 + mpmath.sin(e) ** 2 * mpmath.cos(2 * t))
+            want = (numerator / (4 * one_plus_c), numerator / (4 * one_minus_c),
+                    numerator / (2 * one_minus_c * one_plus_c))
         got = projection_bounds(theta, eta) + (direct_success_prob(theta, eta),)
         for value, exact in zip(got, map(float, want)):
-            assert abs(value - exact) <= 2e-15 * exact
-
-    def test_tiny_angles_give_zero(self):
-        assert direct_success_prob(1e-160, 1e-160) == 0.0
-        assert projection_bounds(1e-160, 1e-160) == (0.0, 0.0)
+            # A subnormal result is off by at most a few of its rounding steps.
+            assert abs(value - exact) <= 2e-15 * exact + 8 * SUBNORMAL
 
     @given(protocol_angles, protocol_angles)
     @settings(max_examples=40, deadline=None)
@@ -337,6 +344,14 @@ class TestDirectSuccess:
         result = run_protocol_analytic(theta, eta)
         direct = result.per_outcome[0].clare_prob + result.per_outcome[1].clare_prob
         assert direct_success_prob(theta, eta) == pytest.approx(direct, abs=1e-12)
+
+    @given(any_angles, any_angles)
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_are_the_direct_outcome_probabilities(self, theta, eta):
+        upper_outcome, lower_outcome = run_protocol_analytic(theta, eta).per_outcome[:2]
+        lower, upper = projection_bounds(theta, eta)
+        for bound, outcome in ((lower, lower_outcome), (upper, upper_outcome)):
+            assert abs(bound - outcome.clare_prob) <= 8 * EPS * bound + 8 * SUBNORMAL
 
     def test_equal_angles_grow_a_third_direct_outcome(self):
         for theta in np.linspace(0.05, np.pi / 4 - 0.01, 20):
@@ -455,7 +470,7 @@ class TestSampled:
         with pytest.raises(ValueError):
             run_protocol_sampled(0.3, 0.6, n=0)
 
-    @pytest.mark.parametrize("n", [1.9, 2.5, np.float64(3.5), np.nan, np.inf])
+    @pytest.mark.parametrize("n", [1.9, 2.5, np.float64(3.5), np.nan, np.inf, "5", None])
     def test_rejects_a_fractional_sample_count(self, n):
         with pytest.raises(ValueError, match="whole number"):
             run_protocol_sampled(0.3, 0.6, n, seed=1)
@@ -717,15 +732,14 @@ class TestBatchedKernel:
         columns = repeater._rate_table(theta, eta)
         for t, e, p_ms, direct, lower, upper in zip(theta, eta, *columns):
             assert p_ms == run_protocol_analytic(t, e).p_ms
-            # Angles whose squared sines underflow read 0/0 on both routes alike.
-            assert np.array_equal(direct, direct_success_prob(t, e), equal_nan=True)
+            assert direct == direct_success_prob(t, e)
             assert (lower, upper) == projection_bounds(t, e)
             expected = swap_success_loop(t, e, build_optimal_basis(t, e).kets)
             assert abs(p_ms - expected) <= 1e-12
 
     def test_closed_forms_equal_scalar_functions_on_a_dense_batch(self):
-        # Enough points that rounding differences between squaring routes
-        # (about one result in a thousand) would show.
+        # Enough points that a rounding difference between the scalar and
+        # the batch routes, were there one, would show.
         theta, eta = np.random.default_rng(5).uniform(1e-3, np.pi / 4, size=(2, 2000))
         _, direct, lower, upper = repeater._rate_table(theta, eta)
         for i, (t, e) in enumerate(zip(theta, eta)):
