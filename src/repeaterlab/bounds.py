@@ -11,6 +11,7 @@ entangled, together with the operator that reaches it.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,7 +26,13 @@ class BoundResult:
     """Ceiling, the unitary picking the target state, and the reaching operator.
 
     The operator is rank one, m_i = scale * outer(omega, w), and is kept
-    as those factors; the `m_i` property forms the d^2 x d^2 array.
+    as those factors; the `m_i` property forms the d^2 x d^2 array.  The
+    factors have a fixed structure, which a writer of m_i may rely on:
+    omega = vec(optimal_u) / sqrt(d) for the d x d permutation optimal_u,
+    so its nonzero entries, at np.flatnonzero(optimal_u), are d equal
+    complex numbers and every other entry is +0; no component of w, real
+    or imaginary, has its sign bit set.  So m_i's rows at those d indices
+    are the one row scale * (omega[k] * w), and every other row is +0.
     """
 
     p_max: float
@@ -106,14 +113,14 @@ def _coefficients(a: Sequence[float], b: Sequence[float]) -> list[np.ndarray]:
     """
     checked = []
     for x in (a, b):
-        coeffs = tuple(float(c) for c in x)
+        coeffs = tuple(map(float, x))
         if not coeffs:
             raise ValueError("at least one Schmidt coefficient required")
-        if not all(math.isfinite(c) for c in coeffs):
+        if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"Schmidt coefficients must be finite, got {coeffs}")
-        if any(c <= 0.0 for c in coeffs):
+        if min(coeffs) <= 0.0:
             raise ValueError(f"Schmidt coefficients must be strictly positive, got {coeffs}")
-        if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
+        if any(map(operator.lt, coeffs, coeffs[1:])):
             raise ValueError(f"Schmidt coefficients must be nonincreasing, got {coeffs}")
         if abs(sum(coeffs) - 1.0) > qmath.STRICT_ATOL:
             raise ValueError(f"Schmidt coefficients must sum to 1, got sum {sum(coeffs)}")
@@ -135,7 +142,7 @@ def _ceiling(ca: np.ndarray, cb: np.ndarray) -> float:
     d_a, d = len(ca), len(cb)
     # A product that underflows makes the sum infinite and the ceiling 0.
     with np.errstate(over="ignore", divide="ignore"):
-        denom = float(np.sum(1.0 / (ca * cb[d_a - 1 :: -1])))
+        denom = float(np.add.reduce(1.0 / (ca * cb[d_a - 1 :: -1])))
     return float(d / denom)
 
 
@@ -160,8 +167,8 @@ def achieving_operator(a: Sequence[float], b: Sequence[float]) -> BoundResult:
     a_pad = np.zeros(d)
     a_pad[:d_a] = ca
     g = np.sqrt(np.multiply.outer(a_pad, cb).ravel())
-    # The checked coefficients are positive, so only the padding is zero.
-    inv_g = np.where(g > 0.0, 1.0 / np.where(g > 0.0, g, 1.0), 0.0)
+    # g is zero at the padding and where a product of tiny coefficients underflows.
+    inv_g = np.divide(1.0, g, out=np.zeros(d * d), where=g > 0.0)
     scale = np.sqrt(ceiling)
     w = omega.conj() * inv_g
 

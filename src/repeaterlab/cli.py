@@ -25,7 +25,7 @@ from typing import Callable, ContextManager, Iterator
 import numpy as np
 
 from . import qmath
-from .bounds import achieving_operator
+from .bounds import BoundResult, achieving_operator
 from .criterion import _verdict, measurement_from_text
 from .repeater import (MAX_SAMPLES, _checked_angles, _fields, _grid_angles, _grid_table,
                        _tuned_outcomes, bell_kets, build_optimal_basis, compare_with_bell,
@@ -41,8 +41,9 @@ BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
 MAX_GRID = 500
 # A bound report writes a d^2 x d^2 operator, so its size and the time to
 # write it grow as d^4 (the library keeps the operator as rank-one factors,
-# and the report is written a row at a time, its d nonzero floats spliced
-# into json's text of a zero row, made once per d): at 32 coefficients a
+# and the report is written a row at a time: json's text of a zero row,
+# made once per d, and one nonzero row, formatted once and placed at d
+# indices): at 32 coefficients a
 # fresh process on a 2-core host takes ~0.2-0.36 s, ~35-75 ms of it in
 # `main`, peaks near 35 MB RSS and writes a 44 MB report.
 MAX_BOUND_DIM = 32
@@ -88,7 +89,14 @@ def _schmidt_list(text: str) -> tuple[float, ...]:
     if len(tokens) > MAX_BOUND_DIM:
         raise argparse.ArgumentTypeError(
             f"at most {MAX_BOUND_DIM} coefficients, got {len(tokens)}")
-    values = tuple(_finite(tok) for tok in tokens)
+    try:
+        values = tuple(map(float, tokens))
+        finite = all(map(math.isfinite, values))
+    except ValueError:
+        finite = False
+    if not finite:
+        for tok in tokens:
+            _finite(tok)  # the first bad token raises, with its own message
     total = sum(values)
     if abs(total - 1.0) > qmath.TEXT_SUM_ATOL:
         raise argparse.ArgumentTypeError(f"coefficients must sum to 1, got {total!r}")
@@ -295,31 +303,26 @@ def _pairs_text(a: np.ndarray, newline: str) -> str:
     return "".join(pieces)
 
 
-def _rank_one_pieces(scale: float, omega: np.ndarray, w: np.ndarray,
-                     newline: str) -> list[str]:
-    """_pairs_text of scale * np.outer(omega, w) in pieces, without the matrix.
+def _rank_one_pieces(result: BoundResult, newline: str) -> list[str]:
+    """_pairs_text of result.m_i in pieces, without the matrix.
 
-    Joined, the pieces are json.dumps(qmath.as_real_pairs(scale *
-    np.outer(omega, w)), indent=2), its newlines made `newline`.  Row i is
-    scale * (omega[i] * w), computed as the outer product computes it, so
-    rows whose omega[i] have equal bytes are equal and each is formatted
-    once, by `_pairs_text`: a bound operator's omega holds two distinct
-    entries, in runs.  Keying by bytes, not values, keeps 0.0 and -0.0
-    apart.  Each row and its separator is one piece, and the pieces of equal
-    rows are one string.
+    Joined, the pieces are json.dumps(qmath.as_real_pairs(result.m_i),
+    indent=2), its newlines made `newline`.  By the structure BoundResult
+    states, the rows at np.flatnonzero(result.optimal_u) are the one row
+    scale * (omega[k] * w), computed as the outer product computes it and
+    formatted once, and every other row is json's zero row of its shape.
+    Each row and its separator is one piece, and the pieces of equal rows
+    are one string.
     """
     inner = newline + "  "
     sep = "," + inner
-    keys = omega.view(f"V{omega.itemsize}")
-    starts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()]
-    rows: dict[bytes, str] = {}
-    pieces = ["[" + inner]
-    for start, stop, key in zip(starts, [*starts[1:], omega.size], keys[starts].tolist()):
-        if key not in rows:
-            rows[key] = _pairs_text(scale * (omega[start] * w), inner) + sep
-        pieces += [rows[key]] * (stop - start)
+    rows = np.flatnonzero(result.optimal_u).tolist()
+    pieces = [_zero_pairs(result.w.shape, inner)[0] + sep] * result.w.size
+    row = _pairs_text(result.scale * (result.omega[rows[0]] * result.w), inner) + sep
+    for k in rows:
+        pieces[k] = row
     pieces[-1] = pieces[-1][:-len(sep)] + newline + "]"
-    return pieces
+    return ["[" + inner, *pieces]
 
 
 # The bound report's scalars, in BoundResult.to_dict order.
@@ -346,7 +349,7 @@ def _bound_report(config: argparse.Namespace) -> Iterator[str]:
         yield _BOUND["csv"] % scalars
         return
     yield _BOUND_HEAD % scalars + _pairs_text(result.optimal_u, "\n  ") + _BOUND_MID
-    yield from _rank_one_pieces(result.scale, result.omega, result.w, "\n  ")
+    yield from _rank_one_pieces(result, "\n  ")
     yield _BOUND_TAIL
 
 

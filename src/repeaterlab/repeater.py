@@ -165,12 +165,17 @@ def _direct_pairs(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The direct kets' amplitude pairs (f2, f1) and (f3, f0), as x and y of shape (..., 2).
 
     Each pair comes rescaled by the power of two 2^-e that brings its
-    larger component into [1/2, 1), and e comes too, so a tiny pair is
-    scaled up before anything is squared or divided.
+    larger component into [1/2, 1], and e comes too, so a tiny pair is
+    scaled up before anything is squared or divided.  e is at most 0: a
+    pair whose larger component is 1.0 stays as it is, since scaling it
+    down would cost a tiny partner, or its square, bits below the normal
+    range.
     """
     x, y = f[..., 2:], f[..., 1::-1]
     _, e = np.frexp(np.maximum(x, y))
-    return np.ldexp(x, -e), np.ldexp(y, -e), e
+    np.minimum(e, 0, out=e)
+    up = -e
+    return np.ldexp(x, up), np.ldexp(y, up), e
 
 
 def _direct_forms(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -376,6 +376,29 @@ class TestAchievingOperator:
         assert len(checks) == 2
         assert result.p_max == ceiling == d / np.sum(1.0 / (np.array(a) * b[d_a - 1 :: -1]))
 
+    @pytest.mark.parametrize("d", range(1, 33))
+    def test_factors_have_the_structure_writers_rely_on(self, d):
+        # What BoundResult states of omega and w, bit for bit: lists of
+        # (d + 1) // 2 and d, of d and d, and two ending in 1e-300 and 1e-320.
+        rng = np.random.default_rng(d)
+        pairs = [(random_schmidt(rng, (d + 1) // 2), random_schmidt(rng, d)),
+                 (random_schmidt(rng, d), random_schmidt(rng, d))]
+        if d > 1:
+            pairs.append(([*random_schmidt(rng, max((d + 1) // 2 - 1, 1)), 1e-300],
+                          [*random_schmidt(rng, d - 1), 1e-320]))
+        for a, b in pairs:
+            for result in (achieving_operator(a, b), achieving_operator(b, a)):
+                u = result.optimal_u
+                assert ((u == 0) | (u == 1)).all()
+                assert (u.sum(axis=0) == 1).all() and (u.sum(axis=1) == 1).all()
+                rows = np.flatnonzero(u)
+                bits = result.omega.view(np.uint64).reshape(-1, 2)
+                assert bits[rows[0]].any()
+                want = np.zeros_like(bits)
+                want[rows] = bits[rows[0]]
+                assert np.array_equal(bits, want)
+                assert not (result.w.view(np.uint64) >> np.uint64(63)).any()
+
     def test_to_dict_is_json_ready(self):
         payload = achieving_operator([0.5, 0.5], [0.5, 0.5]).to_dict()
         round_tripped = json.loads(json.dumps(payload))

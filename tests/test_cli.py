@@ -1,5 +1,6 @@
 """Command-line layer: parsing, dispatch, serialization, exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -139,8 +140,14 @@ class TestParseArgs:
             parse_args(["bound", "--a", "0.5,0.4", "--b", "0.5,0.5"])
 
     def test_bound_rejects_malformed_list(self):
-        with pytest.raises(UsageError):
-            parse_args(["bound", "--a", "0.5,x", "--b", "0.5,0.5"])
+        # The list is converted in one pass; the error still names its first bad token.
+        for text, token in (("0.5,x", "x"), ("x,nan", "x"), ("nan,x", "nan"),
+                            ("0.5,inf", "inf"), ("1e999,0.5", "1e999")):
+            with pytest.raises(UsageError) as excinfo:
+                parse_args(["bound", "--a", text, "--b", "0.5,0.5"])
+            with pytest.raises(argparse.ArgumentTypeError) as want:
+                cli._finite(token)
+            assert str(excinfo.value) == f"argument --a: {want.value}"
 
     def test_bound_lists_are_capped(self, capsys):
         at_cap = ",".join([repr(1 / MAX_BOUND_DIM)] * MAX_BOUND_DIM)
@@ -825,6 +832,10 @@ def complex_arrays(draw):
     return np.array(rows, dtype=complex).reshape(len(rows), cols)
 
 
+# Log-uniform Schmidt coefficients, before normalizing, from 1e-300 to 1.
+schmidt_entries = st.floats(math.log(1e-300), 0.0).map(math.exp)
+
+
 def schmidt_texts(da, db):
     """Two seeded, unsorted coefficient lists of the given lengths, as --a and --b take them."""
     rng = np.random.default_rng(100 * da + db)
@@ -1075,20 +1086,19 @@ class TestDumps:
         for newline in ("\n", "\n    "):
             assert cli._pairs_text(a, newline) == _json_pairs_text(a, newline)
 
-    @given(st.floats(0.0, 1.0),
-           st.lists(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0.5 + 0j,
-                                     -0.5j]), min_size=1, max_size=6),
-           st.lists(st.builds(complex, finite_part, finite_part), max_size=4))
-    @example(0.0, [0j, 0j, 0j], [1e308 + 1e308j])
+    @given(st.lists(schmidt_entries, min_size=1, max_size=8),
+           st.lists(schmidt_entries, min_size=1, max_size=8), st.booleans())
+    @example([1.0, 1e-300], [1.0, 1e-320], False)
+    @example([1.0], [1.0], False)
     @settings(max_examples=200, deadline=None)
-    def test_rank_one_matches_json_dumps_of_real_pairs(self, scale, omega, w):
-        omega, w = np.array(omega, dtype=complex), np.array(w, dtype=complex)
-        pieces = cli._rank_one_pieces(scale, omega, w, "\n")
-        # np.outer can warn of an overflow at a zero times a huge entry,
-        # though the product it returns is exact, as the pieces' rows are.
-        with np.errstate(over="ignore", invalid="ignore"):
-            pairs = qmath.as_real_pairs(scale * np.outer(omega, w))
-        assert "".join(pieces) == json.dumps(pairs, indent=2)
+    def test_rank_one_matches_json_dumps_of_real_pairs(self, a, b, swapped):
+        # The writer relies on the structure of achieving_operator's factors,
+        # so it is checked on the operators that function builds.
+        a, b = (sorted((x / math.fsum(v) for x in v), reverse=True) for v in (a, b))
+        result = achieving_operator(*((b, a) if swapped else (a, b)))
+        for newline in ("\n", "\n  "):
+            pieces = cli._rank_one_pieces(result, newline)
+            assert "".join(pieces) == _json_pairs_text(result.m_i, newline)
 
     @pytest.mark.parametrize("swapped", [False, True])
     @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 3), (3, 5), (1, 4),
