@@ -140,10 +140,21 @@ def p_max(a: Sequence[float], b: Sequence[float]) -> float:
 def _ceiling(ca: np.ndarray, cb: np.ndarray) -> float:
     """p_max of coefficient arrays `_coefficients` has checked, the shorter first."""
     d_a, d = len(ca), len(cb)
-    # A product that underflows makes the sum infinite and the ceiling 0.
+    x = ca * cb[d_a - 1 :: -1]
+    # The reciprocals are taken of the products over 2^e, the power of two
+    # of the smallest one, so a subnormal product's reciprocal cannot
+    # overflow: the sum lies in [1, 2 d_a].  A product that underflows to
+    # exactly 0 makes the sum infinite and the ceiling 0.
+    e = math.frexp(x.min())[1]
     with np.errstate(over="ignore", divide="ignore"):
-        denom = float(np.add.reduce(1.0 / (ca * cb[d_a - 1 :: -1])))
-    return float(d / denom)
+        scaled = d / float(np.add.reduce(math.ldexp(1.0, e) / x))
+    ceiling = math.ldexp(scaled, e)
+    # A subnormal ceiling keeps few significant bits, so it rounds toward 0:
+    # rounded up, it could scale the reaching operator above a valid
+    # measurement element by more than LOOSE_ATOL.
+    if math.ldexp(ceiling, -e) > scaled:
+        ceiling = math.nextafter(ceiling, 0.0)
+    return ceiling
 
 
 def achieving_operator(a: Sequence[float], b: Sequence[float]) -> BoundResult:

@@ -47,10 +47,11 @@ MAX_GRID = 500
 # fresh process on a 2-core host takes ~0.2-0.36 s, ~35-75 ms of it in
 # `main`, peaks near 35 MB RSS and writes a 44 MB report.
 MAX_BOUND_DIM = 32
-# argparse's pattern for a negative number, plus an exponent and a trailing
-# dot: without them "--beta1 -1e-5" reads -1e-5 as an option (repr writes
-# small phases so), and "--beta1 -5." as well, though float() takes both.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# argparse's pattern for a negative number, plus an exponent, a trailing
+# dot and a comma tail: without them "--beta1 -1e-5" reads -1e-5 as an
+# option (repr writes small phases so), "--beta1 -5." as well, though
+# float() takes both, and "--a -0.5,1.5" a Schmidt list led by a negative.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(,.*)?$")
 
 
 class UsageError(ValueError):

@@ -161,54 +161,20 @@ class ComparisonRecord(_Record):
     rates_equal: bool
 
 
-def _direct_pairs(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The direct kets' amplitude pairs (f2, f1) and (f3, f0), as x and y of shape (..., 2).
-
-    Each pair comes rescaled by the power of two 2^-e that brings its
-    larger component into [1/2, 1], and e comes too, so a tiny pair is
-    scaled up before anything is squared or divided.  e is at most 0: a
-    pair whose larger component is 1.0 stays as it is, since scaling it
-    down would cost a tiny partner, or its square, bits below the normal
-    range.
-    """
-    x, y = f[..., 2:], f[..., 1::-1]
-    _, e = np.frexp(np.maximum(x, y))
-    np.minimum(e, 0, out=e)
-    up = -e
-    return np.ldexp(x, up), np.ldexp(y, up), e
-
-
-def _direct_forms(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The direct-success probability and the lower and upper projection bounds.
-
-    Each bound is its direct ket's Born probability, 2 x^2 y^2 / (x^2 + y^2)
-    for the pair (x, y): (f3, f0) for the lower, (f2, f1) for the upper.
-    Every intermediate is at least half the rescaled result.
-    """
-    x, y, e = _direct_pairs(f)
-    xx, yy = x * x, y * y
-    p = np.ldexp(2.0 * (xx / (xx + yy)) * yy, 2 * e)
-    lower, upper = p[..., 1], p[..., 0]
-    return lower + upper, lower, upper
-
-
-def projection_bounds(theta: float, eta: float) -> tuple[float, float]:
-    """Range of success probabilities for a single direct-success projection.
-
-    A direct success is a Clare outcome after which Alice and Bob already
-    hold a maximally entangled state.
-    """
-    _, lower, upper = _direct_forms(_checked_amplitudes(theta, eta)[2])
-    return float(lower), float(upper)
-
-
 def _tuned_kets(f: np.ndarray, beta1: float = 0.0, beta2: float = 0.0) -> np.ndarray:
     """Clare's tuned kets for amplitudes f of shape (..., 4), as rows of (..., 4, 4).
 
-    Each ket is built from one of the _direct_pairs over its hypot, so the
-    kets stay orthonormal however small the amplitudes.
+    The direct kets are built from the amplitude pairs (f2, f1) and
+    (f3, f0) over their hypot, so the kets stay orthonormal however small
+    the amplitudes.  Each pair is first rescaled by the power of two 2^-e
+    that brings its larger component into [1/2, 1], with e at most 0: a
+    pair whose larger component is 1.0 stays as it is, since scaling it
+    down would cost a tiny partner bits below the normal range.
     """
-    x, y, _ = _direct_pairs(f)
+    x, y = f[..., 2:], f[..., 1::-1]
+    _, e = np.frexp(np.maximum(x, y))
+    up = -np.minimum(e, 0)
+    x, y = np.ldexp(x, up), np.ldexp(y, up)
     h = np.hypot(x, y)
     c, s = x / h, y / h
     c12, c03, s12, s03 = c[..., 0], c[..., 1], s[..., 0], s[..., 1]
@@ -365,7 +331,9 @@ def _rate_table(theta: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, ...]:
     kernel call.
     """
     f = _amplitudes(theta, eta)
-    return (_rate(_outcomes(f, _tuned_kets(f))), *_direct_forms(f))
+    out = _outcomes(f, _tuned_kets(f))
+    p = out.clare_prob
+    return _rate(out), p[..., 1] + p[..., 0], p[..., 1], p[..., 0]
 
 
 def _grid_angles(n: int) -> np.ndarray:
@@ -451,9 +419,22 @@ def run_protocol_analytic(theta: float, eta: float,
     return _analysis(*_tuned_outcomes(theta, eta, beta1, beta2))
 
 
+def projection_bounds(theta: float, eta: float) -> tuple[float, float]:
+    """Range of success probabilities for a single direct-success projection.
+
+    A direct success is a Clare outcome after which Alice and Bob already
+    hold a maximally entangled state.  The bounds are the tuned basis' own
+    Born weights of its two direct outcomes: outcome 2 the lower, outcome 1
+    the upper.
+    """
+    p = _tuned_outcomes(theta, eta)[2].clare_prob
+    return float(p[1]), float(p[0])
+
+
 def direct_success_prob(theta: float, eta: float) -> float:
-    """Probability that Clare's outcome alone finishes the job."""
-    return float(_direct_forms(_checked_amplitudes(theta, eta)[2])[0])
+    """Probability that Clare's outcome alone finishes the job: the sum of the projection bounds."""
+    lower, upper = projection_bounds(theta, eta)
+    return lower + upper
 
 
 def run_protocol_sampled(theta: float, eta: float, n: int,

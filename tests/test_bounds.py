@@ -21,6 +21,8 @@ from repeaterlab.repeater import projection_bounds
 from oracles import dense_bound, random_density, random_hermitian
 
 RNG = np.random.default_rng(20240815)
+EPS = np.finfo(float).eps
+SUBNORMAL = 5e-324
 
 
 def random_unitary(rng, d):
@@ -209,6 +211,29 @@ class TestPMax:
                 b = sorted([np.cos(eta) ** 2, np.sin(eta) ** 2], reverse=True)
                 _, upper = projection_bounds(theta, eta)
                 assert p_max(a, b) == pytest.approx(upper, abs=1e-12)
+
+    @pytest.mark.parametrize("a, b", [
+        ([0.6, 0.4], [1.0, 1e-320]),
+        ([0.5, 0.5], [1.0, 1e-310]),
+        ([0.5, 0.3, 0.2], [1.0, 1e-318, 1e-319]),
+        ([0.6, 0.4], [1.0, 5e-324]),
+        ([0.6, 0.4], [0.5, 0.5 - 1e-300, 1e-300]),
+        # 1e-200 * 1e-150 underflows to 0, and so does the ceiling.
+        ([1.0 - 1e-200, 1e-200], [1.0 - 1e-150, 1e-150])])
+    def test_subnormal_products_match_extended_precision(self, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        short, long = sorted((a, b), key=len)
+        with mpmath.workdps(60):
+            terms = [1 / (mpmath.mpf(x) * mpmath.mpf(y))
+                     for x, y in zip(short, long[len(short) - 1 :: -1])]
+            exact = float(len(long) / mpmath.fsum(terms))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = p_max(a, b)
+        # Each subnormal product rounds by half a step of the subnormal grid,
+        # which moves the ceiling by at most d / 2 steps, and the ceiling
+        # rounds toward 0 by less than one step more.
+        assert abs(got - exact) <= 4 * EPS * exact + (len(long) / 2 + 1) * SUBNORMAL
 
     def test_argument_order_is_irrelevant(self):
         a = [0.6, 0.4]

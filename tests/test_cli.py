@@ -228,6 +228,19 @@ class TestParseArgs:
         assert run(parse_args([*angles, "--beta1", token])) == \
             run(parse_args([*angles, f"--beta1={token}"]))
 
+    @pytest.mark.parametrize("argv", [["--a", "-0.5,1.5", "--b", "1"],
+                                      ["--a=-0.5,1.5", "--b", "1"],
+                                      ["--a", "1", "--b", "-1e-5,1.00001"]])
+    def test_schmidt_list_led_by_a_negative_is_a_domain_error(self, argv, capsys):
+        # A spaced list that starts with a negative number is read as the
+        # option's value, as the "=" spelling is.
+        assert main(["bound", *argv]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        error = json.loads(out.err)["error"]
+        assert error["type"] == "ValueError"
+        assert "must be strictly positive" in error["message"]
+
     def test_negative_exponent_angle_is_a_domain_error(self, capsys):
         assert main(["rate", "--theta", "-1e-5", "--eta", "0.3"]) == 1
         out = capsys.readouterr()
@@ -515,6 +528,20 @@ class TestRun:
             assert row["direct_success_prob"] == direct_success_prob(theta, eta)
             assert (row["lower_bound"], row["upper_bound"]) == projection_bounds(theta, eta)
 
+    def test_sweep_rows_equal_the_rate_report(self):
+        # Each bound is its direct outcome's Born weight in the rate report,
+        # outcome 2 the lower and outcome 1 the upper, and the direct-success
+        # probability their sum.
+        _, report = run(parse_args(["sweep", "--grid", "50", "--format", "json"]))
+        for row in json.loads(report):
+            _, text = run(parse_args(["rate", "--theta", repr(row["theta"]),
+                                      "--eta", repr(row["eta"])]))
+            rate = json.loads(text)
+            upper, lower = (r["clare_prob"] for r in rate["per_outcome"][:2])
+            assert row["p_ms"] == rate["p_ms"]
+            assert (row["lower_bound"], row["upper_bound"]) == (lower, upper)
+            assert row["direct_success_prob"] == lower + upper
+
     @pytest.mark.parametrize("grid", list(range(1, 13)) + [25, 50])
     def test_sweep_reports_are_what_csv_and_json_write(self, grid):
         angles = repeater._grid_angles(grid).tolist()
@@ -688,12 +715,22 @@ class TestMain:
         assert out.out == ""
         assert json.loads(out.err)["error"]["type"] == "UsageError"
 
-    def test_underflowing_ceiling_is_quiet(self, capsys):
-        # 0.6 * 1e-320 is subnormal and its reciprocal overflows: the ceiling is 0.
+    def test_subnormal_product_ceiling_is_quiet(self, capsys):
+        # 0.6 * 1e-320 is subnormal, and its reciprocal would overflow
+        # unless it is taken against the product's power of two.
+        mpmath = pytest.importorskip("mpmath")
         assert main(["bound", "--a", "0.6,0.4", "--b", "1e-320,1"]) == 0
         out = capsys.readouterr()
         assert out.err == ""
-        assert json.loads(out.out)["p_max"] == 0.0
+        report = json.loads(out.out)
+        with mpmath.workdps(60):
+            # The ceiling pairs a with b in reverse order.
+            a, b = map(mpmath.mpf, (0.6, 0.4)), map(mpmath.mpf, (1e-320, 1.0))
+            exact = float(2 / sum(1 / (x * y) for x, y in zip(a, b)))
+        # The product and the ceiling each round once to the subnormal grid.
+        assert abs(report["p_max"] - exact) <= 2 * 5e-324
+        assert abs(report["achieved_p"] - report["p_max"]) <= 5e-324
+        assert report["post_fidelity"] == pytest.approx(1.0, abs=1e-12)
 
     def test_memory_error_exits_one(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):

@@ -346,15 +346,13 @@ class TestDirectSuccess:
     def test_equals_sum_of_direct_outcomes(self, theta, eta):
         result = run_protocol_analytic(theta, eta)
         direct = result.per_outcome[0].clare_prob + result.per_outcome[1].clare_prob
-        assert direct_success_prob(theta, eta) == pytest.approx(direct, abs=1e-12)
+        assert direct_success_prob(theta, eta) == direct
 
     @given(any_angles, any_angles)
     @settings(max_examples=100, deadline=None)
     def test_bounds_are_the_direct_outcome_probabilities(self, theta, eta):
         upper_outcome, lower_outcome = run_protocol_analytic(theta, eta).per_outcome[:2]
-        lower, upper = projection_bounds(theta, eta)
-        for bound, outcome in ((lower, lower_outcome), (upper, upper_outcome)):
-            assert abs(bound - outcome.clare_prob) <= 8 * EPS * bound + 8 * SUBNORMAL
+        assert projection_bounds(theta, eta) == (lower_outcome.clare_prob, upper_outcome.clare_prob)
 
     def test_equal_angles_grow_a_third_direct_outcome(self):
         for theta in np.linspace(0.05, np.pi / 4 - 0.01, 20):
