@@ -7,6 +7,11 @@ written in pieces as they are made: `bound` its operator row by row,
 `sweep` one slice of grid points at a time.  Every JSON or
 CSV report is one layout, built once from a skeleton of the report, filled
 from one tuple of cells (`_layout`); the error object is one json.dumps line.
+
+A canonical command line (each option once, by its full string, with a
+value its type takes) is read straight from its command's argparse
+actions; argparse reads every other, so its messages and help text are
+its own.  The options are declared once, in `_build_parser`.
 """
 
 from __future__ import annotations
@@ -191,17 +196,62 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """Validate a command line into argparse's namespace; raises UsageError on bad input.
 
     The namespace holds each option under its dest, angles in radians.  A
-    command line that starts with a command name goes straight to that
-    command's parser, which is what the top-level parser would hand it to;
-    any other goes through the top-level parser.
+    command line that starts with a command name is read against that
+    command's parser, which is what the top-level parser would hand it to:
+    a canonical one straight from the parser's actions (`_canonical`), any
+    other by argparse.  A line that starts with anything else goes through
+    the top-level parser.
     """
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return _checked(parser.parse_args(argv))
-    ns = command.parse_args(argv[1:])
+    ns = _canonical(command, argv[1:]) or command.parse_args(argv[1:])
     ns.command = argv[0]
     return _checked(ns)
+
+
+def _canonical(command: _Parser, args: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse makes of args, or None where argparse must read them.
+
+    Read here: each option given once, by one of its full strings, with one
+    value (--degrees with none) that is not led by "-" unless it is a
+    negative number, and that the option's type and choices take; every
+    required option and one of each exclusive group given.  Any other line
+    (-h, "=", an abbreviation, "--", a repeat, a bad or missing value or
+    option) is None, so argparse writes each message and help text.
+    """
+    ns = argparse.Namespace(**{a.dest: a.default for a in command._actions
+                               if a.default is not argparse.SUPPRESS})
+    seen = set()
+    tokens = iter(args)
+    for token in tokens:
+        action = command._option_string_actions.get(token)
+        if action in seen:
+            return None
+        seen.add(action)
+        if isinstance(action, argparse._StoreConstAction):
+            setattr(ns, action.dest, action.const)
+            continue
+        value = next(tokens, "-")  # a missing value reads as "-", which argparse reads
+        if (not isinstance(action, argparse._StoreAction)
+                or value.startswith("-") and not _NEGATIVE_NUMBER.match(value)):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        setattr(ns, action.dest, value)
+    if any(a.required and a not in seen for a in command._actions):
+        return None
+    for group in command._mutually_exclusive_groups:
+        given = len(seen.intersection(group._group_actions))
+        if given > 1 or group.required and not given:
+            return None
+    return ns
 
 
 def _checked(ns: argparse.Namespace) -> argparse.Namespace:

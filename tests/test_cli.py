@@ -1,10 +1,12 @@
 """Command-line layer: parsing, dispatch, serialization, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -56,6 +58,19 @@ BAD_MEASUREMENT_FILES = {
         np.zeros((4, 4)))),
 }
 
+
+
+def readme_cli_lines() -> list[tuple[list[str], str]]:
+    """Each line of the README's CLI block, its comment dropped: its argv and its "> file" or ""."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, target = line.split("#", 1)[0].partition(">")
+        program, *argv = command.split()
+        assert program == "repeaterlab"
+        lines.append((argv, target.strip()))
+    return lines
 
 
 def child_env() -> dict:
@@ -254,17 +269,34 @@ def _top_level(argv):
     return cli._checked(parser.parse_args(argv))
 
 
-def _outcome(parse, argv, capsys):
+def _outcome(parse, argv):
     """A parsed namespace, or the UsageError message, or the -h exit code with its stdout."""
+    out = io.StringIO()
     try:
-        return parse(argv)
+        with contextlib.redirect_stdout(out):
+            return parse(argv)
     except UsageError as exc:
         return ("UsageError", str(exc))
     except SystemExit as exc:
-        return ("SystemExit", exc.code, capsys.readouterr().out)
+        return ("SystemExit", exc.code, out.getvalue())
 
+
+# One canonical command line per command: each option once, by its full
+# string, with a value its type takes.
+CANONICAL_LINES = [
+    ["rate", "--theta", "0.3", "--eta", "0.6", "--beta1", "-1e-5", "--beta2", "0.2",
+     "--format", "csv", "--output", "rate.csv"],
+    ["basis", "--degrees", "--theta", "30", "--eta", "45", "--format", "json"],
+    ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "1000", "--seed", "7"],
+    ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement-file", "m.txt",
+     "--tol", "1e-6"],
+    ["bound", "--a", "-0.5,1.5", "--b", "0.5,0.5", "--format", "csv"],
+    ["sweep", "--grid", "7", "--format", "json"],
+    ["compare", "--theta", "0.3", "--eta", "0.6"],
+]
 
 DISPATCH_CASES = [
+    *CANONICAL_LINES,
     [], ["-h"], ["--help"], ["--he"], ["swap"], ["rat"], ["-x"], ["--theta", "0.3"],
     ["rate", "--theta", "0.3", "--eta", "0.6"],
     ["rate", "--the", "0.3", "--et", "0.6", "--deg"],
@@ -287,19 +319,135 @@ DISPATCH_CASES = [
     ["compare", "--theta", "0.3", "--eta", "0.6", "--format", "csv"],
     ["basis", "--theta", "0.3", "--eta", "0.6", "-h"],
     ["rate", "--he"],
+    # Options in another order than the parser declares them.
+    ["rate", "--format", "csv", "--eta", "0.6", "--degrees", "--theta", "30"],
+    ["criterion", "--tol", "1e-6", "--measurement", "bell", "--eta", "0.6", "--theta", "0.3"],
+    # A repeated option: argparse keeps the last.
+    ["rate", "--theta", "0.3", "--eta", "0.6", "--theta", "0.4"],
+    ["rate", "--theta", "0.3", "--eta", "0.6", "--format", "csv", "--format", "json"],
+    ["rate", "--theta", "0.3", "--eta", "0.6", "--degrees", "--degrees"],
+    ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement", "BELL"],
+    ["simulate", "--theta", "0.3", "--eta", "0.6", "--n", "1e3"],
+    ["bound", "--a", "0.5,0.5", "--b"],
+    ["rate", "--theta", "0.3", "--eta", "0.6", "--output", "-"],
+    ["sweep", "--output", "-x"],
+    ["sweep", "--output", "--grid", "7"],
+    ["sweep", "--format", "json", "--output"],
+    ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement-file", ""],
+    ["criterion", "--theta", "0.3", "--eta", "0.6", "--measurement-file", "", "--measurement",
+     "bell"],
+    ["sweep"],
+    ("rate", "--theta", "0.3", "--eta", "0.6"),
+    ("bound", "--a", "0.5,0.5", "--b", "0.7,0.3", "--format", "csv"),
 ] + [[command, "-h"] for command in
      ("rate", "basis", "simulate", "criterion", "bound", "sweep", "compare")]
 
 
+# Values each option's type takes.
+_VALUES = {
+    cli._finite: st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    cli._tolerance: st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    int: st.integers(1, MAX_SAMPLES).map(str),
+    cli._schmidt_list: st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
+        lambda w: ",".join(repr(x / sum(w)) for x in w)),
+    None: st.sampled_from(("out.json", "m.txt", "a b")),
+}
+# Odd values: negative, non-finite, malformed, empty, "-"-led, or not among the choices.
+_ODD_VALUES = st.sampled_from((
+    "", "-", "--", "-x", "- x", "-h", "-1", "-1e-9", "-.5", "-0.5,1.5", "nan", "-inf", "1e999",
+    "1_0", "1e3", " 7", "\u0663", "0.5,x", "0.5,0.4", ",", "abc", "BELL"))
+_STRAYS = st.sampled_from(("-h", "--help", "--", "extra"))
+
+
+@st.composite
+def _option_tokens(draw, action):
+    """An option's full string and a value its type takes (none for a flag)."""
+    (option,) = action.option_strings
+    if action.nargs == 0:
+        return [option]
+    return [option, draw(st.sampled_from(action.choices) if action.choices else
+                         _VALUES[action.type])]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line built from a command's own actions, then edited.
+
+    Each required option and about half the others are given, in any order,
+    each by its full string with a value its type takes.  Up to three edits
+    follow: an option dropped, repeated, abbreviated, given with "=", with
+    no value or with an odd one, or a stray -h, "--" or word put in.
+    """
+    _, commands = cli._build_parser()
+    name = draw(st.sampled_from(sorted(commands)))
+    actions = [a for a in commands[name]._actions if a.dest != "help"]
+    picked = [a for a in actions if a.required or draw(st.booleans())]
+    groups = [draw(_option_tokens(a)) for a in draw(st.permutations(picked))]
+    for edit in draw(st.lists(st.sampled_from(("drop", "repeat", "abbreviate", "equals",
+                                               "bare", "odd", "stray")), max_size=3)):
+        at = draw(st.integers(0, len(groups)))
+        if edit == "repeat":
+            groups.insert(at, draw(_option_tokens(draw(st.sampled_from(actions)))))
+        elif edit == "stray":
+            groups.insert(at, [draw(_STRAYS)])
+        elif at < len(groups):
+            option, *value = groups[at]
+            if edit == "drop":
+                del groups[at]
+            elif edit == "abbreviate" and len(option) > 2:
+                groups[at] = [option[:draw(st.integers(2, len(option) - 1))], *value]
+            elif edit == "equals":
+                groups[at] = [f"{option}={''.join(value)}"]
+            elif edit == "bare":
+                groups[at] = [option]
+            elif edit == "odd" and value:
+                groups[at] = [option, draw(_ODD_VALUES)]
+    return [name, *itertools.chain.from_iterable(groups)]
+
+
 class TestDispatch:
     @pytest.mark.parametrize("argv", DISPATCH_CASES, ids=" ".join)
-    def test_same_as_the_top_level_parser(self, argv, capsys):
-        assert _outcome(parse_args, argv, capsys) == _outcome(_top_level, argv, capsys)
+    def test_same_as_the_top_level_parser(self, argv):
+        assert _outcome(parse_args, argv) == _outcome(_top_level, argv)
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_any_spelling_reads_as_the_top_level_parser_reads_it(self, argv):
+        assert _outcome(parse_args, argv) == _outcome(_top_level, argv)
 
     def test_every_command_is_dispatched(self):
         _, commands = cli._build_parser()
         assert set(commands) == {"rate", "basis", "simulate", "criterion", "bound",
                                  "sweep", "compare"}
+
+
+class _ArgparseReached(Exception):
+    """Raised by a patched argparse parse, so a test sees that argparse read the line."""
+
+
+class TestCanonicalLines:
+    """A canonical command line is read from its command's actions, without argparse's parse."""
+
+    @pytest.fixture(autouse=True)
+    def argparse_fails(self, monkeypatch):
+        def parse_known_args(self, args=None, namespace=None):
+            raise _ArgparseReached(args)
+        monkeypatch.setattr(cli._Parser, "parse_known_args", parse_known_args)
+
+    def test_every_command_has_a_canonical_line(self):
+        assert [argv[0] for argv in CANONICAL_LINES] == list(cli._build_parser()[1])
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in readme_cli_lines()] + CANONICAL_LINES,
+                             ids=" ".join)
+    def test_read_without_argparse(self, argv):
+        assert parse_args(argv).command == argv[0]
+
+    @pytest.mark.parametrize("argv", [["rate", "--the", "0.3", "--eta", "0.6"],
+                                      ["rate", "--theta", "0.3", "--eta=0.6"],
+                                      ["rate", "-h"]], ids=" ".join)
+    def test_any_other_spelling_reaches_argparse(self, argv):
+        with pytest.raises(_ArgparseReached):
+            parse_args(argv)
 
 
 def _count_gram_checks(monkeypatch):
@@ -664,19 +812,13 @@ class TestRun:
 
 class TestMain:
     def test_readme_examples_run(self, capsys, monkeypatch, tmp_path):
-        # Each line of the README's CLI block, its comment dropped; a "> file"
-        # redirect writes the report there, as the basis line writes meas.txt.
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        # A "> file" redirect writes the report there, as the basis line writes meas.txt.
         monkeypatch.chdir(tmp_path)
-        for line in block.splitlines():
-            command, _, target = line.split("#", 1)[0].partition(">")
-            program, *argv = command.split()
-            assert program == "repeaterlab"
-            assert main(argv) == 0, line
+        for argv, target in readme_cli_lines():
+            assert main(argv) == 0, argv
             report = capsys.readouterr().out
-            if target.strip():
-                (tmp_path / target.strip()).write_text(report, encoding="utf-8")
+            if target:
+                (tmp_path / target).write_text(report, encoding="utf-8")
         assert (tmp_path / "meas.txt").is_file()
 
     def test_success_prints_to_stdout(self, capsys):
