@@ -7,6 +7,9 @@ written in pieces as they are made: `bound` its operator row by row,
 `sweep` one slice of grid points at a time.  Every JSON or
 CSV report is one layout, built once from a skeleton of the report, filled
 from one tuple of cells (`_layout`); the error object is one json.dumps line.
+`rate`, `simulate`, `compare` and `criterion` each report a library record:
+its skeleton and its cells are both walked from its dataclass fields, and
+its type's layout is built on first use (`_record_report`).
 
 A canonical command line (each option once, by its full string, with a
 value its type takes) is read straight from its command's argparse
@@ -18,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -31,10 +36,10 @@ import numpy as np
 
 from . import qmath
 from .bounds import BoundResult, achieving_operator
-from .criterion import _verdict, measurement_from_text
-from .repeater import (MAX_SAMPLES, _checked_angles, _fields, _grid_angles, _grid_table,
-                       _tuned_outcomes, bell_kets, build_optimal_basis, compare_with_bell,
-                       computational_kets, run_protocol_sampled)
+from .criterion import CriterionReport, _verdict, measurement_from_text
+from .repeater import (MAX_SAMPLES, _checked_angles, _grid_angles, _grid_table, bell_kets,
+                       build_optimal_basis, compare_with_bell, computational_kets,
+                       run_protocol_analytic, run_protocol_sampled)
 
 SEED_ENV_VAR = "REPEATERLAB_SEED"
 BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
@@ -168,7 +173,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     group.add_argument("--measurement-file", dest="measurement_file",
                        help="matrix text file with four dim-4 kets or 4x4 projectors")
     p.add_argument("--tol", dest="tolerance", type=_tolerance, default=qmath.FLAG_TOL,
-                   help="tolerance for the optimality flag")
+                   help="tolerance of the optimality flag on the rate's relative shortfall")
     add_output(p, ("json", "csv"), "json")
 
     p = add_command("bound", "general-dimension success ceiling and reaching operator")
@@ -292,17 +297,18 @@ def _template(skeleton) -> str:
 def _layout(skeleton: dict) -> dict[str, str]:
     """A report's JSON and CSV templates, by format, built once from a skeleton of the report.
 
-    The skeleton is the report with its leaves left as fields: "%r" for a
+    The skeleton is the report with each leaf left as a field: "%r" for a
     float or an int, "%s" for a flag (filled with "true" or "false") or a
-    cell written beforehand; any other leaf is a constant.  The JSON
-    template is `_template(skeleton)`.  The CSV template is a header line
-    and one row, as csv.writer writes them: the top-level scalars, then the
-    scalars of each nested dict as dotted columns ("ledger.bob_action_prob"),
-    in report order, a constant written as json writes it.  Each field
+    cell written beforehand.  The JSON template is `_template(skeleton)`.
+    The CSV template is a header line and one row, as csv.writer writes
+    them: the top-level scalars, then the scalars of each nested dict as
+    dotted columns ("ledger.bob_action_prob"), in report order.  Each field
     inside a list is a `%.0s` field of the row, which takes its cell and
     writes nothing, so one `%` from the same tuple of cells fills either
-    template.  Every cell is finite or an int (each command's cells say
-    why), and %r writes both as json does; no cell needs quoting in CSV.
+    template.  Every cell is finite or an int: a record's are made from
+    checked angles, finite kets and a `_tolerance`, the sweep's and bound's
+    as their comments say; %r writes both as json does, and no cell needs
+    quoting in CSV.
     """
     columns, row, sep = [], "", ""
     for key, value in skeleton.items():
@@ -313,8 +319,7 @@ def _layout(skeleton: dict) -> dict[str, str]:
                 row += "%.0s" * len(re.findall('"%[rs]"', json.dumps(leaf)))
             else:
                 columns.append(name)
-                cell = leaf if leaf in ("%r", "%s") else json.dumps(leaf).replace("%", "%%")
-                row, sep = row + sep + cell, ","
+                row, sep = row + sep + leaf, ","
     return {"json": _template(skeleton),
             "csv": ",".join(columns).replace("%", "%%") + "\n" + row + "\n"}
 
@@ -432,55 +437,6 @@ def _sweep_report(grid: int, output_format: str) -> Iterator[str]:
     yield tail
 
 
-# The rate report of AnalyticResult.to_dict; the outcome numbers and the bit
-# count are fixed.
-_RATE = _layout({"theta": "%r",
-                 "eta": "%r",
-                 "p_ms": "%r",
-                 "per_outcome": [{"outcome": index,
-                                  "clare_prob": "%r",
-                                  "maximal": "%s",
-                                  "bob_success_prob": "%r",
-                                  "success_prob": "%r",
-                                  "post_state": [["%r", "%r"]] * 4}
-                                 for index in range(1, 5)],
-                 "ledger": {"classical_bits_sent": 2,
-                            "local_measurements_expected": "%r",
-                            "bob_action_prob": "%r"}})
-
-
-def _rate_cells(config: argparse.Namespace) -> tuple:
-    """The rate report's cells, from the kernel's arrays; all finite for checked angles.
-
-    A post state's (re, im) pairs are its interleaved view.
-    """
-    theta, eta, out = _tuned_outcomes(config.theta, config.eta, config.beta1, config.beta2)
-    fields = _fields(out)
-    cells = [theta, eta, fields.p_ms]
-    for p, maximal, q, success, post in zip(fields.clare_prob, fields.maximal,
-                                            fields.bob_success_prob, fields.success_prob,
-                                            out.post_state.view(np.float64).tolist()):
-        cells += (p, "true" if maximal else "false", q, success, *post)
-    cells += (1.0 + fields.bob_action_prob, fields.bob_action_prob)
-    return tuple(cells)
-
-
-def _criterion_measurement(config: argparse.Namespace) -> np.ndarray:
-    """The measurement's kets as the rows of a (4, 4) array, checked to be orthonormal at most once.
-
-    The built-in bases are orthonormal as built and go unchecked; a file's
-    kets are checked where the file is read.
-    """
-    if config.measurement == "bell":
-        return bell_kets()
-    if config.measurement == "optimal":
-        return build_optimal_basis(config.theta, config.eta).kets
-    if config.measurement == "computational":
-        return computational_kets()
-    with open(config.measurement_file, encoding="utf-8") as fh:
-        return measurement_from_text(fh.read())
-
-
 _BASIS = _layout({"theta": "%r", "eta": "%r", "beta1": "%r", "beta2": "%r",
                   "kets": np.full((4, 4, 2), "%r").tolist()})
 
@@ -494,71 +450,91 @@ def _basis_report(config: argparse.Namespace) -> str:
                              *basis.kets.view(np.float64).ravel().tolist())
 
 
-# The simulate report of SampledResult.to_dict.
-_SIMULATE = _layout({"theta": "%r",
-                     "eta": "%r",
-                     "n": "%r",
-                     "seed": "%r",
-                     "estimate": "%r",
-                     "stderr": "%r",
-                     "ledger_stats": {"classical_bits_mean": "%r",
-                                      "local_measurements_mean": "%r",
-                                      "bob_acted_freq": "%r",
-                                      "outcome_counts": ["%r"] * 4}})
+def _skeleton(value):
+    """The skeleton of a record's report, its fields walked in declaration order, as to_dict.
 
-
-def _simulate_cells(config: argparse.Namespace) -> tuple:
-    """The simulate report's cells, from its record's fields.
-
-    The seed, n and the counts are ints, and the rest are finite floats at
-    checked angles.
+    A flag is "%s", an int or a float "%r" and a complex array nested
+    [re, im] lists of "%r"; a record or a dict is a dict of its fields'
+    skeletons, and a list or a tuple a list.  Leaves are told by their
+    exact type, as in `_cells`, so a numpy scalar is no leaf and raises.
     """
-    result = run_protocol_sampled(config.theta, config.eta, config.n_samples, config.seed)
-    stats = result.ledger_stats
-    return (result.theta, result.eta, result.n, result.seed, result.estimate, result.stderr,
-            stats["classical_bits_mean"], stats["local_measurements_mean"],
-            stats["bob_acted_freq"], *stats["outcome_counts"])
+    kind = type(value)
+    if kind is bool or kind is int or kind is float:
+        return "%s" if kind is bool else "%r"
+    if kind is np.ndarray:
+        return np.full(value.shape + (2,), "%r").tolist()
+    if kind is list or kind is tuple:
+        return [_skeleton(v) for v in value]
+    if kind is dict:
+        return {k: _skeleton(v) for k, v in value.items()}
+    return {f.name: _skeleton(getattr(value, f.name)) for f in dataclasses.fields(value)}
 
 
-# The compare report of ComparisonRecord.to_dict.
-_BRANCH_SKELETON = {"p_ms": "%r", "bob_action_prob": "%r",
-                    "expected_local_measurements": "%r", "classical_bits_sent": "%r"}
-_COMPARE = _layout({"theta": "%r", "eta": "%r", "optimal": _BRANCH_SKELETON,
-                    "bell": _BRANCH_SKELETON, "rates_equal": "%s"})
+@functools.cache
+def _field_values(record_type: type) -> Callable[[object], tuple]:
+    """The getter of a record's field values, in declaration order (each has two or more)."""
+    return operator.attrgetter(*(f.name for f in dataclasses.fields(record_type)))
 
 
-def _compare_cells(config: argparse.Namespace) -> tuple:
-    """The compare report's cells, from its record; its rates are finite at checked angles."""
-    record = compare_with_bell(config.theta, config.eta)
-    cells = [record.theta, record.eta]
-    for branch in (record.optimal, record.bell):
-        cells += (branch.p_ms, branch.bob_action_prob, branch.expected_local_measurements,
-                  branch.classical_bits_sent)
-    cells.append("true" if record.rates_equal else "false")
-    return tuple(cells)
+def _cells(value, cells: list) -> list:
+    """cells with the cells of a record, dict, list or tuple appended, in its skeleton's order.
 
-
-# The criterion report of CriterionReport.to_dict.
-_CRITERION = _layout({"lhs": "%r", "rhs": "%r", "p_s": "%r", "optimal": "%s",
-                      "tolerance": "%r"})
-
-
-def _criterion_cells(config: argparse.Namespace) -> tuple:
-    """The criterion report's cells, from its record's fields.
-
-    The tolerance is finite, by `_tolerance`, and so are the sums of finite
-    kets at checked angles.
+    A flag is "true" or "false", an int or a float itself, and a complex
+    array its interleaved (re, im) floats.
     """
+    kind = type(value)
+    if kind is dict:
+        value = value.values()
+    elif kind is not list and kind is not tuple:
+        value = _field_values(kind)(value)
+    for v in value:
+        kind = type(v)
+        if kind is float or kind is int:
+            cells.append(v)
+        elif kind is bool:
+            cells.append("true" if v else "false")
+        elif kind is np.ndarray:
+            cells += v.view(np.float64).ravel().tolist()
+        else:
+            _cells(v, cells)
+    return cells
+
+
+# Each record type's layout, from its first record: a type fixes its shapes and lengths.
+_RECORD_LAYOUTS: dict[type, dict[str, str]] = {}
+
+
+def _record_report(record, output_format: str) -> str:
+    """The report of a record: its type's layout, filled with its cells."""
+    layout = _RECORD_LAYOUTS.get(type(record))
+    if layout is None:
+        layout = _RECORD_LAYOUTS[type(record)] = _layout(_skeleton(record))
+    return layout[output_format] % tuple(_cells(record, []))
+
+
+def _criterion_record(config: argparse.Namespace) -> CriterionReport:
+    """The verdict on the measurement, its kets checked to be orthonormal at most once."""
     # The angles are checked before a file is read, so a bad angle is the error reported.
     theta, eta = _checked_angles(config.theta, config.eta)
-    report = _verdict(_criterion_measurement(config), theta, eta, config.tolerance)
-    return (report.lhs, report.rhs, report.p_s, "true" if report.optimal else "false",
-            report.tolerance)
+    if config.measurement == "bell":
+        kets = bell_kets()
+    elif config.measurement == "optimal":
+        kets = build_optimal_basis(theta, eta).kets
+    elif config.measurement == "computational":
+        kets = computational_kets()
+    else:
+        with open(config.measurement_file, encoding="utf-8") as fh:
+            kets = measurement_from_text(fh.read())
+    return _verdict(kets, theta, eta, config.tolerance)
 
 
-# Each record command's layout and the function of its config that gives its cells.
-_RECORDS = {"rate": (_RATE, _rate_cells), "simulate": (_SIMULATE, _simulate_cells),
-            "criterion": (_CRITERION, _criterion_cells), "compare": (_COMPARE, _compare_cells)}
+# Each record command's record, from its config.
+_RECORDS = {
+    "rate": lambda c: run_protocol_analytic(c.theta, c.eta, c.beta1, c.beta2),
+    "simulate": lambda c: run_protocol_sampled(c.theta, c.eta, c.n_samples, c.seed),
+    "compare": lambda c: compare_with_bell(c.theta, c.eta),
+    "criterion": _criterion_record,
+}
 
 
 def _error(exc: Exception, **context) -> str:
@@ -580,8 +556,7 @@ def _report(config: argparse.Namespace) -> Iterator[str]:
     elif config.command == "basis":
         yield _basis_report(config)
     else:
-        layout, cells_of = _RECORDS[config.command]
-        yield layout[fmt] % cells_of(config)
+        yield _record_report(_RECORDS[config.command](config), fmt)
 
 
 def _emit(config: argparse.Namespace,

@@ -84,9 +84,11 @@ def is_optimal(kets: Sequence[np.ndarray], theta: float, eta: float,
                tol: float = qmath.FLAG_TOL) -> CriterionReport:
     """Full report: closed-form sum, target, delivered rate, and the verdict.
 
-    Raises ValueError for a negative or non-finite tol, and when the two
-    routes disagree: the delivered rate must equal 1 - lhs within
-    qmath.LOOSE_ATOL.
+    The verdict is that p_s falls short of the optimal rate 1 - rhs =
+    2 sin^2(min angle) by at most tol times that rate, plus 8 steps of the
+    subnormal grid for rounding; the shortfall is lhs - rhs by the closed
+    form.  Raises ValueError for a negative or non-finite tol, and when the
+    two routes disagree: p_s must equal 1 - lhs within qmath.LOOSE_ATOL.
     """
     tol = float(tol)
     if not math.isfinite(tol):
@@ -108,8 +110,10 @@ def _verdict(phi: np.ndarray, theta: float, eta: float, tol: float) -> Criterion
     if not gap <= qmath.LOOSE_ATOL:
         raise ValueError(f"delivered rate {p_s!r} and closed form 1 - lhs = {1.0 - lhs!r} "
                          f"disagree by {gap:.3e} (> {qmath.LOOSE_ATOL:.0e})")
-    return CriterionReport(lhs=lhs, rhs=rhs, p_s=p_s,
-                           optimal=abs(lhs - rhs) <= tol, tolerance=float(tol))
+    best = 2.0 * math.sin(min(theta, eta)) ** 2
+    # Subnormal rates round apart by up to 5 grid steps: 4 outcome weights and a square.
+    optimal = best - p_s <= tol * best + 8 * math.ulp(0.0)
+    return CriterionReport(lhs=lhs, rhs=rhs, p_s=p_s, optimal=optimal, tolerance=float(tol))
 
 
 def _projector_kets(p: np.ndarray) -> np.ndarray:

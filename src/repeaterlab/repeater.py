@@ -80,12 +80,13 @@ class OptimalBasis:
 class _Record:
     """Base of a dataclass whose report, to_dict, lists its fields in declaration order.
 
-    A nested record becomes its own report, and an array nested [re, im] lists.
+    A nested record becomes its own report, a tuple of them a list, an array [re, im] lists.
     """
 
     def to_dict(self) -> dict:
         return asdict(self, dict_factory=lambda items: {
-            k: qmath.as_real_pairs(v) if isinstance(v, np.ndarray) else v for k, v in items})
+            k: qmath.as_real_pairs(v) if isinstance(v, np.ndarray)
+            else list(v) if isinstance(v, tuple) else v for k, v in items})
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,30 +102,28 @@ class OutcomeRecord(_Record):
 
 
 @dataclass(frozen=True, eq=False)
-class AnalyticResult:
+class Ledger(_Record):
+    """Expected LOCC cost of one protocol run: Clare's two bits, and Bob's filter when he acts."""
+
+    classical_bits_sent: int
+    local_measurements_expected: float
+    bob_action_prob: float
+
+
+@dataclass(frozen=True, eq=False)
+class AnalyticResult(_Record):
     """Exact per-outcome breakdown of one protocol configuration."""
 
     theta: float
     eta: float
     p_ms: float
     per_outcome: tuple[OutcomeRecord, ...]
-    bob_action_prob: float
+    ledger: Ledger
 
-    def ledger(self) -> dict:
-        return {
-            "classical_bits_sent": 2,
-            "local_measurements_expected": 1.0 + self.bob_action_prob,
-            "bob_action_prob": self.bob_action_prob,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "eta": self.eta,
-            "p_ms": self.p_ms,
-            "per_outcome": [r.to_dict() for r in self.per_outcome],
-            "ledger": self.ledger(),
-        }
+    @property
+    def bob_action_prob(self) -> float:
+        """Probability that Bob has to filter."""
+        return self.ledger.bob_action_prob
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,35 +360,16 @@ def _grid_table(n: int) -> Iterator[tuple[np.ndarray, ...]]:
         yield (i, k, *_rate_table(angles[i], angles[k]))
 
 
-class _Fields(NamedTuple):
-    """An AnalyticResult's scalar fields as Python floats and lists, one entry per outcome."""
-
-    p_ms: float
-    clare_prob: list
-    maximal: list
-    bob_success_prob: list
-    success_prob: list
-    bob_action_prob: float
-
-
-def _fields(out: _Outcomes) -> _Fields:
-    """The scalar fields of the analysis of one configuration's outcomes."""
-    return _Fields(float(_rate(out)), out.clare_prob.tolist(), out.maximal.tolist(),
-                   out.bob_success_prob.tolist(), _success(out).tolist(),
-                   float(out.bob_action_prob))
-
-
 def _analysis(theta: float, eta: float, out: _Outcomes) -> AnalyticResult:
-    """Per-outcome breakdown at checked angles."""
-    fields = _fields(out)
-    records = tuple(
-        OutcomeRecord(outcome=index, clare_prob=p, post_state=post, maximal=maximal,
-                      bob_success_prob=q, success_prob=success)
-        for index, (p, post, maximal, q, success) in enumerate(
-            zip(fields.clare_prob, out.post_state, fields.maximal, fields.bob_success_prob,
-                fields.success_prob), start=1))
-    return AnalyticResult(theta=theta, eta=eta, p_ms=fields.p_ms, per_outcome=records,
-                          bob_action_prob=fields.bob_action_prob)
+    """Per-outcome breakdown at checked angles, every scalar a Python float, int or bool."""
+    bob = float(out.bob_action_prob)
+    # Outcomes 1 to 4, each record's fields in declaration order.
+    records = tuple(map(OutcomeRecord, range(1, 5), out.clare_prob.tolist(), out.maximal.tolist(),
+                        out.bob_success_prob.tolist(), _success(out).tolist(), out.post_state))
+    ledger = Ledger(classical_bits_sent=2, local_measurements_expected=1.0 + bob,
+                    bob_action_prob=bob)
+    return AnalyticResult(theta=theta, eta=eta, p_ms=float(_rate(out)), per_outcome=records,
+                          ledger=ledger)
 
 
 def _tuned_outcomes(theta: float, eta: float,

@@ -201,10 +201,6 @@ def test_one_success_weight_and_one_gram_bound():
 
 # The library's private names that cli imports, and why each stays.
 CLI_PRIVATE_IMPORTS = {
-    # rate's report, in either format, is filled from the kernel's arrays:
-    # building it from the public run_protocol_analytic result took ~15 us
-    # more per command.
-    "_tuned_outcomes", "_fields",
     # criterion checks a basis' kets once per command, where the file is read
     # (the built-in bases go unchecked), and hands them to the verdict
     # unchecked again.
@@ -225,6 +221,23 @@ def test_cli_imports_only_the_pinned_library_privates():
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 for alias in node.names if alias.name.startswith("_")}
     assert imported == CLI_PRIVATE_IMPORTS
+
+
+def test_only_the_hand_laid_reports_are_laid_out_at_import():
+    # The record commands' layouts are walked from their records on first
+    # use; only basis, bound and sweep, which report no record, lay theirs
+    # out by hand, at module level.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    laid_out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "_layout"):
+                assert isinstance(node, ast.Assign), ast.dump(node)
+                laid_out.update(t.id for t in node.targets)
+    assert laid_out == {"_BASIS", "_BOUND", "_SWEEP"}
 
 
 # numpy functions that are Python wrappers over one C-level call; the

@@ -549,6 +549,15 @@ class TestRun:
         assert payload["optimal"] is False
         assert payload["p_s"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_criterion_flag_at_a_small_optimal_rate(self):
+        # The optimal rate at --theta 1e-5 is 2e-10, below the default --tol:
+        # a basis that delivers none of it is still not optimal.
+        argv = ["criterion", "--theta", "1e-5", "--eta", "0.5", "--measurement"]
+        for measurement, optimal in (("computational", False), ("optimal", True)):
+            status, report = run(parse_args([*argv, measurement]))
+            assert status == 0
+            assert json.loads(report)["optimal"] is optimal, measurement
+
     def test_criterion_from_file(self, tmp_path):
         kets = build_optimal_basis(0.3, 0.6).kets
         path = tmp_path / "meas.txt"
@@ -1221,6 +1230,80 @@ class TestCsvReports:
         config = parse_args(["bound", "--a", a, "--b", b])
         report = _csv_report(["bound", "--a", a, "--b", b])
         assert report == _csv_of(achieving_operator(config.schmidt_a, config.schmidt_b))
+
+
+def _leaves(value):
+    """Every leaf of a record, in report order: the walk `cli._cells` makes."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif not isinstance(value, (list, tuple)):
+        return [value]
+    return [leaf for v in value for leaf in _leaves(v)]
+
+
+def _assert_record_leaves(argv):
+    """The record a command reports has plain leaves and its type's one skeleton."""
+    record = cli._RECORDS[argv[0]](parse_args(argv))
+    for leaf in _leaves(record):
+        # A numpy scalar would be written by %r as np.float64(...), or raise.
+        assert type(leaf) in (bool, int, float) or (
+            type(leaf) is np.ndarray and leaf.dtype == np.complex128
+            and leaf.flags.c_contiguous), (argv, type(leaf))
+    # The layout is built once per record type, from its first record.
+    reference = cli._RECORDS[argv[0]](parse_args([argv[0], *REFERENCE_ARGS[argv[0]]]))
+    assert type(record) is type(reference)
+    assert cli._skeleton(record) == cli._skeleton(reference), argv
+
+
+# A command line per record command, its angles and source omitted.
+REFERENCE_ARGS = {"rate": _angles(0.3, 0.6), "compare": _angles(0.3, 0.6),
+                  "simulate": [*_angles(0.3, 0.6), "--n", "1000", "--seed", "1"],
+                  "criterion": [*_angles(0.3, 0.6), "--measurement", "bell"]}
+
+
+class TestRecordLeaves:
+    """Each record command's record, over its inputs, against the walkers' assumptions."""
+
+    def test_every_record_command_is_covered(self):
+        assert set(REFERENCE_ARGS) == set(cli._RECORDS)
+
+    @given(rate_inputs())
+    @example((5e-324, 5e-324, 0.0, 0.0))
+    @example((QUARTER_PI, QUARTER_PI, -0.0, 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_rate(self, inputs):
+        theta, eta, beta1, beta2 = inputs
+        _assert_record_leaves(["rate", *_angles(theta, eta), "--beta1", repr(beta1),
+                               "--beta2", repr(beta2)])
+
+    @given(angle_pairs(), st.integers(1, MAX_SAMPLES), st.integers(0, 2 ** 128 - 1))
+    @example((5e-324, QUARTER_PI), MAX_SAMPLES, 2 ** 128 - 1)
+    @settings(max_examples=100, deadline=None)
+    def test_simulate(self, angles, n, seed):
+        _assert_record_leaves(["simulate", *_angles(*angles), "--n", str(n), "--seed", str(seed)])
+
+    @given(angle_pairs())
+    @example((5e-324, 5e-324))
+    @settings(max_examples=100, deadline=None)
+    def test_compare(self, angles):
+        _assert_record_leaves(["compare", *_angles(*angles)])
+
+    @given(angle_pairs(), st.sampled_from(cli.BUILTIN_MEASUREMENTS + ("file",)),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 5e-324, 1e300, qmath.FLAG_TOL]))
+    @example((1e-5, 0.5), "computational", 0, qmath.FLAG_TOL)
+    @settings(max_examples=100, deadline=None)
+    def test_criterion(self, tmp_path_factory, angles, measurement, seed, tol):
+        if measurement == "file":
+            path = tmp_path_factory.getbasetemp() / "leaves-kets.txt"
+            path.write_text("".join(qmath.format_matrix_text(k) for k in
+                                    random_orthonormal_kets(np.random.default_rng(seed))),
+                            encoding="utf-8")
+            source = ["--measurement-file", str(path)]
+        else:
+            source = ["--measurement", measurement]
+        _assert_record_leaves(["criterion", *_angles(*angles), *source, "--tol", repr(tol)])
 
 
 def _json_pairs_text(a, newline):

@@ -235,6 +235,29 @@ class TestIsOptimal:
             assert report.optimal
             assert abs(report.lhs - report.rhs) <= 1e-12
 
+    def test_the_flag_at_subnormal_rates(self):
+        # Where the optimal rate is subnormal, tol times it underflows and the
+        # rates round to the subnormal grid: the tuned and Bell bases stay
+        # optimal, and a basis that delivers nothing is not, down to an
+        # optimal rate of a few grid steps.
+        rng = np.random.default_rng(11)
+        for theta in np.geomspace(1e-165, 1e-150, 300).tolist():
+            eta = float(rng.uniform(theta, np.pi / 4))
+            for kets in (optimal_measurement(theta, eta, *rng.uniform(-3, 3, 2)), bell_kets()):
+                assert is_optimal(kets, theta, eta).optimal, theta
+        for theta in (1e-155, 1e-160, 5e-162):
+            assert not is_optimal(computational_kets(), theta, 0.5).optimal, theta
+
+    def test_the_shortfall_is_lhs_minus_rhs(self):
+        # Over Haar bases at uniform angles, the rate's shortfall from the
+        # optimal rate is the closed form's lhs - rhs.
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            theta, eta = rng.uniform(0.0, np.pi / 4, 2)
+            report = is_optimal(random_orthonormal_kets(rng), theta, eta)
+            best = 2.0 * np.sin(min(theta, eta)) ** 2
+            assert abs((report.lhs - report.rhs) - (best - report.p_s)) <= 1e-12
+
     def test_tolerance_is_respected(self):
         meas = computational_kets()
         assert not is_optimal(meas, 0.3, 0.6, tol=1e-9).optimal

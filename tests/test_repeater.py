@@ -294,10 +294,11 @@ class TestAnalyticRate:
 
     def test_ledger(self):
         result = run_protocol_analytic(np.pi / 6, np.pi / 4)
-        ledger = result.ledger()
-        assert ledger["classical_bits_sent"] == 2
-        assert ledger["local_measurements_expected"] == pytest.approx(1.625, abs=1e-12)
-        assert ledger["bob_action_prob"] == pytest.approx(0.625, abs=1e-12)
+        ledger = result.ledger
+        assert ledger.classical_bits_sent == 2
+        assert ledger.local_measurements_expected == pytest.approx(1.625, abs=1e-12)
+        assert ledger.bob_action_prob == result.bob_action_prob
+        assert ledger.bob_action_prob == pytest.approx(0.625, abs=1e-12)
 
     def test_to_dict_is_json_ready(self):
         payload = run_protocol_analytic(0.3, 0.6).to_dict()
