@@ -7,12 +7,13 @@ written in pieces as they are made: `bound` its operator row by row,
 `sweep` one slice of grid points at a time.  Every JSON or
 CSV report is one layout, built once from a skeleton of the report, filled
 from one tuple of cells (`_layout`); the error object is one json.dumps line.
-`rate`, `simulate`, `compare` and `criterion` each report a library record:
-its skeleton and its cells are both walked from its dataclass fields, and
-its type's layout is built on first use (`_record_report`).
+`rate`, `basis`, `simulate`, `compare` and `criterion` each report a
+library record: its skeleton and its cells are both walked from its
+dataclass fields, and its type's layout is built on first use
+(`_record_report`).  Only `bound` and `sweep` lay out their reports by hand.
 
-A canonical command line (each option once, by its full string, with a
-value its type takes) is read straight from its command's argparse
+A canonical command line (each option by its full string, with a value
+its type takes) is read straight from its command's argparse
 actions; argparse reads every other, so its messages and help text are
 its own.  The options are declared once, in `_build_parser`.
 """
@@ -42,7 +43,12 @@ from .repeater import (MAX_SAMPLES, _checked_angles, _grid_angles, _grid_table, 
                        run_protocol_analytic, run_protocol_sampled)
 
 SEED_ENV_VAR = "REPEATERLAB_SEED"
-BUILTIN_MEASUREMENTS = ("bell", "optimal", "computational")
+# The built-in bases of `criterion --measurement`, each one's kets at checked angles.
+BUILTIN_MEASUREMENTS: dict[str, Callable[[float, float], np.ndarray]] = {
+    "bell": lambda theta, eta: bell_kets(),
+    "optimal": lambda theta, eta: build_optimal_basis(theta, eta).kets,
+    "computational": lambda theta, eta: computational_kets(),
+}
 # The sweep computes and writes one slice of grid points at a time, so its
 # memory does not grow with the grid, but its time does, as grid^2: at 500
 # points per angle a fresh process on a 2-core host peaks near 37 MB RSS
@@ -168,12 +174,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = add_command("criterion", "test a middle-station measurement for optimality")
     add_angles(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--measurement", choices=BUILTIN_MEASUREMENTS,
+    group.add_argument("--measurement", choices=tuple(BUILTIN_MEASUREMENTS),
                        help="one of the built-in bases")
     group.add_argument("--measurement-file", dest="measurement_file",
                        help="matrix text file with four dim-4 kets or 4x4 projectors")
     p.add_argument("--tol", dest="tolerance", type=_tolerance, default=qmath.FLAG_TOL,
-                   help="tolerance of the optimality flag on the rate's relative shortfall")
+                   help="tolerance of the optimality flag on the rate's relative shortfall "
+                        "(0: optimal up to rounding)")
     add_output(p, ("json", "csv"), "json")
 
     p = add_command("bound", "general-dimension success ceiling and reaching operator")
@@ -219,12 +226,13 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def _canonical(command: _Parser, args: list[str]) -> argparse.Namespace | None:
     """The namespace argparse makes of args, or None where argparse must read them.
 
-    Read here: each option given once, by one of its full strings, with one
-    value (--degrees with none) that is not led by "-" unless it is a
-    negative number, and that the option's type and choices take; every
-    required option and one of each exclusive group given.  Any other line
-    (-h, "=", an abbreviation, "--", a repeat, a bad or missing value or
-    option) is None, so argparse writes each message and help text.
+    Read here: each option by one of its full strings, with one value
+    (--degrees with none) that is not led by "-" unless it is a negative
+    number, and that the option's type and choices take; every required
+    option and one of each exclusive group given.  A repeated option keeps
+    its last value, as in argparse.  Any other line (-h, "=", an
+    abbreviation, "--", a bad or missing value or option) is None, so
+    argparse writes each message and help text.
     """
     ns = argparse.Namespace(**{a.dest: a.default for a in command._actions
                                if a.default is not argparse.SUPPRESS})
@@ -232,8 +240,6 @@ def _canonical(command: _Parser, args: list[str]) -> argparse.Namespace | None:
     tokens = iter(args)
     for token in tokens:
         action = command._option_string_actions.get(token)
-        if action in seen:
-            return None
         seen.add(action)
         if isinstance(action, argparse._StoreConstAction):
             setattr(ns, action.dest, action.const)
@@ -437,19 +443,6 @@ def _sweep_report(grid: int, output_format: str) -> Iterator[str]:
     yield tail
 
 
-_BASIS = _layout({"theta": "%r", "eta": "%r", "beta1": "%r", "beta2": "%r",
-                  "kets": np.full((4, 4, 2), "%r").tolist()})
-
-
-def _basis_report(config: argparse.Namespace) -> str:
-    """The kets as matrix text, or the JSON report of the angles, phases and [re, im] pairs."""
-    basis = build_optimal_basis(config.theta, config.eta, config.beta1, config.beta2)
-    if config.output_format == "text":
-        return "\n".join(qmath.format_matrix_text(k) for k in basis.kets) + "\n"
-    return _BASIS["json"] % (basis.theta, basis.eta, basis.beta1, basis.beta2,
-                             *basis.kets.view(np.float64).ravel().tolist())
-
-
 def _skeleton(value):
     """The skeleton of a record's report, its fields walked in declaration order, as to_dict.
 
@@ -516,12 +509,8 @@ def _criterion_record(config: argparse.Namespace) -> CriterionReport:
     """The verdict on the measurement, its kets checked to be orthonormal at most once."""
     # The angles are checked before a file is read, so a bad angle is the error reported.
     theta, eta = _checked_angles(config.theta, config.eta)
-    if config.measurement == "bell":
-        kets = bell_kets()
-    elif config.measurement == "optimal":
-        kets = build_optimal_basis(theta, eta).kets
-    elif config.measurement == "computational":
-        kets = computational_kets()
+    if config.measurement is not None:
+        kets = BUILTIN_MEASUREMENTS[config.measurement](theta, eta)
     else:
         with open(config.measurement_file, encoding="utf-8") as fh:
             kets = measurement_from_text(fh.read())
@@ -531,6 +520,7 @@ def _criterion_record(config: argparse.Namespace) -> CriterionReport:
 # Each record command's record, from its config.
 _RECORDS = {
     "rate": lambda c: run_protocol_analytic(c.theta, c.eta, c.beta1, c.beta2),
+    "basis": lambda c: build_optimal_basis(c.theta, c.eta, c.beta1, c.beta2),
     "simulate": lambda c: run_protocol_sampled(c.theta, c.eta, c.n_samples, c.seed),
     "compare": lambda c: compare_with_bell(c.theta, c.eta),
     "criterion": _criterion_record,
@@ -553,8 +543,9 @@ def _report(config: argparse.Namespace) -> Iterator[str]:
         yield from _sweep_report(config.grid, fmt)
     elif config.command == "bound":
         yield from _bound_report(config)
-    elif config.command == "basis":
-        yield _basis_report(config)
+    elif fmt == "text":  # basis's kets as matrix text
+        kets = _RECORDS["basis"](config).kets
+        yield "\n".join(qmath.format_matrix_text(k) for k in kets) + "\n"
     else:
         yield _record_report(_RECORDS[config.command](config), fmt)
 

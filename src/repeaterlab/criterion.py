@@ -85,8 +85,9 @@ def is_optimal(kets: Sequence[np.ndarray], theta: float, eta: float,
     """Full report: closed-form sum, target, delivered rate, and the verdict.
 
     The verdict is that p_s falls short of the optimal rate 1 - rhs =
-    2 sin^2(min angle) by at most tol times that rate, plus 8 steps of the
-    subnormal grid for rounding; the shortfall is lhs - rhs by the closed
+    2 sin^2(min angle) by at most tol times that rate, plus rounding: 16
+    eps of the rate and 8 steps of the subnormal grid, so tol = 0 means
+    optimal up to rounding.  The shortfall is lhs - rhs by the closed
     form.  Raises ValueError for a negative or non-finite tol, and when the
     two routes disagree: p_s must equal 1 - lhs within qmath.LOOSE_ATOL.
     """
@@ -111,8 +112,9 @@ def _verdict(phi: np.ndarray, theta: float, eta: float, tol: float) -> Criterion
         raise ValueError(f"delivered rate {p_s!r} and closed form 1 - lhs = {1.0 - lhs!r} "
                          f"disagree by {gap:.3e} (> {qmath.LOOSE_ATOL:.0e})")
     best = 2.0 * math.sin(min(theta, eta)) ** 2
-    # Subnormal rates round apart by up to 5 grid steps: 4 outcome weights and a square.
-    optimal = best - p_s <= tol * best + 8 * math.ulp(0.0)
+    # The rates round apart by up to ~9 eps of best where it is normal, and
+    # by up to 5 grid steps where it is subnormal: 4 outcome weights and a square.
+    optimal = best - p_s <= (tol + 16 * math.ulp(1.0)) * best + 8 * math.ulp(0.0)
     return CriterionReport(lhs=lhs, rhs=rhs, p_s=p_s, optimal=optimal, tolerance=float(tol))
 
 

@@ -13,7 +13,8 @@ LOOSE_ATOL = 1e-10
 # Angles up to pi/4 plus this (decimal-rounded pi/4, as in 0.7854) snap down to pi/4.
 BOUNDARY_SLACK = 1e-4
 # Default tolerance of the criterion's optimality flag: the delivered rate's
-# shortfall from the optimal rate, relative to that rate.
+# shortfall from the optimal rate, relative to that rate, beyond rounding
+# (a tolerance of 0 means optimal up to rounding).
 FLAG_TOL = 1e-9
 # How far a command-line Schmidt list may sum from 1 before it is renormalized.
 TEXT_SUM_ATOL = 1e-9

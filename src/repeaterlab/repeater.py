@@ -61,22 +61,6 @@ def _checked_amplitudes(theta: float, eta: float) -> tuple[float, float, np.ndar
     return theta, eta, _amplitudes(theta, eta)
 
 
-@dataclass(frozen=True, eq=False)
-class OptimalBasis:
-    """Clare's four-outcome basis tuned to the pair amplitudes.
-
-    Outcomes 1 and 2 project Alice and Bob straight onto maximally
-    entangled states; outcomes 3 and 4 leave the filterable remainders.
-    """
-
-    theta: float
-    eta: float
-    beta1: float
-    beta2: float
-    f: np.ndarray
-    kets: np.ndarray
-
-
 class _Record:
     """Base of a dataclass whose report, to_dict, lists its fields in declaration order.
 
@@ -87,6 +71,21 @@ class _Record:
         return asdict(self, dict_factory=lambda items: {
             k: qmath.as_real_pairs(v) if isinstance(v, np.ndarray)
             else list(v) if isinstance(v, tuple) else v for k, v in items})
+
+
+@dataclass(frozen=True, eq=False)
+class OptimalBasis(_Record):
+    """Clare's four-outcome basis tuned to the pair amplitudes: the report of `basis`.
+
+    Outcomes 1 and 2 project Alice and Bob straight onto maximally
+    entangled states; outcomes 3 and 4 leave the filterable remainders.
+    """
+
+    theta: float
+    eta: float
+    beta1: float
+    beta2: float
+    kets: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,11 +118,6 @@ class AnalyticResult(_Record):
     p_ms: float
     per_outcome: tuple[OutcomeRecord, ...]
     ledger: Ledger
-
-    @property
-    def bob_action_prob(self) -> float:
-        """Probability that Bob has to filter."""
-        return self.ledger.bob_action_prob
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +202,15 @@ def _orthonormal_kets(kets: Sequence[np.ndarray]) -> np.ndarray:
     return phi
 
 
+def _checked_phases(beta1: float, beta2: float) -> tuple[float, float]:
+    """Both free phases as floats; raises ValueError naming the first that is not finite."""
+    beta1, beta2 = float(beta1), float(beta2)
+    for name, value in (("beta1", beta1), ("beta2", beta2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    return beta1, beta2
+
+
 def build_optimal_basis(theta: float, eta: float,
                         beta1: float = 0.0, beta2: float = 0.0) -> OptimalBasis:
     """Construct Clare's tuned basis for the given pair angles.
@@ -217,12 +220,9 @@ def build_optimal_basis(theta: float, eta: float,
     as built and go unchecked.
     """
     theta, eta, f = _checked_amplitudes(theta, eta)
-    beta1, beta2 = float(beta1), float(beta2)
-    for name, value in (("beta1", beta1), ("beta2", beta2)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    beta1, beta2 = _checked_phases(beta1, beta2)
     return OptimalBasis(theta=theta, eta=eta, beta1=beta1, beta2=beta2,
-                        f=f, kets=_tuned_kets(f, beta1, beta2))
+                        kets=_tuned_kets(f, beta1, beta2))
 
 
 def bell_kets() -> np.ndarray:
@@ -375,8 +375,8 @@ def _analysis(theta: float, eta: float, out: _Outcomes) -> AnalyticResult:
 def _tuned_outcomes(theta: float, eta: float,
                     beta1: float = 0.0, beta2: float = 0.0) -> tuple[float, float, _Outcomes]:
     """Checked angles and every outcome of Clare's tuned basis."""
-    basis = build_optimal_basis(theta, eta, beta1, beta2)
-    return basis.theta, basis.eta, _outcomes(basis.f, basis.kets)
+    theta, eta, f = _checked_amplitudes(theta, eta)
+    return theta, eta, _outcomes(f, _tuned_kets(f, *_checked_phases(beta1, beta2)))
 
 
 def run_protocol_with_kets(theta: float, eta: float,
@@ -472,14 +472,14 @@ def compare_with_bell(theta: float, eta: float) -> ComparisonRecord:
     measurement whenever Clare's outcome already finished the job.  Both
     bases go through one kernel call.
     """
-    basis = build_optimal_basis(theta, eta)
+    theta, eta, f = _checked_amplitudes(theta, eta)
     kets = np.empty((2, 4, 4), dtype=complex)
-    kets[0], kets[1] = basis.kets, bell_kets()
-    out = _outcomes(basis.f, kets)
+    kets[0], kets[1] = _tuned_kets(f), bell_kets()
+    out = _outcomes(f, kets)
     p_ms = _rate(out).tolist()
     optimal, bell = (BranchSummary(p_ms=p, bob_action_prob=b, expected_local_measurements=1.0 + b)
                      for p, b in zip(p_ms, out.bob_action_prob.tolist()))
     return ComparisonRecord(
-        theta=basis.theta, eta=basis.eta, optimal=optimal, bell=bell,
+        theta=theta, eta=eta, optimal=optimal, bell=bell,
         rates_equal=abs(p_ms[0] - p_ms[1]) <= qmath.LOOSE_ATOL,
     )

@@ -225,8 +225,8 @@ def test_cli_imports_only_the_pinned_library_privates():
 
 def test_only_the_hand_laid_reports_are_laid_out_at_import():
     # The record commands' layouts are walked from their records on first
-    # use; only basis, bound and sweep, which report no record, lay theirs
-    # out by hand, at module level.
+    # use; only bound and sweep, which report no record, lay theirs out by
+    # hand, at module level.
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     laid_out = set()
     for node in tree.body:
@@ -237,7 +237,7 @@ def test_only_the_hand_laid_reports_are_laid_out_at_import():
                     and call.func.id == "_layout"):
                 assert isinstance(node, ast.Assign), ast.dump(node)
                 laid_out.update(t.id for t in node.targets)
-    assert laid_out == {"_BASIS", "_BOUND", "_SWEEP"}
+    assert laid_out == {"_BOUND", "_SWEEP"}
 
 
 # numpy functions that are Python wrappers over one C-level call; the

@@ -558,6 +558,14 @@ class TestRun:
             assert status == 0
             assert json.loads(report)["optimal"] is optimal, measurement
 
+    def test_criterion_flag_at_tolerance_zero(self):
+        # --tol 0 is optimal up to rounding: the tuned basis' rate at these
+        # angles rounds a few ulps below 2 sin^2(theta).
+        status, report = run(parse_args(["criterion", "--theta", "0.1", "--eta", "0.2",
+                                         "--measurement", "optimal", "--tol", "0"]))
+        assert status == 0
+        assert json.loads(report)["optimal"] is True
+
     def test_criterion_from_file(self, tmp_path):
         kets = build_optimal_basis(0.3, 0.6).kets
         path = tmp_path / "meas.txt"
@@ -1053,27 +1061,6 @@ def rate_inputs(draw):
     return theta, eta, beta1, beta2
 
 
-class TestRateReport:
-    """The rate report, filled from the kernel's arrays, against json.dumps of to_dict."""
-
-    @given(rate_inputs())
-    @example((5e-324, 5e-324, 0.0, 0.0))
-    @example((5e-324, QUARTER_PI + qmath.BOUNDARY_SLACK, 1.0, -2.0))
-    @example((1e-300, 0.3, -0.0, 3.0))
-    @example((0.3, 0.3, 0.0, 0.0))
-    @example((QUARTER_PI, QUARTER_PI, 0.5, 0.5))
-    @settings(max_examples=300, deadline=None)
-    def test_equals_the_writer_on_to_dict(self, inputs):
-        theta, eta, beta1, beta2 = inputs
-        status, report = run(parse_args(["rate", "--theta", repr(theta), "--eta", repr(eta),
-                                         "--beta1", repr(beta1), "--beta2", repr(beta2)]))
-        assert status == 0
-        # json writes a non-finite float as NaN or Infinity, %r does not: equal
-        # reports also show that every cell is finite.
-        want = run_protocol_analytic(theta, eta, beta1, beta2).to_dict()
-        assert report == json.dumps(want, indent=2) + "\n"
-
-
 def _angles(theta, eta):
     return ["--theta", repr(theta), "--eta", repr(eta)]
 
@@ -1084,9 +1071,36 @@ def _json_of(result):
 
 
 class TestRecordReports:
-    """The simulate, compare and criterion reports, each one template fill, against
-    json.dumps of to_dict.  json writes a non-finite float as NaN or Infinity, %r
-    does not: equal reports also show that every cell is finite."""
+    """Every record report, each one template fill, against json.dumps of
+    to_dict.  json writes a non-finite float as NaN or Infinity, %r does not:
+    equal reports also show that every cell is finite."""
+
+    @given(rate_inputs())
+    @example((5e-324, 5e-324, 0.0, 0.0))
+    @example((5e-324, QUARTER_PI + qmath.BOUNDARY_SLACK, 1.0, -2.0))
+    @example((1e-300, 0.3, -0.0, 3.0))
+    @example((0.3, 0.3, 0.0, 0.0))
+    @example((QUARTER_PI, QUARTER_PI, 0.5, 0.5))
+    @settings(max_examples=300, deadline=None)
+    def test_rate(self, inputs):
+        theta, eta, beta1, beta2 = inputs
+        status, report = run(parse_args(["rate", *_angles(theta, eta), "--beta1", repr(beta1),
+                                         "--beta2", repr(beta2)]))
+        assert status == 0
+        assert report == _json_of(run_protocol_analytic(*inputs))
+
+    @given(rate_inputs())
+    @example((5e-324, 5e-324, 0.0, 0.0))
+    @example((5e-324, QUARTER_PI + qmath.BOUNDARY_SLACK, 1.7e308, -1.7e308))
+    @example((1e-300, 0.3, -0.0, 3.0))
+    @example((QUARTER_PI, QUARTER_PI, 0.5, -1e-5))
+    @settings(max_examples=300, deadline=None)
+    def test_basis(self, inputs):
+        theta, eta, beta1, beta2 = inputs
+        status, report = run(parse_args(["basis", *_angles(theta, eta), "--beta1", repr(beta1),
+                                         "--beta2", repr(beta2), "--format", "json"]))
+        assert status == 0
+        assert report == _json_of(build_optimal_basis(*inputs))
 
     @given(angle_pairs(), st.integers(1, MAX_SAMPLES), st.integers(0, 2 ** 128 - 1))
     @example((0.3, 0.6), 1, 0)
@@ -1123,7 +1137,7 @@ class TestRecordReports:
         assert status == 0
         assert report == _json_of(compare_with_bell(*angles))
 
-    @given(angle_pairs(), st.sampled_from(cli.BUILTIN_MEASUREMENTS + ("file",)),
+    @given(angle_pairs(), st.sampled_from(tuple(cli.BUILTIN_MEASUREMENTS) + ("file",)),
            st.integers(0, 2 ** 32 - 1),
            st.sampled_from([0.0, 5e-324, 1e300, qmath.FLAG_TOL]) | st.floats(0.0, 1e300))
     @example((0.3, 0.6), "bell", 0, 0.0)
@@ -1200,7 +1214,7 @@ class TestCsvReports:
     def test_compare(self, angles):
         assert _csv_report(["compare", *_angles(*angles)]) == _csv_of(compare_with_bell(*angles))
 
-    @given(angle_pairs(), st.sampled_from(cli.BUILTIN_MEASUREMENTS + ("kets", "projectors")),
+    @given(angle_pairs(), st.sampled_from(tuple(cli.BUILTIN_MEASUREMENTS) + ("kets", "projectors")),
            st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 5e-324, 1e300, qmath.FLAG_TOL]))
     @example((0.3, 0.6), "kets", 0, 0.0)
     @example((0.6, 0.3), "projectors", 1, 1e300)
@@ -1258,7 +1272,8 @@ def _assert_record_leaves(argv):
 
 
 # A command line per record command, its angles and source omitted.
-REFERENCE_ARGS = {"rate": _angles(0.3, 0.6), "compare": _angles(0.3, 0.6),
+REFERENCE_ARGS = {"rate": _angles(0.3, 0.6), "basis": _angles(0.3, 0.6),
+                  "compare": _angles(0.3, 0.6),
                   "simulate": [*_angles(0.3, 0.6), "--n", "1000", "--seed", "1"],
                   "criterion": [*_angles(0.3, 0.6), "--measurement", "bell"]}
 
@@ -1278,6 +1293,15 @@ class TestRecordLeaves:
         _assert_record_leaves(["rate", *_angles(theta, eta), "--beta1", repr(beta1),
                                "--beta2", repr(beta2)])
 
+    @given(rate_inputs())
+    @example((5e-324, 5e-324, 0.0, 0.0))
+    @example((QUARTER_PI, QUARTER_PI, -0.0, 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_basis(self, inputs):
+        theta, eta, beta1, beta2 = inputs
+        _assert_record_leaves(["basis", *_angles(theta, eta), "--beta1", repr(beta1),
+                               "--beta2", repr(beta2)])
+
     @given(angle_pairs(), st.integers(1, MAX_SAMPLES), st.integers(0, 2 ** 128 - 1))
     @example((5e-324, QUARTER_PI), MAX_SAMPLES, 2 ** 128 - 1)
     @settings(max_examples=100, deadline=None)
@@ -1290,7 +1314,7 @@ class TestRecordLeaves:
     def test_compare(self, angles):
         _assert_record_leaves(["compare", *_angles(*angles)])
 
-    @given(angle_pairs(), st.sampled_from(cli.BUILTIN_MEASUREMENTS + ("file",)),
+    @given(angle_pairs(), st.sampled_from(tuple(cli.BUILTIN_MEASUREMENTS) + ("file",)),
            st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 5e-324, 1e300, qmath.FLAG_TOL]))
     @example((1e-5, 0.5), "computational", 0, qmath.FLAG_TOL)
     @settings(max_examples=100, deadline=None)

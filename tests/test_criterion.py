@@ -1,12 +1,13 @@
 """Closed-form optimality test versus the simulated concentration rate."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repeaterlab import criterion, qmath
+from repeaterlab import criterion, qmath, repeater
 from repeaterlab.criterion import (
     CriterionReport,
     RankOneRequiredError,
@@ -24,6 +25,9 @@ from repeaterlab.repeater import (
 from oracles import random_orthonormal_kets
 
 RNG = np.random.default_rng(20240814)
+EPS = np.finfo(float).eps
+# The smallest subnormal, the rounding step of a result that underflows.
+SUBNORMAL = 5e-324
 
 protocol_angle = st.floats(min_value=0.0, max_value=np.pi / 4, exclude_min=True)
 ordered_angles = st.tuples(
@@ -34,6 +38,17 @@ ordered_angles = st.tuples(
 
 def optimal_measurement(theta, eta, beta1=0.0, beta2=0.0):
     return build_optimal_basis(theta, eta, beta1, beta2).kets
+
+
+def log_uniform_draws(n: int):
+    """n seeded (theta, eta, kets): angles log-uniform from 1e-150 to pi/4, Haar kets as rows.
+
+    The first draws of a longer run are the draws of a shorter one.
+    """
+    rng = np.random.default_rng(1150)
+    for _ in range(n):
+        theta, eta = np.exp(rng.uniform(np.log(1e-150), np.log(np.pi / 4), 2)).tolist()
+        yield theta, eta, np.array(random_orthonormal_kets(rng))
 
 
 def measurement_text(kets, projectors: bool) -> str:
@@ -258,6 +273,21 @@ class TestIsOptimal:
             best = 2.0 * np.sin(min(theta, eta)) ** 2
             assert abs((report.lhs - report.rhs) - (best - report.p_s)) <= 1e-12
 
+    def test_the_flag_at_tolerance_zero(self):
+        # tol = 0 means optimal up to rounding: the tuned and Bell rates round
+        # a few ulps below the optimal rate, and still read optimal.
+        assert is_optimal(optimal_measurement(0.1, 0.2), 0.1, 0.2, 0.0).optimal
+        grid = np.linspace(0.1, 0.7, 7).tolist()
+        for theta, eta in itertools.product(grid, grid):
+            assert is_optimal(optimal_measurement(theta, eta), theta, eta, 0.0).optimal
+            assert is_optimal(bell_kets(), theta, eta, 0.0).optimal
+            assert not is_optimal(computational_kets(), theta, eta, 0.0).optimal
+        rng = np.random.default_rng(3)
+        for theta, eta, beta1, beta2 in rng.uniform(0.0, np.pi / 4, (1000, 4)).tolist():
+            kets = optimal_measurement(theta, eta, 4 * beta1, -4 * beta2)
+            assert is_optimal(kets, theta, eta, 0.0).optimal, (theta, eta)
+            assert is_optimal(bell_kets(), theta, eta, 0.0).optimal, (theta, eta)
+
     def test_tolerance_is_respected(self):
         meas = computational_kets()
         assert not is_optimal(meas, 0.3, 0.6, tol=1e-9).optimal
@@ -279,6 +309,41 @@ class TestIsOptimal:
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["optimal"] is True
         assert set(payload) == {"lhs", "rhs", "p_s", "optimal", "tolerance"}
+
+
+class TestClosedFormAgainstTheKernel:
+    """The closed form and the delivered rate against the kernel's singular values
+    and a 60-digit reference, over Haar bases at angles down to 1e-150."""
+
+    def test_lhs_is_the_sum_of_singular_value_gaps(self):
+        # lhs = 1 - p_s = sum_k (s_max^2 - s_min^2) of each ket's leftover,
+        # with the singular values of qmath's closed form, unscaled by 2^-k.
+        for theta, eta, kets in log_uniform_draws(1000):
+            m = repeater._amplitudes(theta, eta) * kets.conj()
+            k, _, _, s_max, s_min = qmath.singular_values_2x2(m)
+            gaps = np.add.reduce(np.ldexp(s_max ** 2 - s_min ** 2, -2 * k))
+            assert abs(criterion_lhs(kets, theta, eta) - gaps) <= 8 * EPS, (theta, eta)
+
+    def test_the_delivered_rate_against_mpmath(self):
+        # p_s = sum_k 2 s_min^2, with s_min^2 = |det M|^2 / s_max^2 at 60
+        # digits: a few eps of the rate, and a few subnormal steps where the
+        # rate underflows.
+        mpmath = pytest.importorskip("mpmath")
+        for theta, eta, kets in log_uniform_draws(1000):
+            p_s = is_optimal(kets, theta, eta).p_s
+            with mpmath.workdps(60):
+                t, e = mpmath.mpf(theta), mpmath.mpf(eta)
+                f = [mpmath.cos(t) * mpmath.cos(e), mpmath.cos(t) * mpmath.sin(e),
+                     mpmath.sin(t) * mpmath.cos(e), mpmath.sin(t) * mpmath.sin(e)]
+                ref = 0
+                for phi in kets.tolist():
+                    m = [a * mpmath.conj(mpmath.mpc(z)) for a, z in zip(f, phi)]
+                    total = mpmath.fsum(abs(z) ** 2 for z in m)
+                    det2 = abs(m[0] * m[3] - m[1] * m[2]) ** 2
+                    # 2 s_min^2 = 2 det2 / s_max^2, s_max^2 = (total + sqrt(total^2 - 4 det2)) / 2.
+                    ref += 4 * det2 / (total + mpmath.sqrt(total ** 2 - 4 * det2))
+                ref = float(ref)
+            assert abs(p_s - ref) <= 8 * EPS * ref + 4 * SUBNORMAL, (theta, eta, p_s, ref)
 
 
 class TestMeasurementFromText:

@@ -53,7 +53,7 @@ angles_strict = st.floats(min_value=1e-3, max_value=np.pi / 4)
 
 def family_grid(theta, eta, n_alpha=41, n_phase=9):
     """All sampled direct-success kets with their Born probabilities."""
-    f = build_optimal_basis(theta, eta).f
+    f = repeater._checked_amplitudes(theta, eta)[2]
     joint = joint_ket_loop(theta, eta)
     out = []
     for alpha in np.linspace(0.0, np.pi / 2, n_alpha):
@@ -144,7 +144,7 @@ class TestOptimalBasis:
     def test_phases_enter_the_kets(self):
         beta1, beta2 = 0.7, -1.1
         basis = build_optimal_basis(0.3, 0.5, beta1, beta2)
-        f = basis.f
+        f = repeater._checked_amplitudes(0.3, 0.5)[2]
         n12 = np.hypot(f[1], f[2])
         expected = np.array([0, f[2], np.exp(1j * beta1) * f[1], 0]) / n12
         assert np.allclose(basis.kets[0], expected, atol=1e-15)
@@ -156,7 +156,7 @@ class TestOptimalBasis:
         theta, eta, beta1 = 0.3, 0.5, 0.7
         basis = build_optimal_basis(theta, eta, beta1=beta1)
         result = run_protocol_with_kets(theta, eta, basis.kets)
-        f = basis.f
+        f = repeater._checked_amplitudes(theta, eta)[2]
         expected = np.zeros(4, dtype=complex)
         expected[1] = f[1] ** 2
         expected[2] = -np.exp(-1j * beta1) * f[2] ** 2
@@ -194,7 +194,7 @@ class TestAnalyticRate:
     def test_balanced_angles_always_succeed(self):
         result = run_protocol_analytic(np.pi / 4, np.pi / 4)
         assert result.p_ms == pytest.approx(1.0, abs=1e-12)
-        assert result.bob_action_prob == pytest.approx(0.0, abs=1e-12)
+        assert result.ledger.bob_action_prob == pytest.approx(0.0, abs=1e-12)
         assert all(r.maximal for r in result.per_outcome)
 
     def test_mixed_angles_per_outcome(self):
@@ -205,7 +205,7 @@ class TestAnalyticRate:
         conds = [r.bob_success_prob for r in result.per_outcome]
         assert conds == pytest.approx([1.0, 1.0, 0.2, 0.2], abs=1e-12)
         assert [r.maximal for r in result.per_outcome] == [True, True, False, False]
-        assert result.bob_action_prob == pytest.approx(0.625, abs=1e-12)
+        assert result.ledger.bob_action_prob == pytest.approx(0.625, abs=1e-12)
 
     def test_matches_index_loop_oracle(self):
         theta, eta = 0.3, 0.6
@@ -217,7 +217,7 @@ class TestAnalyticRate:
         # For eta >= theta the smaller amplitude of each leftover is known in
         # closed form; the engine's Schmidt route must agree.
         theta, eta = 0.3, 0.6
-        f = build_optimal_basis(theta, eta).f
+        f = repeater._checked_amplitudes(theta, eta)[2]
         q3 = 2 * f[2] ** 4 / (f[1] ** 4 + f[2] ** 4)
         q4 = 2 * f[3] ** 4 / (f[0] ** 4 + f[3] ** 4)
         result = run_protocol_analytic(theta, eta)
@@ -226,7 +226,7 @@ class TestAnalyticRate:
 
     def test_filterable_conditional_rates_swapped_order(self):
         theta, eta = 0.6, 0.3
-        f = build_optimal_basis(theta, eta).f
+        f = repeater._checked_amplitudes(theta, eta)[2]
         q3 = 2 * min(f[1], f[2]) ** 4 / (f[1] ** 4 + f[2] ** 4)
         result = run_protocol_analytic(theta, eta)
         assert result.per_outcome[2].bob_success_prob == pytest.approx(q3, abs=1e-12)
@@ -297,7 +297,7 @@ class TestAnalyticRate:
         ledger = result.ledger
         assert ledger.classical_bits_sent == 2
         assert ledger.local_measurements_expected == pytest.approx(1.625, abs=1e-12)
-        assert ledger.bob_action_prob == result.bob_action_prob
+        assert not hasattr(result, "bob_action_prob")  # read through the ledger only
         assert ledger.bob_action_prob == pytest.approx(0.625, abs=1e-12)
 
     def test_to_dict_is_json_ready(self):
