@@ -141,13 +141,13 @@ def _ceiling(ca: np.ndarray, cb: np.ndarray) -> float:
     """p_max of coefficient arrays `_coefficients` has checked, the shorter first."""
     d_a, d = len(ca), len(cb)
     x = ca * cb[d_a - 1 :: -1]
-    # The reciprocals are taken of the products over 2^e, the power of two
-    # of the smallest one, so a subnormal product's reciprocal cannot
-    # overflow: the sum lies in [1, 2 d_a].  A product that underflows to
-    # exactly 0 makes the sum infinite and the ceiling 0.
-    e = math.frexp(x.min())[1]
-    with np.errstate(over="ignore", divide="ignore"):
-        scaled = d / float(np.add.reduce(math.ldexp(1.0, e) / x))
+    # A product that underflowed to 0 makes the ceiling 0.  Otherwise the
+    # reciprocal of each product over 2^e, e the smallest one's exponent,
+    # lies in (0, 2] and cannot overflow: the sum lies in [1, 2 d_a].
+    mantissa, e = math.frexp(np.minimum.reduce(x))
+    if mantissa == 0.0:
+        return 0.0
+    scaled = d / float(np.add.reduce(math.ldexp(1.0, e) / x))
     ceiling = math.ldexp(scaled, e)
     # A subnormal ceiling keeps few significant bits, so it rounds toward 0:
     # rounded up, it could scale the reaching operator above a valid
@@ -173,14 +173,14 @@ def achieving_operator(a: Sequence[float], b: Sequence[float]) -> BoundResult:
     # The permutation reversing the first d_a basis states, identity beyond,
     # picks the target (u x 1) (1/sqrt(d)) sum_k |k>|k>, whose amplitude at
     # index i * d + k is u[i, k] / sqrt(d).
-    u = np.eye(d, dtype=complex)[np.concatenate((np.arange(d_a)[::-1], np.arange(d_a, d)))]
-    omega = u.reshape(-1) / np.sqrt(d)
-    a_pad = np.zeros(d)
-    a_pad[:d_a] = ca
-    g = np.sqrt(np.multiply.outer(a_pad, cb).ravel())
+    u = np.eye(d, dtype=complex)
+    u[:d_a] = u[d_a - 1 :: -1]
+    omega = u.reshape(-1) / math.sqrt(d)
     # g is zero at the padding and where a product of tiny coefficients underflows.
+    g = np.zeros(d * d)
+    np.sqrt(np.multiply.outer(ca, cb), out=g[: d_a * d].reshape(d_a, d))
     inv_g = np.divide(1.0, g, out=np.zeros(d * d), where=g > 0.0)
-    scale = np.sqrt(ceiling)
+    scale = math.sqrt(ceiling)
     w = omega.conj() * inv_g
 
     # M = scale |omega><conj(w)| is rank one, so M^dag M has the single

@@ -3,8 +3,8 @@
 Every command prints one serialized report (JSON by default; the sweep
 prints CSV, the basis command matrix text) and exits 0, or prints a
 machine-readable error object to stderr and exits nonzero.  A report is
-written in pieces as they are made: `bound` its operator row by row,
-`sweep` one slice of grid points at a time.  Every JSON or
+written in pieces: `bound` its operator row by row, from two row texts
+made first, `sweep` one slice of grid points at a time.  Every JSON or
 CSV report is one layout, built once from a skeleton of the report, filled
 from one tuple of cells (`_layout`); the error object is one json.dumps line.
 `rate`, `basis`, `simulate`, `compare` and `criterion` each report a
@@ -31,7 +31,7 @@ import operator
 import os
 import re
 import sys
-from typing import Callable, ContextManager, Iterator
+from typing import Callable, ContextManager, Iterable, Iterator
 
 import numpy as np
 
@@ -60,8 +60,8 @@ MAX_GRID = 500
 # and the report is written a row at a time: json's text of a zero row,
 # made once per d, and one nonzero row, formatted once and placed at d
 # indices): at 32 coefficients a
-# fresh process on a 2-core host takes ~0.2-0.36 s, ~35-75 ms of it in
-# `main`, peaks near 35 MB RSS and writes a 44 MB report.
+# fresh process on a 2-core host takes ~0.18-0.3 s, ~30-55 ms of it in
+# `main`, peaks near 30 MB RSS and writes a 44 MB report.
 MAX_BOUND_DIM = 32
 # argparse's pattern for a negative number, plus an exponent, a trailing
 # dot and a comma tail: without them "--beta1 -1e-5" reads -1e-5 as an
@@ -378,7 +378,7 @@ def _rank_one_pieces(result: BoundResult, newline: str) -> list[str]:
     """
     inner = newline + "  "
     sep = "," + inner
-    rows = np.flatnonzero(result.optimal_u).tolist()
+    rows = result.optimal_u.ravel().nonzero()[0].tolist()
     pieces = [_zero_pairs(result.w.shape, inner)[0] + sep] * result.w.size
     row = _pairs_text(result.scale * (result.omega[rows[0]] * result.w), inner) + sep
     for k in rows:
@@ -396,23 +396,24 @@ _BOUND = _layout({**dict.fromkeys(_BOUND_SCALARS, "%r"), "optimal_u": [], "m_i":
 _BOUND_HEAD, _BOUND_MID, _BOUND_TAIL = _BOUND["json"].split("[]")
 
 
-def _bound_report(config: argparse.Namespace) -> Iterator[str]:
+def _bound_report(config: argparse.Namespace) -> list[str]:
     """The bound report's pieces, its JSON operator written from its factors.
 
     The scalars are finite (a ceiling of d over a positive sum, and closed
     forms of finite vectors), and so is optimal_u, a permutation.  Of
     optimal_u and the operator only the nonzero floats are formatted (see
-    `_pairs_text`).  The JSON report is its head, the operator's pieces and
-    its tail, so its tens of MB are never one string.
+    `_pairs_text`).  The JSON report is one list: its head, one piece per
+    operator row, each one of two row texts, and its tail, so its tens of
+    MB are never one string.
     """
     result = achieving_operator(config.schmidt_a, config.schmidt_b)
     scalars = tuple(getattr(result, k) for k in _BOUND_SCALARS)
     if config.output_format == "csv":
-        yield _BOUND["csv"] % scalars
-        return
-    yield _BOUND_HEAD % scalars + _pairs_text(result.optimal_u, "\n  ") + _BOUND_MID
-    yield from _rank_one_pieces(result, "\n  ")
-    yield _BOUND_TAIL
+        return [_BOUND["csv"] % scalars]
+    head = _BOUND_HEAD % scalars + _pairs_text(result.optimal_u, "\n  ") + _BOUND_MID
+    pieces = _rank_one_pieces(result, "\n  ")
+    pieces[0] = head + pieces[0]  # the operator's "[" and first row's indent
+    return [*pieces, _BOUND_TAIL]
 
 
 # A sweep row's layout.  The angles arrive as text, formatted once per grid
@@ -532,41 +533,40 @@ def _error(exc: Exception, **context) -> str:
     return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc), **context}}) + "\n"
 
 
-def _report(config: argparse.Namespace) -> Iterator[str]:
-    """The command's report as text pieces, in order.
+def _report(config: argparse.Namespace) -> Iterable[str]:
+    """The command's report as text pieces, in order: the sweep's generator, or a list.
 
-    Every input error is raised before the first piece: each command
-    computes its report, or its first slice of rows, before it yields.
+    Every input error is raised before the first piece: `sweep` computes
+    its first slice of rows for it, every other command its whole report.
     """
     fmt = config.output_format
     if config.command == "sweep":
-        yield from _sweep_report(config.grid, fmt)
-    elif config.command == "bound":
-        yield from _bound_report(config)
-    elif fmt == "text":  # basis's kets as matrix text
+        return _sweep_report(config.grid, fmt)
+    if config.command == "bound":
+        return _bound_report(config)
+    if fmt == "text":  # basis's kets as matrix text
         kets = _RECORDS["basis"](config).kets
-        yield "\n".join(qmath.format_matrix_text(k) for k in kets) + "\n"
-    else:
-        yield _record_report(_RECORDS[config.command](config), fmt)
+        return ["\n".join(qmath.format_matrix_text(k) for k in kets) + "\n"]
+    return [_record_report(_RECORDS[config.command](config), fmt)]
 
 
 def _emit(config: argparse.Namespace,
           open_write: Callable[[], ContextManager[Callable[[str], object]]]) -> str | None:
     """Writes the report's pieces in order; returns the JSON error of a failure, or None.
 
-    open_write is entered only once the first piece is made, so an input
-    error writes nothing and opens nothing.  A failure after that, making a
-    later piece or writing one, leaves what was written.
+    An input error, raised by `_report` or by the sweep's first slice, comes
+    before open_write is entered, so it writes and opens nothing.  A later
+    failure, making or writing a piece, leaves what was written.
     """
-    pieces = _report(config)
     try:
+        pieces = iter(_report(config))
         first = next(pieces)
         with open_write() as write:
             write(first)
             del first
             for piece in pieces:
                 write(piece)
-                del piece  # each piece is dropped before the next is made
+                del piece  # a sweep slice is dropped before the next is made
     except (ValueError, OSError, MemoryError) as exc:
         return _error(exc, command=config.command)
     return None

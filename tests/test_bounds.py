@@ -23,6 +23,8 @@ from oracles import dense_bound, random_density, random_hermitian
 RNG = np.random.default_rng(20240815)
 EPS = np.finfo(float).eps
 SUBNORMAL = 5e-324
+# Against itself, its middle Schmidt product 1e-200 * 1e-200 underflows to 0.
+UNDERFLOWING = [1.0 - 2e-200, 1e-200, 1e-200]
 
 
 def random_unitary(rng, d):
@@ -423,6 +425,24 @@ class TestAchievingOperator:
                 want[rows] = bits[rows[0]]
                 assert np.array_equal(bits, want)
                 assert not (result.w.view(np.uint64) >> np.uint64(63)).any()
+
+    @pytest.mark.parametrize("a, b", [([0.5, 0.5], [0.5, 0.5]), ([0.6, 0.4], [0.5, 0.3, 0.2]),
+                                      ([1.0], [0.5, 0.5]),
+                                      (UNDERFLOWING, UNDERFLOWING)])
+    def test_scalars_are_python_floats(self, a, b):
+        result = achieving_operator(a, b)
+        for name in ("p_max", "achieved_p", "post_fidelity", "scale"):
+            assert type(getattr(result, name)) is float, name
+
+    def test_underflowing_product_zeroes_the_whole_operator_path(self):
+        # 1e-200 * 1e-200 underflows to 0, so the ceiling is 0, and the
+        # operator it scales reaches nothing; no step warns on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = achieving_operator(UNDERFLOWING, UNDERFLOWING)
+        assert (result.p_max, result.achieved_p, result.post_fidelity) == (0.0, 0.0, 0.0)
+        assert result.scale == 0.0
+        assert not result.m_i.any()
 
     def test_to_dict_is_json_ready(self):
         payload = achieving_operator([0.5, 0.5], [0.5, 0.5]).to_dict()

@@ -787,6 +787,9 @@ class TestRun:
           "0.8253356149096782,0.8253356149096783,0.17466438509032164,true,1e-09"]),
         (["bound", "--a", "0.75,0.25", "--b", "0.5,0.5"],
          ["p_max,achieved_p,post_fidelity", "0.1875,0.18749999999999992,0.9999999999999997"]),
+        # The middle Schmidt product, 1e-200 * 1e-200, underflows to 0, and so does the ceiling.
+        (["bound", "--a", "1,1e-200,1e-200", "--b", "1,1e-200,1e-200"],
+         ["p_max,achieved_p,post_fidelity", "0.0,0.0,0.0"]),
     ])
     def test_one_row_csv_reports(self, argv, lines):
         status, report = run(parse_args([*argv, "--format", "csv"]))
