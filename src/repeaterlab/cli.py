@@ -9,25 +9,23 @@ CSV report is one layout, built once from a skeleton of the report, filled
 from one tuple of cells (`_layout`); the error object is one json.dumps line.
 `rate`, `basis`, `simulate`, `compare` and `criterion` each report a
 library record: its skeleton and its cells are both walked from its
-dataclass fields, and its type's layout is built on first use
+field dict, and its type's layout is built on first use
 (`_record_report`).  Only `bound` and `sweep` lay out their reports by hand.
 
 A canonical command line (each option by its full string, with a value
-its type takes) is read straight from its command's argparse
-actions; argparse reads every other, so its messages and help text are
-its own.  The options are declared once, in `_build_parser`.
+its type takes) is read straight from its command's argparse actions;
+the top-level parser reads every other, so its messages and help text
+are argparse's own.  The options are declared once, in `_build_parser`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import itertools
 import json
 import math
-import operator
 import os
 import re
 import sys
@@ -208,17 +206,13 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """Validate a command line into argparse's namespace; raises UsageError on bad input.
 
     The namespace holds each option under its dest, angles in radians.  A
-    command line that starts with a command name is read against that
-    command's parser, which is what the top-level parser would hand it to:
-    a canonical one straight from the parser's actions (`_canonical`), any
-    other by argparse.  A line that starts with anything else goes through
-    the top-level parser.
+    canonical command line is read straight from its command's actions
+    (`_canonical`); the top-level parser reads every other.
     """
     parser, commands = _build_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
+    ns = _canonical(commands[argv[0]], argv[1:]) if argv and argv[0] in commands else None
+    if ns is None:
         return _checked(parser.parse_args(argv))
-    ns = _canonical(command, argv[1:]) or command.parse_args(argv[1:])
     ns.command = argv[0]
     return _checked(ns)
 
@@ -290,31 +284,23 @@ def _checked(ns: argparse.Namespace) -> argparse.Namespace:
     return ns
 
 
-def _template(skeleton) -> str:
-    """json.dumps(skeleton, indent=2) and a newline, its "%r" and "%s" leaves made `%` fields.
-
-    Any other % in the text is escaped, so one `template % values` writes
-    the values in the order json lists their leaves.
-    """
-    text = json.dumps(skeleton, indent=2).replace("%", "%%") + "\n"
-    return text.replace('"%%r"', "%r").replace('"%%s"', "%s")
-
-
 def _layout(skeleton: dict) -> dict[str, str]:
     """A report's JSON and CSV templates, by format, built once from a skeleton of the report.
 
     The skeleton is the report with each leaf left as a field: "%r" for a
     float or an int, "%s" for a flag (filled with "true" or "false") or a
-    cell written beforehand.  The JSON template is `_template(skeleton)`.
-    The CSV template is a header line and one row, as csv.writer writes
-    them: the top-level scalars, then the scalars of each nested dict as
-    dotted columns ("ledger.bob_action_prob"), in report order.  Each field
-    inside a list is a `%.0s` field of the row, which takes its cell and
-    writes nothing, so one `%` from the same tuple of cells fills either
-    template.  Every cell is finite or an int: a record's are made from
-    checked angles, finite kets and a `_tolerance`, the sweep's and bound's
-    as their comments say; %r writes both as json does, and no cell needs
-    quoting in CSV.
+    cell written beforehand.  The JSON template is json.dumps(skeleton,
+    indent=2) and a newline, its "%r" and "%s" leaves made `%` fields and
+    any other % escaped, so it takes the values in the order json lists
+    their leaves.  The CSV template is a header line and one row, as
+    csv.writer writes them: the top-level scalars, then the scalars of each
+    nested dict as dotted columns ("ledger.bob_action_prob"), in report
+    order.  Each field inside a list is a `%.0s` field of the row, which
+    takes its cell and writes nothing, so one `%` from the same tuple of
+    cells fills either template.  Every cell is finite or an int: a record's
+    are made from checked angles, finite kets and a `_tolerance`, the
+    sweep's and bound's as their comments say; %r writes both as json does,
+    and no cell needs quoting in CSV.
     """
     columns, row, sep = [], "", ""
     for key, value in skeleton.items():
@@ -326,7 +312,8 @@ def _layout(skeleton: dict) -> dict[str, str]:
             else:
                 columns.append(name)
                 row, sep = row + sep + leaf, ","
-    return {"json": _template(skeleton),
+    text = json.dumps(skeleton, indent=2).replace("%", "%%") + "\n"
+    return {"json": text.replace('"%%r"', "%r").replace('"%%s"', "%s"),
             "csv": ",".join(columns).replace("%", "%%") + "\n" + row + "\n"}
 
 
@@ -449,8 +436,10 @@ def _skeleton(value):
 
     A flag is "%s", an int or a float "%r" and a complex array nested
     [re, im] lists of "%r"; a record or a dict is a dict of its fields'
-    skeletons, and a list or a tuple a list.  Leaves are told by their
-    exact type, as in `_cells`, so a numpy scalar is no leaf and raises.
+    skeletons, and a list or a tuple a list.  A record is walked as its
+    field dict, vars(record), which a dataclass __init__ fills in
+    declaration order.  Leaves are told by their exact type, as in
+    `_cells`, so a numpy scalar is no leaf and raises in vars().
     """
     kind = type(value)
     if kind is bool or kind is int or kind is float:
@@ -459,15 +448,7 @@ def _skeleton(value):
         return np.full(value.shape + (2,), "%r").tolist()
     if kind is list or kind is tuple:
         return [_skeleton(v) for v in value]
-    if kind is dict:
-        return {k: _skeleton(v) for k, v in value.items()}
-    return {f.name: _skeleton(getattr(value, f.name)) for f in dataclasses.fields(value)}
-
-
-@functools.cache
-def _field_values(record_type: type) -> Callable[[object], tuple]:
-    """The getter of a record's field values, in declaration order (each has two or more)."""
-    return operator.attrgetter(*(f.name for f in dataclasses.fields(record_type)))
+    return {k: _skeleton(v) for k, v in (value if kind is dict else vars(value)).items()}
 
 
 def _cells(value, cells: list) -> list:
@@ -477,10 +458,8 @@ def _cells(value, cells: list) -> list:
     array its interleaved (re, im) floats.
     """
     kind = type(value)
-    if kind is dict:
-        value = value.values()
-    elif kind is not list and kind is not tuple:
-        value = _field_values(kind)(value)
+    if kind is not list and kind is not tuple:
+        value = (value if kind is dict else vars(value)).values()
     for v in value:
         kind = type(v)
         if kind is float or kind is int:

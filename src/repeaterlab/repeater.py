@@ -27,17 +27,16 @@ from . import qmath
 MAX_SAMPLES = 2 ** 63 - 1
 
 
-def _check_protocol_angle(value: float, name: str) -> float:
-    value = float(value)
-    # Decimal-rounded boundary inputs (0.7854 for pi/4) snap down.
-    if not 0.0 < value <= np.pi / 4 + qmath.BOUNDARY_SLACK:
-        raise ValueError(f"{name} must lie in (0, pi/4], got {value}")
-    return min(value, np.pi / 4)
-
-
 def _checked_angles(theta: float, eta: float) -> tuple[float, float]:
     """Both pair angles checked and snapped, theta first."""
-    return _check_protocol_angle(theta, "theta"), _check_protocol_angle(eta, "eta")
+    snapped = []
+    for name, value in (("theta", theta), ("eta", eta)):
+        value = float(value)
+        # Decimal-rounded boundary inputs (0.7854 for pi/4) snap down.
+        if not 0.0 < value <= np.pi / 4 + qmath.BOUNDARY_SLACK:
+            raise ValueError(f"{name} must lie in (0, pi/4], got {value}")
+        snapped.append(min(value, np.pi / 4))
+    return tuple(snapped)
 
 
 def _amplitudes(theta, eta) -> np.ndarray:
@@ -405,16 +404,15 @@ def projection_bounds(theta: float, eta: float) -> tuple[float, float]:
     A direct success is a Clare outcome after which Alice and Bob already
     hold a maximally entangled state.  The bounds are the tuned basis' own
     Born weights of its two direct outcomes: outcome 2 the lower, outcome 1
-    the upper.
+    the upper.  Both are read from the sweep's `_rate_table`.
     """
-    p = _tuned_outcomes(theta, eta)[2].clare_prob
-    return float(p[1]), float(p[0])
+    _, _, lower, upper = _rate_table(*_checked_angles(theta, eta))
+    return float(lower), float(upper)
 
 
 def direct_success_prob(theta: float, eta: float) -> float:
     """Probability that Clare's outcome alone finishes the job: the sum of the projection bounds."""
-    lower, upper = projection_bounds(theta, eta)
-    return lower + upper
+    return float(_rate_table(*_checked_angles(theta, eta))[1])
 
 
 def run_protocol_sampled(theta: float, eta: float, n: int,

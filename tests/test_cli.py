@@ -420,6 +420,20 @@ class TestDispatch:
         assert set(commands) == {"rate", "basis", "simulate", "criterion", "bound",
                                  "sweep", "compare"}
 
+    @pytest.mark.parametrize("argv", [["rate", "--the", "0.3", "--eta", "0.6"],
+                                      ["rate", "--theta=0.3", "--eta", "0.6"],
+                                      ["bound", "--a", "0.5,0.5", "--b"],
+                                      ["rate", "-h"]], ids=" ".join)
+    def test_argparse_reads_only_through_the_top_level_parser(self, monkeypatch, argv):
+        # The top-level parser reaches a command's parser through
+        # parse_known_args; the command's own parse_args is a second route.
+        def command_parse_args(args=None, namespace=None):
+            raise AssertionError(f"a command parser's parse_args read {args}")
+        expected = _outcome(_top_level, argv)
+        for command in cli._build_parser()[1].values():
+            monkeypatch.setattr(command, "parse_args", command_parse_args)
+        assert _outcome(parse_args, argv) == expected
+
 
 class _ArgparseReached(Exception):
     """Raised by a patched argparse parse, so a test sees that argparse read the line."""
@@ -1333,6 +1347,21 @@ class TestRecordLeaves:
         _assert_record_leaves(["criterion", *_angles(*angles), *source, "--tol", repr(tol)])
 
 
+def test_records_walk_as_their_field_dicts():
+    # The report walkers read a record as vars(record): its __dict__ must hold
+    # exactly its fields, in declaration order.
+    analytic = run_protocol_analytic(0.3, 0.6)
+    comparison = compare_with_bell(0.3, 0.6)
+    records = [analytic, analytic.per_outcome[0], analytic.ledger,
+               run_protocol_sampled(0.3, 0.6, 1000, seed=1), comparison, comparison.optimal,
+               is_optimal(bell_kets(), 0.3, 0.6), build_optimal_basis(0.3, 0.6)]
+    assert {type(r).__name__ for r in records} == {
+        "AnalyticResult", "OutcomeRecord", "Ledger", "SampledResult", "ComparisonRecord",
+        "BranchSummary", "CriterionReport", "OptimalBasis"}
+    for record in records:
+        assert list(vars(record)) == [f.name for f in dataclasses.fields(record)], record
+
+
 def _json_pairs_text(a, newline):
     """json.dumps of a's [re, im] pairs, its newlines made newline, as _pairs_text writes it."""
     return json.dumps(qmath.as_real_pairs(a), indent=2).replace("\n", newline)
@@ -1360,7 +1389,7 @@ class TestDumps:
         assert report == json.dumps(json.loads(report), indent=2) + "\n"
 
     def test_template_fills_only_its_placeholders(self):
-        template = cli._template({"a%r": "%r", "b%%s": ["%s", 2, "%d"]})
+        template = cli._layout({"a%r": "%r", "b%%s": ["%s", 2, "%d"]})["json"]
         want = json.dumps({"a%r": -0.0, "b%%s": [True, 2, "%d"]}, indent=2) + "\n"
         assert template % (-0.0, "true") == want
 
